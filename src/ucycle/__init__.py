@@ -3,7 +3,7 @@
 Builds cyclic vertex sequences in the projective closure of AG(n,q) whose
 consecutive windows decode every affine line exactly once, extends them to
 nested universal cycles on Grassmannians of planes, and verifies every
-output against an independent brute-force enumeration.
+output for exact cover against a closed-form enumeration of its targets.
 """
 
 from .gf import (

@@ -1,7 +1,8 @@
 """Command-line front end: generate, verify, Grassmannian chains, statistics.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
-verification failed, 2 invalid parameters or unreadable/malformed input.
+verification failed, 2 invalid parameters, unreadable/malformed input or
+an unwritable output file.
 Output is byte-identical across runs for identical flags.
 """
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucycle",
         description="Universal cycles for affine lines of AG(n,q) and nested "
-        "cycles on Grassmannians of planes, with brute-force verification.",
+        "cycles on Grassmannians of planes, with exact-cover verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,11 +111,7 @@ def _load_cycle(args) -> Cycle:
 
 
 def cmd_verify(args) -> int:
-    try:
-        c = _load_cycle(args)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    c = _load_cycle(args)
     rep = verify_affine(c, c.n, c.field)
     sys.stdout.write(_dumps(rep.to_json_obj()))
     print(rep.summary(), file=sys.stderr)
@@ -194,7 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ once.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .gf import Field, field_from_order
 from .geometry import (
@@ -45,6 +45,44 @@ def _check_vertices(vertices: Sequence[ProjVertex]) -> int:
     return n
 
 
+def walk_windows(
+    vertices: Sequence, decode: Callable, wrap: bool
+) -> tuple[Counter, list[int]]:
+    """Decode every window of a vertex sequence, cyclically if ``wrap``.
+
+    Returns the multiset of decoded keys and the indices of the windows whose
+    decoding raised DegenerateWindowError, in window order.
+    """
+    found: Counter = Counter()
+    degenerate: list[int] = []
+    count = len(vertices) if wrap else max(len(vertices) - 1, 0)
+    for i in range(count):
+        try:
+            found[decode(vertices[i], vertices[(i + 1) % len(vertices)])] += 1
+        except DegenerateWindowError:
+            degenerate.append(i)
+    return found, degenerate
+
+
+def decoded_windows(vertices: Sequence, decode: Callable, wrap: bool) -> Counter:
+    """Window multiset of a structure; raises DegenerateWindowError with the
+    index of the first window that does not decode."""
+    found, degenerate = walk_windows(vertices, decode, wrap)
+    if degenerate:
+        i = degenerate[0]
+        raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
+    return found
+
+
+def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
+    """True iff seq occurs contiguously in some rotation of cycle (no reversal)."""
+    if len(seq) > len(cycle):
+        return False
+    doubled = cycle + cycle
+    k = len(seq)
+    return any(doubled[i : i + k] == seq for i in range(len(cycle)))
+
+
 class Cycle:
     """Cyclic double-window vertex sequence."""
 
@@ -60,21 +98,14 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    def window_pairs(self) -> list[tuple[ProjVertex, ProjVertex]]:
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
     def windows(self) -> Counter:
         """Multiset of decoded lines; raises DegenerateWindowError with the
         failing index if some window does not determine a line."""
         if self._windows is None:
-            c = Counter()
-            for i, (a, b) in enumerate(self.window_pairs()):
-                try:
-                    c[decode_window(a, b, self.field)] += 1
-                except DegenerateWindowError as e:
-                    raise DegenerateWindowError(f"window {i}: {e}", index=i) from None
-            self._windows = c
+            F = self.field
+            self._windows = decoded_windows(
+                self.vertices, lambda a, b: decode_window(a, b, F), wrap=True
+            )
         return self._windows
 
     def __repr__(self):
@@ -99,19 +130,12 @@ class Segment:
     def __len__(self):
         return len(self.vertices)
 
-    def window_pairs(self) -> list[tuple[ProjVertex, ProjVertex]]:
-        vs = self.vertices
-        return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-
     def windows(self) -> Counter:
         if self._windows is None:
-            c = Counter()
-            for i, (a, b) in enumerate(self.window_pairs()):
-                try:
-                    c[decode_window(a, b, self.field)] += 1
-                except DegenerateWindowError as e:
-                    raise DegenerateWindowError(f"window {i}: {e}", index=i) from None
-            self._windows = c
+            F = self.field
+            self._windows = decoded_windows(
+                self.vertices, lambda a, b: decode_window(a, b, F), wrap=False
+            )
         return self._windows
 
     def reversed(self) -> "Segment":
@@ -154,11 +178,7 @@ def same_windows(a: Structure, b: Structure) -> bool:
 
 
 def equal_up_to_rotation(a: Cycle, b: Cycle) -> bool:
-    if len(a.vertices) != len(b.vertices):
-        return False
-    doubled = a.vertices + a.vertices
-    m = len(b.vertices)
-    return any(doubled[i : i + m] == b.vertices for i in range(len(a.vertices)))
+    return len(a.vertices) == len(b.vertices) and occurs_cyclically(b.vertices, a.vertices)
 
 
 def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
@@ -328,11 +348,16 @@ def cycle_from_json_obj(obj: dict, max_q: int | None = None) -> Cycle:
         raw = obj["vertices"]
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed cycle object: {e}") from None
+    if not isinstance(raw, list):
+        raise ValueError("malformed cycle object: 'vertices' is not a list")
     F = field_from_order(q, max_q=max_q)
     verts = []
     for i, item in enumerate(raw):
-        kind = item.get("type")
-        coords = tuple(int(x) for x in item.get("coords", ()))
+        try:
+            kind = item["type"]
+            coords = tuple(int(x) for x in item["coords"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"malformed vertex {i}: {item}") from None
         if kind not in ("affine", "infinity") or len(coords) != n:
             raise ValueError(f"malformed vertex {i}: {item}")
         if any(not 0 <= x < q for x in coords):

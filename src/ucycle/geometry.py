@@ -85,10 +85,6 @@ def vsub(a: Vector, b: Vector, F: Field) -> Vector:
     return tuple(F.sub(x, y) for x, y in zip(a, b))
 
 
-def vneg(a: Vector, F: Field) -> Vector:
-    return tuple(F.neg(x) for x in a)
-
-
 def vscale(t: int, a: Vector, F: Field) -> Vector:
     return tuple(F.mul(t, x) for x in a)
 
@@ -224,13 +220,15 @@ def line_through(a: Point, b: Point, F: Field) -> AffineLine:
 
 
 def line_from(w: Point, d: Direction, F: Field) -> AffineLine:
-    """Canonical form of the line w + <d>."""
-    base = w
-    for t in range(1, F.q):
-        cand = vadd(w, vscale(t, d.vector, F), F)
-        if cand < base:
-            base = cand
-    return AffineLine(d, base)
+    """Canonical form of the line w + <d>.
+
+    The coordinates of w + t*d before the pivot of d are fixed and the pivot
+    coordinate, whose entry in d is 1, runs through every field element, so
+    the lexicographically smallest point is the one whose pivot coordinate
+    is 0: w - w[piv]*d.
+    """
+    piv = next(i for i, x in enumerate(d.vector) if x != 0)
+    return AffineLine(d, vadd(w, vscale(F.neg(w[piv]), d.vector, F), F))
 
 
 def line_points(L: AffineLine, F: Field) -> list[Point]:

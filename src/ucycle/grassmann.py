@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 from .gf import Field
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
-from .cycles import Cycle
+from .cycles import Cycle, decoded_windows
 from .constructions import universal_cycle
 
 
@@ -62,15 +62,10 @@ class GrassCycle:
 
     def windows(self) -> Counter:
         if self._windows is None:
-            c = Counter()
-            vs = self.vertices
-            for i in range(len(vs)):
-                a, b = vs[i], vs[(i + 1) % len(vs)]
-                try:
-                    c[span2(a, b, self.field)] += 1
-                except DegenerateWindowError as e:
-                    raise DegenerateWindowError(f"window {i}: {e}", index=i) from None
-            self._windows = c
+            F = self.field
+            self._windows = decoded_windows(
+                self.vertices, lambda a, b: span2(a, b, F), wrap=True
+            )
         return self._windows
 
     def __repr__(self):

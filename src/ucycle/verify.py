@@ -1,12 +1,15 @@
-"""Brute-force coverage oracle for affine-line and Grassmannian cycles.
+"""Exact-cover checks for affine-line and Grassmannian cycles.
 
-The affine oracle enumerates lines by canonicalizing the line through point
-pairs, with no code shared with the fiber constructions, and compares the
-window multiset of a candidate cycle against it.  Results come back as a
-CoverageReport rather than exceptions, so invalid cycles produce failing
-reports.  Above a size threshold the same pair enumeration and window
-decoding run vectorized on integer line keys; both routes are cross-checked
-in the test suite.
+Every check compares the window multiset of a candidate against a target set
+and returns a CoverageReport rather than raising, so invalid cycles produce
+failing reports.  The targets are enumerated in closed form, with no code
+shared with the constructions: an affine line of AG(n,q) is a normalized
+direction together with the one point of the line whose coordinate at the
+direction's pivot is 0, and a plane of F_q^m is a rank-2 RREF row pair.
+Affine windows are decoded in one vectorized pass to packed integer line
+keys, with the same closed form as ``geometry.line_from``; every other
+structure walks its windows one by one.  The brute-force point-pair oracle
+lives in the test suite as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,28 +17,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .gf import Field
-from .geometry import (
-    AffineLine,
-    DegenerateWindowError,
-    Direction,
-    ProjVertex,
-    decode_window,
-    enumerate_directions,
-    all_points,
-    line_through,
-)
-from .cycles import Cycle, Segment
+from .geometry import AffineLine, Direction, ProjVertex, decode_window
+from .cycles import Cycle, Segment, occurs_cyclically, walk_windows
 from .grassmann import GrassCycle, Subspace2, span2, subspace_to_json_obj
 
 MAX_REPORT_ITEMS = 32
-
-# Above this many points the affine verifier switches to the vectorized path.
-_NP_POINT_LIMIT = 500
 
 
 def gaussian_binomial_2(m: int, q: int) -> int:
@@ -98,10 +89,18 @@ class CoverageReport:
         }
 
 
-def _build_report(expected, found: Counter, degenerate: list, window_count: int) -> CoverageReport:
+def _build_report(
+    expected, found: Counter, degenerate: list[int], item: Callable = lambda k: k
+) -> CoverageReport:
+    """Compare found window keys with the expected keys.
+
+    ``item`` turns a key into its report entry; it runs only on the entries
+    kept after truncation to MAX_REPORT_ITEMS.
+    """
     missing = sorted(k for k in expected if k not in found)
     duplicated = sorted((k, c) for k, c in found.items() if c > 1)
     unexpected = sorted(k for k in found if k not in expected)
+    window_count = sum(found.values()) + len(degenerate)
     passed = (
         not missing
         and not duplicated
@@ -112,9 +111,9 @@ def _build_report(expected, found: Counter, degenerate: list, window_count: int)
     return CoverageReport(
         expected_count=len(expected),
         found_count=window_count,
-        missing=missing[:MAX_REPORT_ITEMS],
-        duplicated=duplicated[:MAX_REPORT_ITEMS],
-        unexpected=unexpected[:MAX_REPORT_ITEMS],
+        missing=[item(k) for k in missing[:MAX_REPORT_ITEMS]],
+        duplicated=[(item(k), c) for k, c in duplicated[:MAX_REPORT_ITEMS]],
+        unexpected=[item(k) for k in unexpected[:MAX_REPORT_ITEMS]],
         degenerate_windows=degenerate[:MAX_REPORT_ITEMS],
         missing_total=len(missing),
         duplicated_total=len(duplicated),
@@ -124,49 +123,119 @@ def _build_report(expected, found: Counter, degenerate: list, window_count: int)
     )
 
 
-def _walk_windows(vertices: Sequence[ProjVertex], F: Field, wrap: bool):
-    """Decode every window, collecting degenerate indices instead of raising."""
-    found: Counter = Counter()
-    degenerate: list[int] = []
-    count = len(vertices) if wrap else max(len(vertices) - 1, 0)
-    for i in range(count):
-        a = vertices[i]
-        b = vertices[(i + 1) % len(vertices)]
-        try:
-            found[decode_window(a, b, F)] += 1
-        except DegenerateWindowError:
-            degenerate.append(i)
-    return found, degenerate, count
+# -- affine lines as packed integer keys ----------------------------------------
+#
+# A line packs to dir·q^n + base, where dir and base are the base-q codes of
+# its direction vector and base point, first coordinate most significant, so
+# the numeric order of keys is the (direction, base) tuple order.
+
+_INT64_MAX = 2**63 - 1
+
+_np_cache: dict = {}
+
+
+def _key_radix(n: int, q: int) -> int:
+    """q^n, the radix of packed line keys, after checking that every key of
+    AG(n,q) fits in an int64.  Runs before any array is built."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if q ** (2 * n) > _INT64_MAX:
+        raise ValueError(
+            f"AG({n},{q}) is too large to verify: line keys need q^(2n) <= 2^63-1"
+        )
+    return q**n
+
+
+def _np_tables(F: Field):
+    key = (F.p, F.k, F.modulus)
+    if key not in _np_cache:
+        _np_cache[key] = (
+            np.array(F._add, dtype=np.int64),
+            np.array(F._mul, dtype=np.int64),
+            np.array(F._inv, dtype=np.int64),
+            np.array(F._neg, dtype=np.int64),
+        )
+    return _np_cache[key]
+
+
+def _all_line_keys(n: int, F: Field) -> np.ndarray:
+    """Packed keys of every line of AG(n,q), ascending.
+
+    Directions with pivot i have codes in [q^(n-1-i), 2·q^(n-1-i)), and
+    their canonical bases are the points whose coordinate i is 0.  Later
+    pivots have smaller direction codes, so emitting pivots from last to
+    first keeps the keys sorted.
+    """
+    q = F.q
+    radix = _key_radix(n, q)
+    parts = []
+    for i in range(n - 1, -1, -1):
+        low = q ** (n - 1 - i)
+        dirs = np.arange(low, 2 * low, dtype=np.int64)
+        heads = np.arange(q**i, dtype=np.int64)[:, None] * (q * low)
+        bases = (heads + np.arange(low, dtype=np.int64)).ravel()
+        parts.append((dirs[:, None] * radix + bases).ravel())
+    return np.concatenate(parts)
+
+
+def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
+    """Packed line keys of a cycle's decodable windows, and the indices of
+    the degenerate ones (two points at infinity, or one affine point twice).
+
+    The same closed form as ``geometry.line_from``, over all windows at
+    once: normalize the direction, then subtract base[piv]·d from the base.
+    """
+    F, n = c.field, c.n
+    radix = _key_radix(n, F.q)
+    ADD, MUL, INV, NEG = _np_tables(F)
+    N = len(c.vertices)
+    inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
+    a = np.array([v.coords for v in c.vertices], dtype=np.int64)
+    b_inf = np.roll(inf, -1)
+    b = np.roll(a, -1, axis=0)
+    # the direction is the vertex at infinity if there is one, else b - a
+    d = np.where(inf[:, None], a, np.where(b_inf[:, None], b, ADD[b, NEG[a]]))
+    pt = np.where(inf[:, None], b, a)
+    rows = np.arange(N)
+    piv = np.argmax(d != 0, axis=1)
+    lead = d[rows, piv]
+    degenerate = (inf & b_inf) | (lead == 0)
+    d = MUL[d, INV[lead][:, None]]
+    base = ADD[pt, MUL[d, NEG[pt[rows, piv]][:, None]]]
+    weights = F.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = (d @ weights) * radix + base @ weights
+    return keys[~degenerate], np.flatnonzero(degenerate).tolist()
+
+
+def _unpack_line_key(key: int, n: int, F: Field) -> AffineLine:
+    dkey, bkey = divmod(key, F.q**n)
+
+    def digits(x):
+        out = []
+        for _ in range(n):
+            x, r = divmod(x, F.q)
+            out.append(r)
+        return tuple(reversed(out))
+
+    return AffineLine(Direction(digits(dkey)), digits(bkey))
 
 
 # -- affine oracle ------------------------------------------------------------
 
 def all_affine_lines(n: int, F: Field) -> set[AffineLine]:
-    """Every affine line of AG(n,q), by canonicalizing all point pairs.
-
-    Independent of the construction machinery: no fibers, no hyperplanes,
-    just pairs of points.  Large spaces reuse the vectorized pair scan.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if F.q**n > _NP_POINT_LIMIT:
-        return {_unpack_line_key(int(k), n, F) for k in _all_line_keys(n, F)}
-    pts = list(all_points(n, F))
-    lines: set[AffineLine] = set()
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            lines.add(line_through(a, b, F))
-    return lines
+    """Every affine line of AG(n,q), enumerated in closed form."""
+    return {_unpack_line_key(k, n, F) for k in _all_line_keys(n, F).tolist()}
 
 
 def verify_affine(c: Cycle, n: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a cycle against all affine lines of AG(n,q)."""
     if c.n != n or c.field != F:
         raise ValueError("cycle does not live in AG(n,q) for the given n, q")
-    if F.q**n > _NP_POINT_LIMIT:
-        return _verify_affine_np(c, n, F)
-    found, degenerate, count = _walk_windows(c.vertices, F, wrap=True)
-    return _build_report(all_affine_lines(n, F), found, degenerate, count)
+    keys, degenerate = _window_keys(c)
+    expected = set(_all_line_keys(n, F).tolist())
+    return _build_report(
+        expected, Counter(keys.tolist()), degenerate, lambda k: _unpack_line_key(k, n, F)
+    )
 
 
 def verify_subset(
@@ -186,11 +255,8 @@ def verify_subset(
         vertices, wrap = tuple(c), True
         if vertices and F is None:
             raise ValueError("a bare vertex sequence needs an explicit field")
-    expected = set(expected)
-    if not vertices:
-        return _build_report(expected, Counter(), [], 0)
-    found, degenerate, count = _walk_windows(vertices, F, wrap=wrap)
-    return _build_report(expected, found, degenerate, count)
+    found, degenerate = walk_windows(vertices, lambda a, b: decode_window(a, b, F), wrap)
+    return _build_report(set(expected), found, degenerate)
 
 
 # -- Grassmannian oracle -------------------------------------------------------
@@ -223,15 +289,8 @@ def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    found: Counter = Counter()
-    degenerate: list[int] = []
-    vs = gc.vertices
-    for i in range(len(vs)):
-        try:
-            found[span2(vs[i], vs[(i + 1) % len(vs)], F)] += 1
-        except DegenerateWindowError:
-            degenerate.append(i)
-    return _build_report(all_2subspaces(m, F), found, degenerate, len(vs))
+    found, degenerate = walk_windows(gc.vertices, lambda a, b: span2(a, b, F), wrap=True)
+    return _build_report(all_2subspaces(m, F), found, degenerate)
 
 
 def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:
@@ -239,139 +298,4 @@ def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:
     rotation of the outer cycle only (no reversal)."""
     if inner.m != outer.m:
         raise ValueError(f"ambient dimensions differ: {inner.m} vs {outer.m}")
-    if len(inner.vertices) > len(outer.vertices):
-        return False
-    doubled = outer.vertices + outer.vertices
-    seq = inner.vertices
-    k = len(seq)
-    return any(doubled[i : i + k] == seq for i in range(len(outer.vertices)))
-
-
-# -- vectorized fast path ------------------------------------------------------
-
-_np_cache: dict = {}
-
-
-def _np_tables(F: Field):
-    key = (F.p, F.k, F.modulus)
-    if key not in _np_cache:
-        _np_cache[key] = (
-            np.array(F._add, dtype=np.int64),
-            np.array(F._mul, dtype=np.int64),
-            np.array(F._inv, dtype=np.int64),
-            np.array(F._neg, dtype=np.int64),
-        )
-    return _np_cache[key]
-
-
-def _pack(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (coords * weights).sum(axis=1)
-
-
-def _unpack_line_key(key: int, n: int, F: Field) -> AffineLine:
-    P = F.q**n
-    dkey, bkey = divmod(key, P)
-
-    def digits(x):
-        out = []
-        for _ in range(n):
-            x, r = divmod(x, F.q)
-            out.append(r)
-        return tuple(reversed(out))
-
-    return AffineLine(Direction(digits(dkey)), digits(bkey))
-
-
-def _all_line_keys(n: int, F: Field) -> np.ndarray:
-    """Packed keys of all canonical lines, via pairs (a, a + d) over all
-    points a and canonical difference directions d (scalar-equivalent
-    differences skipped)."""
-    ADD, MUL, _, _ = _np_tables(F)
-    q = F.q
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    pts = np.array(list(all_points(n, F)), dtype=np.int64)
-    P = q**n
-    parts = []
-    for d in enumerate_directions(n, F):
-        darr = np.array(d.vector, dtype=np.int64)
-        best = _pack(pts, weights)
-        for t in range(1, q):
-            cand = ADD[pts, MUL[darr, t][None, :]]
-            best = np.minimum(best, _pack(cand, weights))
-        dkey = int(_pack(darr[None, :], weights)[0])
-        parts.append(np.unique(best) + dkey * P)
-    return np.concatenate(parts)
-
-
-def _cycle_window_keys(c: Cycle):
-    """Packed line keys of all windows plus the degenerate window indices."""
-    F = c.field
-    ADD, MUL, INV, NEG = _np_tables(F)
-    q, n = F.q, c.n
-    N = len(c.vertices)
-    inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
-    crd = np.array([v.coords for v in c.vertices], dtype=np.int64)
-    b_inf = np.roll(inf, -1)
-    b_crd = np.roll(crd, -1, axis=0)
-
-    both_inf = inf & b_inf
-    dirv = np.where(inf[:, None], crd, b_crd)
-    pt = np.where(inf[:, None], b_crd, crd)
-    equal_affine = np.zeros(N, dtype=bool)
-
-    # affine-affine rows: normalize the difference
-    aa = ~inf & ~b_inf
-    if aa.any():
-        idx = np.nonzero(aa)[0]
-        diff = ADD[b_crd[idx], NEG[crd[idx]]]
-        zero = ~diff.any(axis=1)
-        first = np.argmax(diff != 0, axis=1)
-        lead = diff[np.arange(len(idx)), first]
-        lead[zero] = 1
-        diff = MUL[diff, INV[lead][:, None]]
-        dirv[idx] = diff
-        equal_affine[idx[zero]] = True
-
-    degenerate_mask = both_inf | equal_affine
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    best = _pack(pt, weights)
-    for t in range(1, q):
-        cand = ADD[pt, MUL[dirv, t]]
-        best = np.minimum(best, _pack(cand, weights))
-    keys = _pack(dirv, weights) * (q**n) + best
-    return keys[~degenerate_mask], list(np.nonzero(degenerate_mask)[0])
-
-
-def _verify_affine_np(c: Cycle, n: int, F: Field) -> CoverageReport:
-    wkeys, degenerate = _cycle_window_keys(c)
-    okeys = np.sort(_all_line_keys(n, F))
-    uk, counts = np.unique(wkeys, return_counts=True)
-    missing = np.setdiff1d(okeys, uk, assume_unique=True)
-    unexpected = np.setdiff1d(uk, okeys, assume_unique=True)
-    dup_sel = counts > 1
-    dup_keys = uk[dup_sel]
-    dup_counts = counts[dup_sel]
-    passed = (
-        missing.size == 0
-        and unexpected.size == 0
-        and dup_keys.size == 0
-        and not degenerate
-        and len(c.vertices) == okeys.size
-    )
-    unpack = lambda k: _unpack_line_key(int(k), n, F)
-    return CoverageReport(
-        expected_count=int(okeys.size),
-        found_count=len(c.vertices),
-        missing=[unpack(k) for k in missing[:MAX_REPORT_ITEMS]],
-        duplicated=[
-            (unpack(k), int(cnt))
-            for k, cnt in zip(dup_keys[:MAX_REPORT_ITEMS], dup_counts[:MAX_REPORT_ITEMS])
-        ],
-        unexpected=[unpack(k) for k in unexpected[:MAX_REPORT_ITEMS]],
-        degenerate_windows=[int(i) for i in degenerate[:MAX_REPORT_ITEMS]],
-        missing_total=int(missing.size),
-        duplicated_total=int(dup_keys.size),
-        unexpected_total=int(unexpected.size),
-        degenerate_total=len(degenerate),
-        passed=bool(passed),
-    )
+    return occurs_cyclically(inner.vertices, outer.vertices)

@@ -62,6 +62,34 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
     f.write_text(json.dumps({"n": 2, "q": 2}))
     assert run(capsys, "verify", "--in", str(f))[0] == 2
     assert run(capsys, "verify", "--in", str(f) + ".nope")[0] == 2
+    for vertices in ([1, 2], 5, [{"type": "affine", "coords": 5}],
+                     [{"type": "affine", "coords": [None, 0]}], [{"coords": [0, 0]}]):
+        f.write_text(json.dumps({"n": 2, "q": 2, "vertices": vertices}))
+        rc, _, err = run(capsys, "verify", "--in", str(f))
+        assert rc == 2, vertices
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_refuses_oversized_keys_at_once(tmp_path, capsys):
+    # q^(2n) = 2^64 overflows the packed int64 line keys; refused before
+    # the 2^32 points of AG(4,256) are enumerated
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"n": 4, "q": 256, "vertices": [
+        {"type": "affine", "coords": [0, 0, 0, 0]},
+        {"type": "infinity", "coords": [1, 0, 0, 0]},
+    ]}))
+    rc, out, err = run(capsys, "verify", "--in", str(f))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "2^63" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--n", "2", "--p", "2"],
+                                  ["grassmann", "--m", "3", "--p", "2"]])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "c.json"))
+    assert rc == 2
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err, err
 
 
 def test_verify_parameter_mismatch_exits_2(tmp_path, capsys):

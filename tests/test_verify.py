@@ -1,12 +1,24 @@
 """Oracle layer: line enumeration, coverage reports, nesting scan."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from ucycle.gf import field_from_order, field_make
-from ucycle.geometry import Direction, affine, fiber, infinity
+from ucycle.geometry import (
+    AffineLine,
+    Direction,
+    affine,
+    decode_window,
+    fiber,
+    infinity,
+    normalize_direction,
+    vadd,
+    vscale,
+    vsub,
+)
 from ucycle.cycles import Cycle
 from ucycle.constructions import triple_base_cycle, two_fiber_cycle, universal_cycle
 from ucycle.grassmann import GrassCycle, embed_cycle, nested_cycles, singer_cycle
@@ -16,7 +28,7 @@ from ucycle.verify import (
     all_affine_lines,
     _all_line_keys,
     _unpack_line_key,
-    _verify_affine_np,
+    _window_keys,
     affine_line_count,
     gaussian_binomial_2,
     verify_affine,
@@ -24,6 +36,19 @@ from ucycle.verify import (
     verify_nesting,
     verify_subset,
 )
+
+
+def pair_oracle(n, F):
+    """Every line of AG(n,q) through each pair of points, in its defining
+    canonical form: normalized direction and lexicographically smallest
+    point.  The brute-force reference for the closed-form enumeration."""
+    pts = list(itertools.product(range(F.q), repeat=n))
+    lines = set()
+    for a, b in itertools.combinations(pts, 2):
+        d = normalize_direction(vsub(b, a, F), F)
+        points = (vadd(a, vscale(t, d.vector, F), F) for t in range(F.q))
+        lines.add(AffineLine(d, min(points)))
+    return lines
 
 
 def plane_cycle_22():
@@ -54,27 +79,43 @@ def test_line_count_formula(n, q):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (2, 4)])
 def test_vectorized_keys_match_pure_pairs(n, q):
     F = field_from_order(q)
-    pure = all_affine_lines(n, F)
+    pure = pair_oracle(n, F)
     keys = _all_line_keys(n, F)
     assert len(keys) == len(np.unique(keys)) == len(pure)
+    assert list(keys) == sorted(keys)
     assert {_unpack_line_key(int(k), n, F) for k in keys} == pure
+    assert all_affine_lines(n, F) == pure
+    c = universal_cycle(n, F)
+    wkeys, degenerate = _window_keys(c)
+    vs = c.vertices
+    decoded = [decode_window(vs[i], vs[(i + 1) % len(vs)], F) for i in range(len(vs))]
+    assert degenerate == []
+    assert [_unpack_line_key(int(k), n, F) for k in wkeys] == decoded
+    assert set(decoded) == pure
+
+
+def _small_grid_variants():
+    """Valid small-grid cycles and broken copies: a vertex deleted, a window
+    duplicated, and a degenerate window (the same affine point twice)."""
+    for n, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]:
+        F = field_from_order(q)
+        vs = universal_cycle(n, F).vertices
+        affine_at = next(i for i, v in enumerate(vs) if not v.at_infinity)
+        yield "valid", n, F, vs
+        yield "deleted", n, F, vs[:3] + vs[4:]
+        yield "duplicated", n, F, vs + vs[:2]
+        yield "degenerate", n, F, vs[: affine_at + 1] + vs[affine_at:]
 
 
 def test_vectorized_report_matches_pure_report():
-    F = field_make(3)
-    c = universal_cycle(3, F)
-    pure = verify_affine(c, 3, F)
-    fast = _verify_affine_np(c, 3, F)
-    assert pure.passed and fast.passed
-    assert (pure.expected_count, pure.found_count) == (fast.expected_count, fast.found_count)
-    # and on a tampered cycle both report the same failure counts
-    broken = Cycle(c.vertices[:-1], F)
-    pure = verify_subset(broken, all_affine_lines(3, F))
-    fast = _verify_affine_np(broken, 3, F)
-    assert not pure.passed and not fast.passed
-    assert pure.missing_total == fast.missing_total
-    assert pure.duplicated_total == fast.duplicated_total
-    assert set(pure.missing) == set(fast.missing)
+    for kind, n, F, vs in _small_grid_variants():
+        c = Cycle(vs, F)
+        fast = verify_affine(c, n, F)
+        pure = verify_subset(c, pair_oracle(n, F))
+        assert fast.to_json_obj() == pure.to_json_obj(), (kind, n, F.q)
+        assert fast.passed == (kind == "valid"), (kind, n, F.q)
+        assert (fast.duplicated_total > 0) >= (kind == "duplicated")
+        assert (fast.degenerate_total > 0) >= (kind == "degenerate")
 
 
 def test_plane_cycle_passes():
