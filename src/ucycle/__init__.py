@@ -47,7 +47,6 @@ from .cycles import (
     rotate,
     same_windows,
     translate,
-    windows,
 )
 from .constructions import (
     FiberPlan,

@@ -1,8 +1,8 @@
 """Command-line front end: generate, verify, Grassmannian chains, statistics.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
-verification failed, 2 invalid parameters, unreadable/malformed input or
-an unwritable output file.
+verification failed, 2 invalid parameters, unreadable/malformed input, more
+than 2^24 lines or planes, or an unwritable output file.
 Output is byte-identical across runs for identical flags.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .gf import field_make
 from .geometry import enumerate_directions
@@ -23,7 +24,18 @@ from .cycles import (
 )
 from .constructions import plan_fibers, universal_cycle
 from .grassmann import embed_cycle, grass_to_json_obj, nested_cycles
-from .verify import affine_line_count, verify_affine, verify_grassmann, verify_nesting
+from .verify import affine_line_count, gaussian_binomial_2, line_key_radix
+from .verify import verify_affine, verify_grassmann, verify_nesting
+
+SIZE_BUDGET_BITS = 24  # at most 2^24 lines or planes
+
+
+def _check_size(dim: int, q: int, count: Callable[[int, int], int], what: str) -> None:
+    """Refuse, before any work, more than 2^SIZE_BUDGET_BITS lines or planes.
+    Both number at least 2^(2·dim-4), so a dim past that is refused without
+    forming q^dim; dim < 1 is left to the library's own checks."""
+    if 2 * dim - 4 > SIZE_BUDGET_BITS or (dim >= 1 and count(dim, q) > 2**SIZE_BUDGET_BITS):
+        raise ValueError(f"{what} exceed the size budget of 2^{SIZE_BUDGET_BITS}")
 
 
 def _dumps(obj) -> str:
@@ -77,10 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 2:
-        print(f"error: need n >= 2, got {args.n}", file=sys.stderr)
-        return 2
     F = field_make(args.p, args.k)
+    _check_size(args.n, F.q, affine_line_count, f"the lines of AG({args.n},{F.q})")
     c = universal_cycle(args.n, F)
     ndirs = (F.q**args.n - 1) // (F.q - 1)
     summary = (
@@ -98,20 +108,27 @@ def _load_cycle(args) -> Cycle:
     with open(args.infile, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        c = cycle_from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("cycle JSON is nested too deeply") from None
+        c = cycle_from_json_obj(obj)
     else:
         if args.p is None:
             raise ValueError("text cycle files need --p (and --k for extensions)")
         c = cycle_from_text(text, field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
-    if args.p is not None and c.field.q != args.p**args.k:
-        raise ValueError(f"file has q={c.field.q}, expected q={args.p ** args.k}")
+    if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):
+        raise ValueError(f"file has q={c.field.q}, expected q={args.p}^{args.k}")
     return c
 
 
 def cmd_verify(args) -> int:
     c = _load_cycle(args)
+    # an int64 overflow of the line keys names its own bound, so it is checked first
+    line_key_radix(c.n, c.field.q)
+    _check_size(c.n, c.field.q, affine_line_count, f"the lines of AG({c.n},{c.field.q})")
     rep = verify_affine(c, c.n, c.field)
     sys.stdout.write(_dumps(rep.to_json_obj()))
     print(rep.summary(), file=sys.stderr)
@@ -119,10 +136,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
-    if args.m < 3:
-        print(f"error: need m >= 3, got {args.m}", file=sys.stderr)
-        return 2
     F = field_make(args.p, args.k)
+    _check_size(args.m, F.q, gaussian_binomial_2, f"the planes of F_{F.q}^{args.m}")
     levels = nested_cycles(args.m, F)
     all_ok = True
     level_objs = []
@@ -158,10 +173,8 @@ def cmd_grassmann(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.n < 2:
-        print(f"error: need n >= 2, got {args.n}", file=sys.stderr)
-        return 2
     F = field_make(args.p, args.k)
+    _check_size(args.n, F.q, affine_line_count, f"the lines of AG({args.n},{F.q})")
     plan = plan_fibers(args.n, F)
     ndirs = len(enumerate_directions(args.n, F))
     print(f"directions = {ndirs}")

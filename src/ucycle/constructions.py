@@ -264,7 +264,7 @@ def triple_fiber_cycle(
     """
     iso = pgl_normalizer(d1, d2, d3, F)
     base = triple_base_cycle(F)
-    mapped = map_linear(base, iso.matrix, F)
+    mapped = map_linear(base, iso.matrix)
     if n == 2:
         return mapped
     U = Subspace(rref([iso.w1, iso.w2], F))
@@ -276,7 +276,7 @@ def plan_fibers(n: int, F: Field) -> FiberPlan:
     otherwise one coplanar triplet plus pairs of the rest, consecutively in
     enumeration order."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError(f"need n >= 2, got {n}")
     dirs = enumerate_directions(n, F)
     if len(dirs) % 2 == 0:
         triplet = None
@@ -295,8 +295,6 @@ def universal_cycle(n: int, F: Field) -> Cycle:
     Builds one cycle per planned fiber pair (and one for the triplet when the
     direction count is odd) and splices them all at the shared origin.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     plan = plan_fibers(n, F)
     parts: list[Cycle] = []
     if plan.triplet is not None:

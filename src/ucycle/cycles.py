@@ -3,8 +3,8 @@
 A cycle is a cyclic vertex sequence over the projective closure whose
 consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints.
-Structures are immutable; the window multiset is computed lazily and cached
-once.
+Both, and grassmann.GrassCycle, are immutable VertexSequences whose window
+multiset is computed lazily and cached once.
 """
 
 from __future__ import annotations
@@ -29,22 +29,6 @@ class GluingError(ValueError):
     """A gluing precondition (shared vertex, parity, connectivity, transversality) failed."""
 
 
-def _check_vertices(vertices: Sequence[ProjVertex]) -> int:
-    if len(vertices) < 2:
-        raise ValueError("need at least 2 vertices")
-    n = len(vertices[0].coords)
-    for i, v in enumerate(vertices):
-        if not isinstance(v, ProjVertex):
-            raise TypeError(f"vertex {i} is not a ProjVertex")
-        if len(v.coords) != n:
-            raise ValueError(f"vertex {i} has dimension {len(v.coords)}, expected {n}")
-        if v.at_infinity:
-            lead = next((c for c in v.coords if c != 0), None)
-            if lead != 1:
-                raise ValueError(f"vertex {i}: infinity vector {v.coords} not normalized")
-    return n
-
-
 def walk_windows(
     vertices: Sequence, decode: Callable, wrap: bool
 ) -> tuple[Counter, list[int]]:
@@ -64,16 +48,6 @@ def walk_windows(
     return found, degenerate
 
 
-def decoded_windows(vertices: Sequence, decode: Callable, wrap: bool) -> Counter:
-    """Window multiset of a structure; raises DegenerateWindowError with the
-    index of the first window that does not decode."""
-    found, degenerate = walk_windows(vertices, decode, wrap)
-    if degenerate:
-        i = degenerate[0]
-        raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
-    return found
-
-
 def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
     """True iff seq occurs contiguously in some rotation of cycle (no reversal)."""
     if len(seq) > len(cycle):
@@ -83,73 +57,88 @@ def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
     return any(doubled[i : i + k] == seq for i in range(len(cycle)))
 
 
-class Cycle:
-    """Cyclic double-window vertex sequence."""
+class VertexSequence:
+    """Vertex sequence over a field: at least 2 vertices, all of one
+    dimension n >= 1.  A subclass states its per-vertex rule ``_coords(i, v)``
+    (validate vertex i, return its coordinates), its window decoder
+    ``_decode(a, b)`` and, in ``wrap``, whether the last vertex pairs with the first.
+    """
 
     __slots__ = ("field", "n", "vertices", "_windows")
+    wrap = True
 
-    def __init__(self, vertices: Iterable[ProjVertex], field: Field):
+    def __init__(self, vertices: Iterable, field: Field):
         vertices = tuple(vertices)
-        self.n = _check_vertices(vertices)
+        if len(vertices) < 2:
+            raise ValueError("need at least 2 vertices")
+        coords = self._coords
+        n = len(coords(0, vertices[0]))
+        if n < 1:
+            raise ValueError("vertices need dimension >= 1")
+        for i, v in enumerate(vertices):
+            if len(coords(i, v)) != n:
+                raise ValueError(f"vertex {i} has dimension {len(coords(i, v))}, expected {n}")
         self.field = field
+        self.n = n
         self.vertices = vertices
         self._windows = None
 
     def __len__(self):
         return len(self.vertices)
 
+    def walk(self) -> tuple[Counter, list[int]]:
+        """Decoded window multiset and the indices of degenerate windows."""
+        return walk_windows(self.vertices, self._decode, self.wrap)
+
     def windows(self) -> Counter:
-        """Multiset of decoded lines; raises DegenerateWindowError with the
-        failing index if some window does not determine a line."""
+        """Multiset of decoded windows; raises DegenerateWindowError with the
+        index of the first window that does not decode."""
         if self._windows is None:
-            F = self.field
-            self._windows = decoded_windows(
-                self.vertices, lambda a, b: decode_window(a, b, F), wrap=True
-            )
+            found, degenerate = self.walk()
+            if degenerate:
+                i = degenerate[0]
+                raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
+            self._windows = found
         return self._windows
 
     def __repr__(self):
-        return f"Cycle({len(self.vertices)} vertices over {self.field!r}, n={self.n})"
+        return f"{type(self).__name__}({len(self)} vertices over {self.field!r}, n={self.n})"
 
 
-class Segment:
+class Cycle(VertexSequence):
+    """Cyclic double-window vertex sequence."""
+
+    __slots__ = ()
+
+    def _coords(self, i: int, v) -> tuple:
+        if not isinstance(v, ProjVertex):
+            raise TypeError(f"vertex {i} is not a ProjVertex")
+        if v.at_infinity and next((c for c in v.coords if c != 0), None) != 1:
+            raise ValueError(f"vertex {i}: infinity vector {v.coords} not normalized")
+        return v.coords
+
+    def _decode(self, a: ProjVertex, b: ProjVertex) -> AffineLine:
+        return decode_window(a, b, self.field)
+
+
+class Segment(VertexSequence):
     """Open double-window vertex sequence with distinct endpoints."""
 
-    __slots__ = ("field", "n", "vertices", "_windows")
+    __slots__ = ()
+    wrap = False
+    _coords = Cycle._coords
+    _decode = Cycle._decode
 
     def __init__(self, vertices: Iterable[ProjVertex], field: Field):
-        vertices = tuple(vertices)
-        n = _check_vertices(vertices)
-        if vertices[0] == vertices[-1]:
+        super().__init__(vertices, field)
+        if self.vertices[0] == self.vertices[-1]:
             raise ValueError("segment endpoints must be distinct")
-        self.n = n
-        self.field = field
-        self.vertices = vertices
-        self._windows = None
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def windows(self) -> Counter:
-        if self._windows is None:
-            F = self.field
-            self._windows = decoded_windows(
-                self.vertices, lambda a, b: decode_window(a, b, F), wrap=False
-            )
-        return self._windows
 
     def reversed(self) -> "Segment":
         return Segment(tuple(reversed(self.vertices)), self.field)
 
-    def __repr__(self):
-        return f"Segment({len(self.vertices)} vertices over {self.field!r}, n={self.n})"
-
 
 Structure = Union[Cycle, Segment]
-
-
-def windows(obj: Structure) -> Counter:
-    return obj.windows()
 
 
 def is_valid(obj: Structure) -> bool:
@@ -195,70 +184,60 @@ def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
         seen.update(w)
 
 
+def splice(parts: Sequence[VertexSequence], at) -> list:
+    """Concatenate the parts' vertex sequences in input order, each rotated
+    to start at its first occurrence of the vertex ``at``."""
+    out: list = []
+    for idx, part in enumerate(parts):
+        vs = part.vertices
+        try:
+            i = vs.index(at)
+        except ValueError:
+            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}") from None
+        out.extend(vs[i:])
+        out.extend(vs[:i])
+    return out
+
+
 def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycle:
     """Splice transversal cycles sharing the vertex ``at`` into one cycle.
 
-    Each cycle is rotated to start at its first occurrence of ``at`` and the
-    rotated sequences are concatenated in input order, so the window multiset
-    of the result is exactly the disjoint union of the inputs'.
+    The window multiset of the result is exactly the disjoint union of the
+    inputs'.  ``check`` verifies that the inputs are pairwise transversal;
+    callers whose parts are disjoint by construction pass False.
     """
     if not cs:
         raise GluingError("nothing to glue")
-    field = cs[0].field
-    out: list[ProjVertex] = []
-    for idx, c in enumerate(cs):
-        try:
-            i = c.vertices.index(at)
-        except ValueError:
-            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}") from None
-        out.extend(c.vertices[i:])
-        out.extend(c.vertices[:i])
+    out = splice(cs, at)
     if check:
         _check_pairwise_transversal(cs)
-    return Cycle(out, field)
+    return Cycle(out, cs[0].field)
 
 
-def glue_segments(ss: Sequence[Segment], check: bool = True) -> Cycle:
+def glue_segments(ss: Sequence[Segment]) -> Cycle:
     """Concatenate transversal segments with even endpoint multiplicities.
 
     Treats each segment as an edge of a multigraph on its two endpoints and
     walks an Eulerian circuit (Hierholzer, deterministic edge order given by
     the input order); traversing a segment tail-to-head reverses it.  Raises
-    GluingError if some endpoint multiplicity is odd or the endpoint graph is
-    disconnected.
+    GluingError if some endpoint multiplicity is odd, the endpoint graph is
+    disconnected (with even degrees, iff the walk leaves a segment unused),
+    or two segments share a line, in that order.
     """
     if not ss:
         raise GluingError("nothing to glue")
-    field = ss[0].field
 
-    mu = Counter()
     adj: dict[ProjVertex, list[tuple[int, ProjVertex]]] = defaultdict(list)
     for i, s in enumerate(ss):
         a, b = s.vertices[0], s.vertices[-1]
-        mu[a] += 1
-        mu[b] += 1
         adj[a].append((i, b))
         adj[b].append((i, a))
-    odd = sorted((v for v, c in mu.items() if c % 2), key=lambda v: (v.at_infinity, v.coords))
+    odd = [v for v, edges in adj.items() if len(edges) % 2]
     if odd:
-        raise GluingError(f"odd endpoint multiplicity at {odd[0]}")
-
-    start = ss[0].vertices[0]
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for _, w in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) < len(adj):
-        raise GluingError("endpoint-incidence graph is disconnected")
-
-    if check:
-        _check_pairwise_transversal(ss)
+        raise GluingError(f"odd endpoint multiplicity at {min(odd)}")
 
     # Hierholzer with per-vertex cursors; deterministic for a fixed input order.
+    start = ss[0].vertices[0]
     used = [False] * len(ss)
     cursor: dict[ProjVertex, int] = defaultdict(int)
     stack: list[tuple[ProjVertex, int]] = [(start, -1)]
@@ -277,6 +256,9 @@ def glue_segments(ss: Sequence[Segment], check: bool = True) -> Cycle:
                 break
         if not advanced:
             trail.append(stack.pop())
+    if not all(used):
+        raise GluingError("endpoint-incidence graph is disconnected")
+    _check_pairwise_transversal(ss)
     trail.reverse()
 
     out: list[ProjVertex] = []
@@ -286,7 +268,7 @@ def glue_segments(ss: Sequence[Segment], check: bool = True) -> Cycle:
         vs = seg.vertices if seg.vertices[0] == prev else tuple(reversed(seg.vertices))
         out.extend(vs[:-1])
         prev = v
-    return Cycle(out, field)
+    return Cycle(out, ss[0].field)
 
 
 def translate(c: Cycle, t: Sequence[int]) -> Cycle:
@@ -301,14 +283,14 @@ def translate(c: Cycle, t: Sequence[int]) -> Cycle:
     return Cycle(verts, F)
 
 
-def map_linear(c: Cycle, M: Sequence[Sequence[int]], field: Field | None = None) -> Cycle:
+def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
     """Apply an injective linear map, given as a tuple of rows.
 
     Affine vertices map through M; infinity vertices map through the induced
     projective action (normalize M * vector).  M must have full column rank,
     so square singular maps are rejected.
     """
-    F = field or c.field
+    F = c.field
     M = tuple(tuple(row) for row in M)
     if any(len(row) != c.n for row in M):
         raise ValueError("matrix column count must match the cycle dimension")
@@ -341,25 +323,25 @@ def cycle_to_json_obj(c: Cycle) -> dict:
     }
 
 
-def cycle_from_json_obj(obj: dict, max_q: int | None = None) -> Cycle:
+def cycle_from_json_obj(obj: dict) -> Cycle:
     try:
         n = int(obj["n"])
         q = int(obj["q"])
         raw = obj["vertices"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed cycle object: {e}") from None
     if not isinstance(raw, list):
         raise ValueError("malformed cycle object: 'vertices' is not a list")
-    F = field_from_order(q, max_q=max_q)
+    F = field_from_order(q)
     verts = []
     for i, item in enumerate(raw):
         try:
             kind = item["type"]
             coords = tuple(int(x) for x in item["coords"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"malformed vertex {i}: {item}") from None
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"malformed vertex {i}: {item!r}") from None
         if kind not in ("affine", "infinity") or len(coords) != n:
-            raise ValueError(f"malformed vertex {i}: {item}")
+            raise ValueError(f"malformed vertex {i}: {item!r}")
         if any(not 0 <= x < q for x in coords):
             raise ValueError(f"vertex {i} has codes outside [0, {q})")
         verts.append(ProjVertex(kind == "infinity", coords))

@@ -3,15 +3,15 @@
 A field is described by its prime characteristic p, extension degree k and a
 monic irreducible modulus polynomial of degree k over GF(p).  The modulus is
 always the lexicographically smallest irreducible candidate, comparing
-coefficient tuples from the constant term upward, so field construction is
-deterministic and dependency-free.
+coefficient tuples from the constant term upward (Field takes no modulus
+argument), so field construction is deterministic and dependency-free.
 
 Elements are identified with integer codes in [0, q): the base-p digits of
 the code are the polynomial coefficients, least degree first.  This codec is
 the wire representation used everywhere (JSON, CLI, text dumps).  All
-operations are table-backed, which is entirely adequate below the configured
-order bound (default q <= 512, overridable via the UCYCLE_MAX_Q environment
-variable).
+operations are table-backed, which is entirely adequate below the order
+bound (default q <= 512, moved only by the UCYCLE_MAX_Q environment
+variable), checked before any arithmetic on the order.
 """
 
 from __future__ import annotations
@@ -112,22 +112,15 @@ class Field:
 
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+    def __init__(self, p: int, k: int):
         if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.k = k
         self.q = p**k
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
+        self.modulus = smallest_irreducible(p, k)
         self._build_tables()
 
     def _build_tables(self):
@@ -316,28 +309,35 @@ class FieldElement:
         return f"FieldElement({self.code}, {self.field!r})"
 
 
-def field_make(p: int, k: int = 1, max_q: int | None = None) -> Field:
+def _max_q() -> int:
+    return int(os.environ.get(MAX_Q_ENV, DEFAULT_MAX_Q))
+
+
+def field_make(p: int, k: int = 1) -> Field:
     """Build GF(p^k) with the lexicographically smallest irreducible modulus.
 
-    The order bound defaults to 512 and may be overridden by ``max_q`` or the
-    UCYCLE_MAX_Q environment variable.
+    The order is compared with the bound (UCYCLE_MAX_Q, default 512) before
+    p is tested for primality, and p^k is multiplied out only until it
+    passes the bound, so a huge p or k is refused at once.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if max_q is None:
-        max_q = int(os.environ.get(MAX_Q_ENV, DEFAULT_MAX_Q))
-    q = p**k
-    if q > max_q:
-        raise ValueError(f"field order {q} exceeds the bound {max_q}")
+    if p >= 2:  # else p^k never passes the bound; Field rejects k < 1 before p
+        max_q = _max_q()
+        q = 1
+        for i in range(k):
+            q *= p
+            if q > max_q:
+                order = q if i == k - 1 else f"{p}^{k}"
+                raise ValueError(f"field order {order} exceeds the bound {max_q}")
     return Field(p, k)
 
 
-def field_from_order(q: int, max_q: int | None = None) -> Field:
-    """Build GF(q) from its order (the prime-power factorization is unique)."""
+def field_from_order(q: int) -> Field:
+    """Build GF(q) from its order, compared with the bound before factoring."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    max_q = _max_q()
+    if q > max_q:
+        raise ValueError(f"field order {q} exceeds the bound {max_q}")
     p = 2
     while q % p:
         p += 1
@@ -348,7 +348,7 @@ def field_from_order(q: int, max_q: int | None = None) -> Field:
             raise ValueError(f"{q} is not a prime power")
         n //= p
         k += 1
-    return field_make(p, k, max_q=max_q)
+    return Field(p, k)
 
 
 def multiplicative_order(F: Field, code: int) -> int:

@@ -12,12 +12,11 @@ subcycle of the next, attached at the shared vertex e_1.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .gf import Field
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
-from .cycles import Cycle, decoded_windows
+from .cycles import Cycle, VertexSequence, splice
 from .constructions import universal_cycle
 
 
@@ -37,39 +36,25 @@ def span2(v1: Vector, v2: Vector, F: Field) -> Subspace2:
     return Subspace2((rows[0], rows[1]))
 
 
-class GrassCycle:
+class GrassCycle(VertexSequence):
     """Cyclic sequence of nonzero vectors whose windows span distinct planes."""
 
-    __slots__ = ("field", "m", "vertices", "_windows")
+    __slots__ = ()
 
     def __init__(self, vertices: Iterable[Vector], field: Field):
-        vertices = tuple(tuple(v) for v in vertices)
-        if len(vertices) < 2:
-            raise ValueError("need at least 2 vertices")
-        m = len(vertices[0])
-        for i, v in enumerate(vertices):
-            if len(v) != m:
-                raise ValueError(f"vertex {i} has dimension {len(v)}, expected {m}")
-            if not any(v):
-                raise ValueError(f"vertex {i} is the zero vector")
-        self.field = field
-        self.m = m
-        self.vertices = vertices
-        self._windows = None
+        super().__init__((tuple(v) for v in vertices), field)
 
-    def __len__(self):
-        return len(self.vertices)
+    @property
+    def m(self) -> int:
+        return self.n
 
-    def windows(self) -> Counter:
-        if self._windows is None:
-            F = self.field
-            self._windows = decoded_windows(
-                self.vertices, lambda a, b: span2(a, b, F), wrap=True
-            )
-        return self._windows
+    def _coords(self, i: int, v: Vector) -> Vector:
+        if not any(v):
+            raise ValueError(f"vertex {i} is the zero vector")
+        return v
 
-    def __repr__(self):
-        return f"GrassCycle({len(self.vertices)} vertices in F_{self.field.q}^{self.m})"
+    def _decode(self, a: Vector, b: Vector) -> Subspace2:
+        return span2(a, b, self.field)
 
 
 def tau(L: AffineLine, F: Field) -> Subspace2:
@@ -177,31 +162,23 @@ def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
     return GrassCycle([v + pad for v in gc.vertices], gc.field)
 
 
-def nested_cycles(n: int, F: Field) -> list[GrassCycle]:
-    """Universal cycles U_3 ... U_n with each U_m contiguously inside U_(m+1).
+def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
+    """Universal cycles U_3 ... U_m with each U_j contiguously inside U_(j+1).
 
-    Each step embeds U_m into the hyperplane x_(m+1) = 0, lifts a universal
-    affine-line cycle of AG(m,q) to the outer shell of G_q(2,m+1), and
-    splices the two at the shared vertex e_1.  The inner cycle keeps covering
-    the subspaces inside the hyperplane, the shell cycle covers the rest, so
-    window sets stay disjoint and the union is everything.
+    Each step embeds U_j into the hyperplane x_(j+1) = 0, lifts a universal
+    affine-line cycle of AG(j,q) to the outer shell of G_q(2,j+1), and
+    splices the two at the shared vertex e_1, where every level starts.  The
+    inner cycle keeps covering the subspaces inside the hyperplane, the shell
+    cycle covers the rest, so window sets stay disjoint and the union is
+    everything.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
     levels = [singer_cycle(F)]
-    for m in range(3, n):
-        inner = levels[-1]
-        shell = lift_affine_cycle(universal_cycle(m, F))
-        e1 = (1,) + (0,) * m
-        if e1 not in shell.vertices:
-            raise AssertionError("shell cycle lacks the shared vertex e1")
-        emb = embed_cycle(inner, m + 1)
-        if emb.vertices[0] != e1:
-            raise AssertionError("inner cycle does not start at e1")
-        i = shell.vertices.index(e1)
-        levels.append(
-            GrassCycle(emb.vertices + shell.vertices[i:] + shell.vertices[:i], F)
-        )
+    for j in range(3, m):
+        shell = lift_affine_cycle(universal_cycle(j, F))
+        e1 = (1,) + (0,) * j
+        levels.append(GrassCycle(splice([embed_cycle(levels[-1], j + 1), shell], e1), F))
     return levels
 
 

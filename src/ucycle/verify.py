@@ -24,7 +24,7 @@ import numpy as np
 from .gf import Field
 from .geometry import AffineLine, Direction, ProjVertex, decode_window
 from .cycles import Cycle, Segment, occurs_cyclically, walk_windows
-from .grassmann import GrassCycle, Subspace2, span2, subspace_to_json_obj
+from .grassmann import GrassCycle, Subspace2, subspace_to_json_obj
 
 MAX_REPORT_ITEMS = 32
 
@@ -134,7 +134,7 @@ _INT64_MAX = 2**63 - 1
 _np_cache: dict = {}
 
 
-def _key_radix(n: int, q: int) -> int:
+def line_key_radix(n: int, q: int) -> int:
     """q^n, the radix of packed line keys, after checking that every key of
     AG(n,q) fits in an int64.  Runs before any array is built."""
     if n < 1:
@@ -167,7 +167,7 @@ def _all_line_keys(n: int, F: Field) -> np.ndarray:
     first keeps the keys sorted.
     """
     q = F.q
-    radix = _key_radix(n, q)
+    radix = line_key_radix(n, q)
     parts = []
     for i in range(n - 1, -1, -1):
         low = q ** (n - 1 - i)
@@ -186,7 +186,7 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
     once: normalize the direction, then subtract base[piv]·d from the base.
     """
     F, n = c.field, c.n
-    radix = _key_radix(n, F.q)
+    radix = line_key_radix(n, F.q)
     ADD, MUL, INV, NEG = _np_tables(F)
     N = len(c.vertices)
     inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
@@ -250,12 +250,12 @@ def verify_subset(
     empty target).
     """
     if isinstance(c, (Cycle, Segment)):
-        vertices, F, wrap = c.vertices, c.field, isinstance(c, Cycle)
+        found, degenerate = c.walk()
     else:
-        vertices, wrap = tuple(c), True
+        vertices = tuple(c)
         if vertices and F is None:
             raise ValueError("a bare vertex sequence needs an explicit field")
-    found, degenerate = walk_windows(vertices, lambda a, b: decode_window(a, b, F), wrap)
+        found, degenerate = walk_windows(vertices, lambda a, b: decode_window(a, b, F), True)
     return _build_report(set(expected), found, degenerate)
 
 
@@ -289,7 +289,7 @@ def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    found, degenerate = walk_windows(gc.vertices, lambda a, b: span2(a, b, F), wrap=True)
+    found, degenerate = gc.walk()
     return _build_report(all_2subspaces(m, F), found, degenerate)
 
 

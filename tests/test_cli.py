@@ -1,6 +1,7 @@
 """Command-line interface: round trips, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,38 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "c.json"))
     assert rc == 2
     assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err, err
+
+
+def two_vertex_file(path, n, q):
+    path.write_text(json.dumps({"n": n, "q": q, "vertices": [
+        {"type": "affine", "coords": [0] * n},
+        {"type": "infinity", "coords": [1] + [0] * (n - 1)},
+    ]}))
+    return str(path)
+
+
+# Each input used to run for more than 10 s or die with a MemoryError: the
+# field-order bound is now checked before any arithmetic on the order, and
+# the CLI refuses more than 2^24 lines or planes before any work.
+@pytest.mark.parametrize("argv,needle", [
+    (["gen", "--n", "2", "--p", "1000000000000000003"], "bound"),
+    (["gen", "--n", "2", "--p", "3", "--k", "1000000000"], "bound"),
+    (["verify", "--in", "q=1000000007"], "bound"),
+    (["gen", "--n", "20", "--p", "2"], "2^24"),
+    (["grassmann", "--m", "24", "--p", "2"], "2^24"),
+    (["verify", "--in", "AG(28,2)"], "2^24"),
+], ids=["huge-p", "huge-k", "verify-huge-q", "gen-AG(20,2)", "grassmann-m24",
+        "verify-AG(28,2)"])
+def test_oversized_inputs_exit_2_at_once(tmp_path, capsys, argv, needle):
+    if argv[-1] == "q=1000000007":
+        argv[-1] = two_vertex_file(tmp_path / "c.json", 2, 1000000007)
+    elif argv[-1] == "AG(28,2)":
+        argv[-1] = two_vertex_file(tmp_path / "c.json", 28, 2)
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
 
 
 def test_verify_parameter_mismatch_exits_2(tmp_path, capsys):

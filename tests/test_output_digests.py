@@ -1,0 +1,51 @@
+"""Output bytes pinned by sha256: the refactors of the library must leave the
+CLI's payloads byte-identical.
+
+The digests were taken from the CLI before the vertex-sequence core, the
+splice helper and the Eulerian-walk connectivity check landed.  A change in
+any of them means the construction, the serialization or the report of
+some structure changed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ucycle.cli import main
+
+PINNED = {
+    ("gen", "--n", "3", "--p", "3"):
+        "8d217ee0ab8ac96b94f85cc7d6ce5b32626ca0f802cb70c4c92f0c549c5b67d3",
+    ("gen", "--n", "2", "--p", "3", "--k", "2"):
+        "4f13d25fd7570e7bde7e42579fc4c2c906f6a9adaecec10fb8f152149a109f27",
+    ("gen", "--n", "3", "--p", "2", "--k", "2", "--format", "text"):
+        "f6b6aae464e98c27b14503a54a391fc0a0a1815eae53afdfc746c60aeaa9e046",
+    ("grassmann", "--m", "5", "--p", "2", "--nested"):
+        "c586ad1caa51b92500b9a7901410668285586ff1fd5fdf058a498b5c2cba5b8d",
+    ("grassmann", "--m", "4", "--p", "3", "--nested"):
+        "c02e5aedcb1820b85bc71d9dffbf8ff09e76d465b3cb360c8c149871ed1dc688",
+}
+
+# verify report of AG(3,3)'s cycle with its first vertex deleted
+PINNED_FAILING_REPORT = "7e0c9751f8cb4576328224f36f67be081bed9f7ad8895ecf23bf39955a9417bf"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+def test_cli_payload_digest(capsys, argv):
+    assert main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out) == PINNED[argv]
+
+
+def test_failing_verify_report_digest(tmp_path, capsys):
+    assert main(["gen", "--n", "3", "--p", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    del obj["vertices"][0]
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(f)]) == 1
+    assert sha256(capsys.readouterr().out) == PINNED_FAILING_REPORT
