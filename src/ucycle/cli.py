@@ -52,8 +52,16 @@ def _emit(payload: str, out: str | None, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error exits 2 with one ``error: ...`` line, like every
+    other refusal; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, "error: " + message.replace("\n", "\\n") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ucycle",
         description="Universal cycles for affine lines of AG(n,q) and nested "
         "cycles on Grassmannians of planes, with exact-cover verification.",

@@ -59,9 +59,10 @@ def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
 
 class VertexSequence:
     """Vertex sequence over a field: at least 2 vertices, all of one
-    dimension n >= 1.  A subclass states its per-vertex rule ``_coords(i, v)``
-    (validate vertex i, return its coordinates), its window decoder
-    ``_decode(a, b)`` and, in ``wrap``, whether the last vertex pairs with the first.
+    dimension n >= 1, every coordinate a code in [0, q).  A subclass states
+    its per-vertex rule ``_coords(i, v)`` (validate vertex i, return its
+    coordinates), its window decoder ``_decode(a, b)`` and, in ``wrap``,
+    whether the last vertex pairs with the first.
     """
 
     __slots__ = ("field", "n", "vertices", "_windows")
@@ -75,9 +76,14 @@ class VertexSequence:
         n = len(coords(0, vertices[0]))
         if n < 1:
             raise ValueError("vertices need dimension >= 1")
+        q = field.q
+        in_field = frozenset(range(q)).issuperset
         for i, v in enumerate(vertices):
-            if len(coords(i, v)) != n:
-                raise ValueError(f"vertex {i} has dimension {len(coords(i, v))}, expected {n}")
+            c = coords(i, v)
+            if len(c) != n:
+                raise ValueError(f"vertex {i} has dimension {len(c)}, expected {n}")
+            if not in_field(c):
+                raise ValueError(f"vertex {i} has codes outside [0, {q})")
         self.field = field
         self.n = n
         self.vertices = vertices
@@ -342,8 +348,6 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
             raise ValueError(f"malformed vertex {i}: {item!r}") from None
         if kind not in ("affine", "infinity") or len(coords) != n:
             raise ValueError(f"malformed vertex {i}: {item!r}")
-        if any(not 0 <= x < q for x in coords):
-            raise ValueError(f"vertex {i} has codes outside [0, {q})")
         verts.append(ProjVertex(kind == "infinity", coords))
     return Cycle(verts, F)
 

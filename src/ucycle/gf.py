@@ -1,10 +1,13 @@
-"""Exact arithmetic in GF(p^k) for small prime powers.
+"""Exact arithmetic in finite fields, and the rules that fix every choice.
 
-A field is described by its prime characteristic p, extension degree k and a
-monic irreducible modulus polynomial of degree k over GF(p).  The modulus is
-always the lexicographically smallest irreducible candidate, comparing
-coefficient tuples from the constant term upward (Field takes no modulus
-argument), so field construction is deterministic and dependency-free.
+GF(p) is built from the integers mod p.  GF(p^k) is GF(p)[x]/(m) for a monic
+irreducible modulus m of degree k; the modulus is always the
+lexicographically smallest irreducible candidate, comparing coefficient
+tuples from the constant term upward (Field takes no modulus argument), so
+field construction is deterministic and dependency-free.  The polynomial
+arithmetic, the modulus rule and the generator rule work over any
+coefficient field, so the same code also builds the cubic extension of GF(q)
+behind grassmann.singer_cycle.
 
 Elements are identified with integer codes in [0, q): the base-p digits of
 the code are the polynomial coefficients, least degree first.  This codec is
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from typing import Callable, Iterable, Iterator
 
 DEFAULT_MAX_Q = 512
 MAX_Q_ENV = "UCYCLE_MAX_Q"
@@ -42,64 +46,111 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers over GF(p) ------------------------------------------
-# Polynomials are tuples of residues mod p, least degree first, trailing
-# zeros trimmed ( () is the zero polynomial ).
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
+
+def _max_q() -> int:
+    return int(os.environ.get(MAX_Q_ENV, DEFAULT_MAX_Q))
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
+# -- polynomials over a coefficient field K ----------------------------------
+# A polynomial is a tuple of codes of K, least degree first; K is a Field and
+# lends its tables.  A residue modulo a monic m of degree d is kept as exactly
+# d coefficients, the form Field.coeffs gives an element of GF(p^d).
+
+def _pmul(a, b, K: "Field") -> list[int]:
+    add, mul = K._add, K._mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            row = mul[ai]
+            for j, bj in enumerate(b, i):
+                out[j] = add[out[j]][row[bj]]
+    return out
 
 
-def _pmod(a, m, p):
-    """Remainder of a modulo a monic polynomial m."""
+def _pmod(a, m, K: "Field") -> tuple[int, ...]:
+    """Remainder of a modulo the monic polynomial m, as deg(m) coefficients."""
+    add, mul, neg = K._add, K._mul, K._neg
     r = list(a)
-    dm = len(m) - 1
-    while len(_ptrim(r)) - 1 >= dm:
-        r = list(_ptrim(r))
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * mi) % p
-    return _ptrim(r)
+    d = len(m) - 1
+    for top in range(len(r) - 1, d - 1, -1):
+        lead = r[top]
+        if lead:
+            row = mul[neg[lead]]
+            for i, mi in enumerate(m, top - d):
+                r[i] = add[r[i]][row[mi]]
+    return tuple(r[:d]) + (0,) * (d - len(r))
 
 
-def _is_irreducible(m, p):
+def mulmod(m, K: "Field") -> Callable:
+    """Multiplication in K[x]/(m) on residues of deg(m) coefficients."""
+    return lambda a, b: _pmod(_pmul(a, b, K), m, K)
+
+
+def residues(K: "Field", k: int) -> Iterator[tuple[int, ...]]:
+    """Every residue modulo a degree-k polynomial over K, in code order: the
+    residue of code c has the base-|K| digits of c, least degree first."""
+    return (low[::-1] for low in itertools.product(range(K.q), repeat=k))
+
+
+def _is_irreducible(m, K: "Field") -> bool:
     """Trial division by every monic polynomial of degree 1..deg(m)//2."""
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            divisor = low + (1,)
-            if not _pmod(m, divisor, p):
+        for low in itertools.product(range(K.q), repeat=d):
+            if not any(_pmod(m, low + (1,), K)):
                 return False
     return True
 
 
-def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over GF(p).
+def smallest_irreducible(K: "Field", k: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree k over K.
 
     Candidates are scanned by their low-degree-first coefficient tuple
     (c0, ..., c_{k-1}); the leading coefficient is fixed to 1.  For k = 1
-    this yields the polynomial x, giving plain mod-p arithmetic.
+    this yields the polynomial x.
     """
-    for low in itertools.product(range(p), repeat=k):
+    for low in itertools.product(range(K.q), repeat=k):
         cand = low + (1,)
-        if _is_irreducible(cand, p):
+        if _is_irreducible(cand, K):
             return cand
-    raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
+    raise RuntimeError(f"no irreducible polynomial of degree {k} over {K!r}")
+
+
+def _power(x, e: int, mul: Callable, one):
+    """x^e by square-and-multiply, for e >= 0."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        e >>= 1
+    return r
+
+
+def first_generator(candidates: Iterable, order: int, mul: Callable, one):
+    """First candidate x with x^(order/r) != one for every prime r | order.
+
+    With the nonzero elements of a field of order+1 as candidates, that is
+    the first element of multiplicative order ``order``: a generator.
+    """
+    exps = [order // r for r in _prime_factors(order)]
+    for x in candidates:
+        if all(_power(x, e, mul, one) != one for e in exps):
+            return x
+    raise RuntimeError("no generator found")  # unreachable
 
 
 class Field:
@@ -113,33 +164,51 @@ class Field:
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, k: int):
+        """The order is compared with the bound (UCYCLE_MAX_Q, default 512)
+        before p is tested for primality, and p^k is multiplied out only
+        until it passes the bound, so a huge p or k is refused at once."""
+        if p >= 2:  # else p^k never passes the bound; k < 1 is refused below
+            max_q = _max_q()
+            q = 1
+            for i in range(k):
+                q *= p
+                if q > max_q:
+                    order = q if i == k - 1 else f"{p}^{k}"
+                    raise ValueError(f"field order {order} exceeds the bound {max_q}")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.k = k
-        self.q = p**k
-        self.modulus = smallest_irreducible(p, k)
-        self._build_tables()
+        self.q = q
+        if k == 1:  # the base case, integers mod p; its modulus x needs no division
+            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+            self.modulus = smallest_irreducible(self, 1)
+        else:
+            base = Field(p, 1)
+            self.modulus = smallest_irreducible(base, k)
+            self._add, self._mul = self._extension_tables(base)
+        self._neg = [self._add[a].index(0) for a in range(q)]
+        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        coeffs = [self.coeffs(a) for a in range(q)]
+    def _extension_tables(self, base: "Field"):
+        """Addition and multiplication tables of base[x]/(modulus)."""
+        q = self.q
+        polys = list(residues(base, self.k))
+        code = {c: a for a, c in enumerate(polys)}
+        badd = base._add
+        times = mulmod(self.modulus, base)
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            ca = coeffs[a]
+            ca = polys[a]
             for b in range(a, q):
-                cb = coeffs[b]
-                s = self.code(tuple((x + y) % p for x, y in zip(ca, cb)))
-                add[a][b] = add[b][a] = s
-                m = self.code(_pmod(_pmul(ca, cb, p), self.modulus, p))
-                mul[a][b] = mul[b][a] = m
-        self._add = add
-        self._mul = mul
-        self._neg = [add[a].index(0) for a in range(q)]
-        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
+                cb = polys[b]
+                add[a][b] = add[b][a] = code[tuple(badd[x][y] for x, y in zip(ca, cb))]
+                mul[a][b] = mul[b][a] = code[times(ca, cb)]
+        return add, mul
 
     # -- integer codec -------------------------------------------------
 
@@ -179,13 +248,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            e >>= 1
-        return r
+        return _power(a, e, self.mul, 1)
 
     # -- elements --------------------------------------------------------
 
@@ -309,25 +372,8 @@ class FieldElement:
         return f"FieldElement({self.code}, {self.field!r})"
 
 
-def _max_q() -> int:
-    return int(os.environ.get(MAX_Q_ENV, DEFAULT_MAX_Q))
-
-
 def field_make(p: int, k: int = 1) -> Field:
-    """Build GF(p^k) with the lexicographically smallest irreducible modulus.
-
-    The order is compared with the bound (UCYCLE_MAX_Q, default 512) before
-    p is tested for primality, and p^k is multiplied out only until it
-    passes the bound, so a huge p or k is refused at once.
-    """
-    if p >= 2:  # else p^k never passes the bound; Field rejects k < 1 before p
-        max_q = _max_q()
-        q = 1
-        for i in range(k):
-            q *= p
-            if q > max_q:
-                order = q if i == k - 1 else f"{p}^{k}"
-                raise ValueError(f"field order {order} exceeds the bound {max_q}")
+    """Build GF(p^k); Field checks the order bound before anything else."""
     return Field(p, k)
 
 
@@ -338,20 +384,17 @@ def field_from_order(q: int) -> Field:
     max_q = _max_q()
     if q > max_q:
         raise ValueError(f"field order {q} exceeds the bound {max_q}")
-    p = 2
-    while q % p:
-        p += 1
-    k = 0
-    n = q
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{q} is not a prime power")
-        n //= p
+    p, *others = _prime_factors(q)
+    if others:
+        raise ValueError(f"{q} is not a prime power")
+    k = 1
+    while p**k < q:
         k += 1
     return Field(p, k)
 
 
 def multiplicative_order(F: Field, code: int) -> int:
+    """Order of a nonzero code by repeated multiplication (no shortcuts)."""
     if code == 0:
         raise ValueError("0 has no multiplicative order")
     r, n = code, 1
@@ -363,8 +406,4 @@ def multiplicative_order(F: Field, code: int) -> int:
 
 def primitive_element(F: Field) -> FieldElement:
     """First element in code order whose multiplicative order is q - 1."""
-    target = F.q - 1
-    for c in range(1, F.q):
-        if multiplicative_order(F, c) == target:
-            return FieldElement(F, c)
-    raise RuntimeError("no primitive element found")  # unreachable
+    return FieldElement(F, first_generator(range(1, F.q), F.q - 1, F.mul, 1))

@@ -6,7 +6,9 @@ affine lines with the "outer shell" of subspaces not contained in the
 coordinate hyperplane x_m = 0.  Starting from the classical multiplicative
 cycle on G_q(2,3) and splicing in one lifted affine cycle per dimension
 yields a chain U_3, U_4, ... in which each cycle is a verbatim contiguous
-subcycle of the next, attached at the shared vertex e_1.
+subcycle of the next, attached at the shared vertex e_1.  The multiplicative
+(Singer) cycle takes its finite-field arithmetic, cubic modulus and generator
+from gf.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .gf import Field
+from .gf import Field, first_generator, mulmod, residues, smallest_irreducible
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
 from .cycles import Cycle, VertexSequence, splice
 from .constructions import universal_cycle
@@ -75,80 +77,24 @@ def lift_affine_cycle(c: Cycle) -> GrassCycle:
     return GrassCycle(verts, c.field)
 
 
-def _smallest_irreducible_cubic(F: Field) -> tuple[int, int, int]:
-    """Coefficients (c0, c1, c2) of the first rootless x^3 + c2 x^2 + c1 x + c0."""
-    for c0, c1, c2 in itertools.product(range(F.q), repeat=3):
-        ok = True
-        for t in range(F.q):
-            t2 = F.mul(t, t)
-            val = F.add(
-                F.add(F.mul(t, t2), F.mul(c2, t2)), F.add(F.mul(c1, t), c0)
-            )
-            if val == 0:
-                ok = False
-                break
-        if ok:
-            return (c0, c1, c2)
-    raise RuntimeError("no irreducible cubic found")  # unreachable
-
-
-def _cubic_mul(a, b, mod, F: Field):
-    c0, c1, c2 = mod
-    d = [0] * 5
-    for i in range(3):
-        if a[i] == 0:
-            continue
-        for j in range(3):
-            d[i + j] = F.add(d[i + j], F.mul(a[i], b[j]))
-    for deg in (4, 3):
-        c = d[deg]
-        if c:
-            d[deg] = 0
-            d[deg - 1] = F.sub(d[deg - 1], F.mul(c, c2))
-            d[deg - 2] = F.sub(d[deg - 2], F.mul(c, c1))
-            d[deg - 3] = F.sub(d[deg - 3], F.mul(c, c0))
-    return (d[0], d[1], d[2])
-
-
 def singer_cycle(F: Field) -> GrassCycle:
     """Base cycle on G_q(2,3) from the multiplicative group of a cubic extension.
 
-    The extension is built directly over GF(q) with the lexicographically
-    smallest irreducible cubic.  With a generator g of the multiplicative
-    group, the coordinate vectors of 1, g, g^2, ..., g^(q^2+q) under the
-    basis {1, x, x^2} form a cycle whose q^2+q+1 windows are exactly the
+    The extension is GF(q)[x]/(m) for the modulus m = smallest_irreducible(F, 3),
+    with gf's arithmetic and generator rule.  With its first generator g, the
+    coordinate vectors of 1, g, g^2, ..., g^(q^2+q) under the basis
+    {1, x, x^2} form a cycle whose q^2+q+1 windows are exactly the
     2-subspaces of F_q^3; multiplying the whole extension into itself by g
     permutes those subspaces in a single orbit.  The first vertex, the
-    element 1, already has coordinates e_1.
+    element 1, has coordinates e_1.
     """
     q = F.q
-    mod = _smallest_irreducible_cubic(F)
+    mul = mulmod(smallest_irreducible(F, 3), F)
     one = (1, 0, 0)
-
-    def from_code(code: int):
-        return (code % q, (code // q) % q, code // (q * q))
-
-    target = q**3 - 1
-    gen = None
-    for code in range(1, q**3):
-        cand = from_code(code)
-        x, order = cand, 1
-        while x != one:
-            x = _cubic_mul(x, cand, mod, F)
-            order += 1
-        if order == target:
-            gen = cand
-            break
-    if gen is None:
-        raise RuntimeError("no generator found")  # unreachable
-
+    gen = first_generator(itertools.islice(residues(F, 3), 1, None), q**3 - 1, mul, one)
     verts = [one]
-    x = one
     for _ in range(q * q + q):
-        x = _cubic_mul(x, gen, mod, F)
-        verts.append(x)
-    if verts[0] != (1, 0, 0):
-        raise AssertionError("base vertex is not e1")
+        verts.append(mul(verts[-1], gen))
     return GrassCycle(verts, F)
 
 

@@ -1,5 +1,6 @@
-"""Property test of the CLI input boundary: malformed cycle files and random
-flag values never raise a traceback, and every refusal is one line.
+"""Property test of the CLI input boundary: malformed cycle files, random flag
+values (integers or not) and unknown subcommands never raise a traceback, and
+every refusal is one line.
 
 ``cli.main`` runs in-process.  Sizes stay tiny (q <= 9, n <= 3, m <= 4 when
 the input is valid), so no example allocates more than a few MB; the
@@ -46,18 +47,23 @@ def check_outcome(rc, err):
 dims = st.integers(-2, 3) | st.sampled_from([17, 20, 28, 10**9])
 primes = st.sampled_from([-7, -1, 0, 1, 2, 3, 4, 6, 9, 10**18 + 3])
 degrees = st.integers(-1, 2) | st.just(10**9)
+# flag values argparse must refuse: not integers, empty, or option-like
+non_integers = st.sampled_from(["abc", "", "1.5", "2e3", "0x3", "-", "--", "-h"]) | st.text(max_size=4)
+
+
+def flag_value(values):
+    return st.builds(str, values) | non_integers
 
 
 @st.composite
 def flag_argv(draw):
-    cmd = draw(st.sampled_from(["gen", "stats", "grassmann"]))
-    dim = draw(dims)
+    cmd = draw(st.sampled_from(["gen", "stats", "grassmann", "frob", ""]))
     if cmd == "grassmann":
         # G(2,4) over GF(9) is the largest valid chain drawn here
-        argv = ["grassmann", "--m", str(dim + 1)]
+        argv = ["grassmann", "--m", draw(flag_value(dims.map(lambda d: d + 1)))]
     else:
-        argv = [cmd, "--n", str(dim)]
-    argv += ["--p", str(draw(primes)), "--k", str(draw(degrees))]
+        argv = [cmd, "--n", draw(flag_value(dims))]
+    argv += ["--p", draw(flag_value(primes)), "--k", draw(flag_value(degrees))]
     if cmd == "gen" and draw(st.booleans()):
         argv += ["--format", "text"]
     if cmd == "grassmann" and draw(st.booleans()):
@@ -72,6 +78,9 @@ def flag_argv(draw):
 @example(["gen", "--n", "2", "--p", "1000000000000000003", "--k", "0"])
 @example(["gen", "--n", "20", "--p", "2"])
 @example(["grassmann", "--m", "24", "--p", "2"])
+@example(["gen", "--n", "abc", "--p", "2"])
+@example(["frob"])
+@example([])
 def test_random_flags(argv):
     check_outcome(*run_main(argv))
 

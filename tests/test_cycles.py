@@ -26,6 +26,7 @@ from ucycle.cycles import (
     translate,
 )
 from ucycle.constructions import two_fiber_cycle
+from ucycle.grassmann import GrassCycle
 from ucycle.verify import all_affine_lines
 
 
@@ -82,6 +83,21 @@ def test_cycle_shape_validation():
         Cycle([affine((0, 0)), affine((0, 1, 2))], F)
     with pytest.raises(ValueError):
         Cycle([affine((0, 0)), infinity((2, 1))], F)  # not normalized
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("kind", [Cycle, Segment, GrassCycle])
+def test_vertex_codes_outside_the_field_rejected(kind, bad):
+    # over GF(2) a code -1 used to pass as 1 (a false PASS), a code 2 used to
+    # raise an IndexError from the field tables
+    F = field_make(2)
+    if kind is GrassCycle:
+        verts = [(1, 0, 0), (0, 1, 0), (0, bad, 1)]
+    else:
+        good = plane_cycle_22()[0].vertices
+        verts = good[:4] + (affine((bad, 0)),) + good[5:]
+    with pytest.raises(ValueError, match=r"vertex \d has codes outside \[0, 2\)"):
+        kind(verts, F)
 
 
 def test_windows_rotation_invariant():

@@ -1,13 +1,13 @@
 """Field layer: moduli, codec, arithmetic, axiom sweeps."""
 
 import itertools
+import time
 
 import pytest
 
 from ucycle.gf import (
+    Field,
     FieldMismatchError,
-    _pmod,
-    _pmul,
     field_from_order,
     field_make,
     multiplicative_order,
@@ -37,9 +37,16 @@ def test_modulus_gf9_is_x2_1():
 
 def test_modulus_scan_order_is_low_degree_first():
     # over GF(3), (0,1) i.e. x^2+x is scanned before (1,0) i.e. x^2+1
-    assert smallest_irreducible(3, 2) == (1, 0, 1)
+    assert smallest_irreducible(field_make(3), 2) == (1, 0, 1)
     # over GF(2), (1,0,1) i.e. x^3+x^2+1 precedes (1,1,0) i.e. x^3+x+1
-    assert smallest_irreducible(2, 3) == (1, 0, 1, 1)
+    assert smallest_irreducible(field_make(2), 3) == (1, 0, 1, 1)
+
+
+def test_modulus_over_an_extension_field():
+    # over GF(4) = GF(2)[t]/(t^2+t+1), with t the code 2: c0 = 0 gives
+    # x(x + c1), x^2 + 1 = (x + 1)^2, x^2 + x + 1 has the roots t and t + 1,
+    # and x^2 + t x + 1 has no root, so it is the first irreducible quadratic
+    assert smallest_irreducible(field_make(2, 2), 2) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("p", [1, 4, 6, 9])
@@ -51,6 +58,14 @@ def test_non_prime_characteristic_rejected(p):
 def test_bad_degree_rejected():
     with pytest.raises(ValueError):
         field_make(2, 0)
+
+
+@pytest.mark.parametrize("p,k", [(2, 40), (10**18 + 3, 1)])
+def test_field_refuses_huge_orders_at_once(p, k):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the bound 512"):
+        Field(p, k)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_order_bound_and_env_override(monkeypatch):
@@ -108,10 +123,24 @@ def test_primitive_element_examples():
     assert len(powers) == 7  # order 7, the whole multiplicative group
 
 
-@pytest.mark.parametrize("q", GRID_Q)
+@pytest.mark.parametrize("q", GRID_Q + [16, 27, 64, 81, 125, 128])
 def test_primitive_element_order(q):
+    # the generator rule against the naive order loop: the chosen element has
+    # order q - 1, and every smaller code has a smaller order
     F = field_from_order(q)
-    assert multiplicative_order(F, primitive_element(F).code) == q - 1
+    g = primitive_element(F).code
+    assert multiplicative_order(F, g) == q - 1
+    assert all(multiplicative_order(F, c) < q - 1 for c in range(1, g))
+
+
+def test_pow_matches_repeated_multiplication():
+    F = field_make(3, 2)
+    for a in range(1, F.q):
+        x = 1
+        for e in range(10):
+            assert F.pow(a, e) == x
+            assert F.pow(a, -e) == F.inv(x)
+            x = F.mul(x, a)
 
 
 def test_inv_zero_raises():
@@ -140,14 +169,27 @@ def test_element_operator_sugar():
     assert int(x + 1) == 3
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
+def schoolbook_mul(a, b, modulus, p):
+    """a*b mod (modulus, p) on coefficient lists, with plain integers."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    k = len(modulus) - 1
+    for top in range(len(prod) - 1, k - 1, -1):
+        lead = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - k + i] -= lead * m
+    return tuple(c % p for c in prod[:k])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
 def test_mul_table_matches_polynomial_arithmetic(q):
     # independent re-computation of the multiplication table
     F = field_from_order(q)
     for a in range(q):
         for b in range(q):
-            direct = F.code(_pmod(_pmul(F.coeffs(a), F.coeffs(b), F.p), F.modulus, F.p))
-            assert F.mul(a, b) == direct
+            assert F.coeffs(F.mul(a, b)) == schoolbook_mul(F.coeffs(a), F.coeffs(b), F.modulus, F.p)
 
 
 @pytest.mark.parametrize("q", GRID_Q)

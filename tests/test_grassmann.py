@@ -1,8 +1,10 @@
 """Plane-Grassmannian layer: homogenization, base cycle, nested chain."""
 
+import time
+
 import pytest
 
-from ucycle.gf import field_from_order, field_make
+from ucycle.gf import field_from_order, field_make, multiplicative_order, primitive_element
 from ucycle.geometry import DegenerateWindowError, Direction, affine, infinity, line_from
 from ucycle.cycles import Cycle
 from ucycle.constructions import universal_cycle
@@ -95,6 +97,25 @@ def test_singer_cycle_counts_and_coverage(q):
     assert gc.vertices[0] == (1, 0, 0)
     rep = verify_grassmann(gc, 3, F)
     assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_singer_generator_is_the_primitive_element_of_gf_p3(p):
+    # over a prime field the Singer extension is GF(p^3) itself: same modulus
+    # rule, same code order, so the same first generator; its order is checked
+    # with the naive loop
+    F3 = field_make(p, 3)
+    g = primitive_element(F3)
+    assert singer_cycle(field_make(p)).vertices[1] == g.coeffs
+    assert multiplicative_order(F3, g.code) == p**3 - 1
+
+
+def test_singer_cycle_q127_builds_fast():
+    F = field_make(127)
+    t0 = time.perf_counter()
+    gc = singer_cycle(F)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(gc) == 127 * 127 + 127 + 1
 
 
 def test_singer_q2_covers_all_seven():

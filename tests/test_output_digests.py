@@ -2,9 +2,10 @@
 CLI's payloads byte-identical.
 
 The digests were taken from the CLI before the vertex-sequence core, the
-splice helper and the Eulerian-walk connectivity check landed.  A change in
-any of them means the construction, the serialization or the report of
-some structure changed.
+splice helper and the Eulerian-walk connectivity check landed; the three
+GF(4), GF(9) and GF(31) Grassmann pins before the Singer cycle moved onto
+gf's polynomial arithmetic.  A change in any of them means the
+construction, the serialization or the report of some structure changed.
 """
 
 import hashlib
@@ -25,6 +26,13 @@ PINNED = {
         "c586ad1caa51b92500b9a7901410668285586ff1fd5fdf058a498b5c2cba5b8d",
     ("grassmann", "--m", "4", "--p", "3", "--nested"):
         "c02e5aedcb1820b85bc71d9dffbf8ff09e76d465b3cb360c8c149871ed1dc688",
+    # the Singer cubic over a proper extension GF(4), GF(9), and over GF(31)
+    ("grassmann", "--m", "4", "--p", "2", "--k", "2", "--nested"):
+        "2dfd559581d388aefee996f00a05b5be90aada12fc629e531035a109dc1b1c0d",
+    ("grassmann", "--m", "3", "--p", "3", "--k", "2", "--nested"):
+        "bc9a17b0ea8024ba976904b7255be47c0eda30ffa8ae4d7cf243da93dad5bf00",
+    ("grassmann", "--m", "3", "--p", "31"):
+        "99328a36f49babfbc6c513aee61811e2ff039d48e423f6e0319f13e187179c04",
 }
 
 # verify report of AG(3,3)'s cycle with its first vertex deleted
