@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Callable
 
-from .gf import field_make
+from .gf import field_make, field_order
 from .geometry import enumerate_directions
 from .cycles import (
     Cycle,
@@ -21,11 +21,12 @@ from .cycles import (
     cycle_from_text,
     cycle_to_json_obj,
     cycle_to_text,
+    occurs_cyclically,
 )
 from .constructions import plan_fibers, universal_cycle
-from .grassmann import embed_cycle, grass_to_json_obj, nested_cycles
-from .verify import affine_line_count, gaussian_binomial_2, line_key_radix
-from .verify import verify_affine, verify_grassmann, verify_nesting
+from .grassmann import embed_vertices, grass_to_json_obj, nested_cycles
+from .verify import affine_line_count, gaussian_binomial_2, key_radix
+from .verify import verify_affine, verify_grassmann
 
 SIZE_BUDGET_BITS = 24  # at most 2^24 lines or planes
 
@@ -135,7 +136,7 @@ def _load_cycle(args) -> Cycle:
 def cmd_verify(args) -> int:
     c = _load_cycle(args)
     # an int64 overflow of the line keys names its own bound, so it is checked first
-    line_key_radix(c.n, c.field.q)
+    key_radix("line", c.n, c.field.q)
     _check_size(c.n, c.field.q, affine_line_count, f"the lines of AG({c.n},{c.field.q})")
     rep = verify_affine(c, c.n, c.field)
     sys.stdout.write(_dumps(rep.to_json_obj()))
@@ -144,8 +145,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
+    # both size checks need only q, and run before the field's tables are built
+    q = field_order(args.p, args.k)
+    _check_size(args.m, q, gaussian_binomial_2, f"the planes of F_{q}^{args.m}")
+    key_radix("plane", args.m, q)
     F = field_make(args.p, args.k)
-    _check_size(args.m, F.q, gaussian_binomial_2, f"the planes of F_{F.q}^{args.m}")
     levels = nested_cycles(args.m, F)
     all_ok = True
     level_objs = []
@@ -155,7 +159,9 @@ def cmd_grassmann(args) -> int:
         all_ok &= rep.passed
         nested_ok = None
         if idx > 0:
-            nested_ok = verify_nesting(embed_cycle(levels[idx - 1], mi), u)
+            # verify_nesting without a validated copy of the padded level
+            inner = embed_vertices(levels[idx - 1], mi)
+            nested_ok = occurs_cyclically(inner, u.vertices)
             all_ok &= nested_ok
         wanted = args.nested or mi == args.m
         if wanted:

@@ -190,12 +190,11 @@ def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
         seen.update(w)
 
 
-def splice(parts: Sequence[VertexSequence], at) -> list:
-    """Concatenate the parts' vertex sequences in input order, each rotated
-    to start at its first occurrence of the vertex ``at``."""
+def splice(parts: Sequence[Sequence], at) -> list:
+    """Concatenate the vertex sequences in input order, each rotated to start
+    at its first occurrence of the vertex ``at``."""
     out: list = []
-    for idx, part in enumerate(parts):
-        vs = part.vertices
+    for idx, vs in enumerate(parts):
         try:
             i = vs.index(at)
         except ValueError:
@@ -214,7 +213,7 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """
     if not cs:
         raise GluingError("nothing to glue")
-    out = splice(cs, at)
+    out = splice([c.vertices for c in cs], at)
     if check:
         _check_pairwise_transversal(cs)
     return Cycle(out, cs[0].field)

@@ -153,6 +153,27 @@ def first_generator(candidates: Iterable, order: int, mul: Callable, one):
     raise RuntimeError("no generator found")  # unreachable
 
 
+def field_order(p: int, k: int) -> int:
+    """The order q = p^k of GF(p^k), after the checks that the field can be
+    built, and before any of its tables is.  The order is compared with the
+    bound (UCYCLE_MAX_Q, default 512) before p is tested for primality, and
+    p^k is multiplied out only until it passes the bound, so a huge p or k
+    is refused at once."""
+    if p >= 2:  # else p^k never passes the bound; k < 1 is refused below
+        max_q = _max_q()
+        q = 1
+        for i in range(k):
+            q *= p
+            if q > max_q:
+                order = q if i == k - 1 else f"{p}^{k}"
+                raise ValueError(f"field order {order} exceeds the bound {max_q}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return q
+
+
 class Field:
     """GF(p^k) with precomputed operation tables on integer codes.
 
@@ -164,21 +185,7 @@ class Field:
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, k: int):
-        """The order is compared with the bound (UCYCLE_MAX_Q, default 512)
-        before p is tested for primality, and p^k is multiplied out only
-        until it passes the bound, so a huge p or k is refused at once."""
-        if p >= 2:  # else p^k never passes the bound; k < 1 is refused below
-            max_q = _max_q()
-            q = 1
-            for i in range(k):
-                q *= p
-                if q > max_q:
-                    order = q if i == k - 1 else f"{p}^{k}"
-                    raise ValueError(f"field order {order} exceeds the bound {max_q}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        q = field_order(p, k)
         self.p = p
         self.k = k
         self.q = q
@@ -373,7 +380,7 @@ class FieldElement:
 
 
 def field_make(p: int, k: int = 1) -> Field:
-    """Build GF(p^k); Field checks the order bound before anything else."""
+    """Build GF(p^k); ``field_order`` checks the order bound before anything else."""
     return Field(p, k)
 
 

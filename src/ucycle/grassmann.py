@@ -64,6 +64,11 @@ def tau(L: AffineLine, F: Field) -> Subspace2:
     return span2(L.base + (1,), L.dir.vector + (0,), F)
 
 
+def _homogenize(c: Cycle) -> list[Vector]:
+    """The vertices of an affine-line cycle homogenized: x -> (x,1), [d] -> (d,0)."""
+    return [v.coords + ((0,) if v.at_infinity else (1,)) for v in c.vertices]
+
+
 def lift_affine_cycle(c: Cycle) -> GrassCycle:
     """Homogenize an affine-line cycle: x -> (x,1), [d] -> (d,0).
 
@@ -71,10 +76,7 @@ def lift_affine_cycle(c: Cycle) -> GrassCycle:
     cycle on all affine lines of AG(m-1,q) becomes a universal cycle on the
     outer shell of G_q(2,m).
     """
-    verts = [
-        v.coords + ((0,) if v.at_infinity else (1,)) for v in c.vertices
-    ]
-    return GrassCycle(verts, c.field)
+    return GrassCycle(_homogenize(c), c.field)
 
 
 def singer_cycle(F: Field) -> GrassCycle:
@@ -98,14 +100,19 @@ def singer_cycle(F: Field) -> GrassCycle:
     return GrassCycle(verts, F)
 
 
-def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
-    """Zero-pad every vertex into F_q^m (keeping spans inside x_j = 0, j > gc.m)."""
+def embed_vertices(gc: GrassCycle, m: int) -> tuple[Vector, ...]:
+    """The vertices of gc zero-padded into F_q^m, so their spans stay inside
+    x_j = 0 for j > gc.m."""
     if m < gc.m:
         raise ValueError("cannot embed into a smaller dimension")
-    if m == gc.m:
-        return gc
     pad = (0,) * (m - gc.m)
-    return GrassCycle([v + pad for v in gc.vertices], gc.field)
+    return tuple(v + pad for v in gc.vertices)
+
+
+def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
+    """``embed_vertices`` as a cycle of F_q^m; gc itself when m == gc.m."""
+    vertices = embed_vertices(gc, m)
+    return gc if m == gc.m else GrassCycle(vertices, gc.field)
 
 
 def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
@@ -122,9 +129,12 @@ def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
         raise ValueError(f"need m >= 3, got {m}")
     levels = [singer_cycle(F)]
     for j in range(3, m):
-        shell = lift_affine_cycle(universal_cycle(j, F))
+        # only the spliced level is validated, once: the inner level and
+        # the affine cycle were validated when they were built
+        shell = _homogenize(universal_cycle(j, F))
+        inner = embed_vertices(levels[-1], j + 1)
         e1 = (1,) + (0,) * j
-        levels.append(GrassCycle(splice([embed_cycle(levels[-1], j + 1), shell], e1), F))
+        levels.append(GrassCycle(splice([inner, shell], e1), F))
     return levels
 
 

@@ -6,10 +6,12 @@ failing reports.  The targets are enumerated in closed form, with no code
 shared with the constructions: an affine line of AG(n,q) is a normalized
 direction together with the one point of the line whose coordinate at the
 direction's pivot is 0, and a plane of F_q^m is a rank-2 RREF row pair.
-Affine windows are decoded in one vectorized pass to packed integer line
-keys, with the same closed form as ``geometry.line_from``; every other
-structure walks its windows one by one.  The brute-force point-pair oracle
-lives in the test suite as the independent cross-check.
+Affine and Grassmann windows are each decoded in one vectorized pass to
+packed integer keys: lines with the same closed form as
+``geometry.line_from``, planes with the closed-form RREF of two rows.  Only
+``verify_subset``, against an arbitrary target set, walks its windows one by
+one.  The brute-force point-pair oracle lives in the test suite as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -123,27 +125,41 @@ def _build_report(
     )
 
 
-# -- affine lines as packed integer keys ----------------------------------------
+# -- packed integer keys ---------------------------------------------------------
 #
-# A line packs to dir·q^n + base, where dir and base are the base-q codes of
-# its direction vector and base point, first coordinate most significant, so
-# the numeric order of keys is the (direction, base) tuple order.
+# A key packs two vectors of length dim as code(u)·q^dim + code(v), where
+# code is the base-q value with the first coordinate most significant, so
+# the numeric order of keys is the (u, v) tuple order.  A line of AG(n,q)
+# packs its direction and base point, a plane of F_q^m its two RREF rows.
 
 _INT64_MAX = 2**63 - 1
+
+_REFUSALS = {
+    "line": "AG({dim},{q}) is too large to verify: line keys need q^(2n) <= 2^63-1",
+    "plane": "F_{q}^{dim} is too large to verify: plane keys need q^(2m) <= 2^63-1",
+}
 
 _np_cache: dict = {}
 
 
-def line_key_radix(n: int, q: int) -> int:
-    """q^n, the radix of packed line keys, after checking that every key of
-    AG(n,q) fits in an int64.  Runs before any array is built."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if q ** (2 * n) > _INT64_MAX:
-        raise ValueError(
-            f"AG({n},{q}) is too large to verify: line keys need q^(2n) <= 2^63-1"
-        )
-    return q**n
+def key_radix(kind: str, dim: int, q: int) -> int:
+    """q^dim, the radix of packed ``kind`` keys ("line" or "plane"), after
+    checking that every key fits in an int64: q^(2·dim) <= 2^63-1.  Runs
+    before any array is built.  When the bit length of q alone shows that
+    q^(2·dim) >= 2^63, the power is never formed, so a huge dim costs
+    nothing."""
+    if 2 * dim * (q.bit_length() - 1) >= 63 or q ** (2 * dim) > _INT64_MAX:
+        raise ValueError(_REFUSALS[kind].format(dim=dim, q=q))
+    return q**dim
+
+
+def _digits(x: int, n: int, q: int) -> tuple[int, ...]:
+    """The n base-q digits of x, most significant first."""
+    out = []
+    for _ in range(n):
+        x, r = divmod(x, q)
+        out.append(r)
+    return tuple(reversed(out))
 
 
 def _np_tables(F: Field):
@@ -166,8 +182,10 @@ def _all_line_keys(n: int, F: Field) -> np.ndarray:
     pivots have smaller direction codes, so emitting pivots from last to
     first keeps the keys sorted.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     q = F.q
-    radix = line_key_radix(n, q)
+    radix = key_radix("line", n, q)
     parts = []
     for i in range(n - 1, -1, -1):
         low = q ** (n - 1 - i)
@@ -186,7 +204,7 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
     once: normalize the direction, then subtract base[piv]·d from the base.
     """
     F, n = c.field, c.n
-    radix = line_key_radix(n, F.q)
+    radix = key_radix("line", n, F.q)
     ADD, MUL, INV, NEG = _np_tables(F)
     N = len(c.vertices)
     inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
@@ -209,15 +227,7 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
 
 def _unpack_line_key(key: int, n: int, F: Field) -> AffineLine:
     dkey, bkey = divmod(key, F.q**n)
-
-    def digits(x):
-        out = []
-        for _ in range(n):
-            x, r = divmod(x, F.q)
-            out.append(r)
-        return tuple(reversed(out))
-
-    return AffineLine(Direction(digits(dkey)), digits(bkey))
+    return AffineLine(Direction(_digits(dkey, n, F.q)), _digits(bkey, n, F.q))
 
 
 # -- affine oracle ------------------------------------------------------------
@@ -285,12 +295,73 @@ def all_2subspaces(m: int, F: Field) -> set[Subspace2]:
     return out
 
 
+def _all_plane_keys(m: int, F: Field) -> np.ndarray:
+    """Packed keys of every 2-subspace of F_q^m, ascending.
+
+    For pivots i < j, row 1 is e_i plus any entries right of i except at j,
+    and row 2 is e_j plus any entries right of j, as in ``all_2subspaces``.
+    """
+    if m < 2:
+        raise ValueError("need m >= 2")
+    q = F.q
+    radix = key_radix("plane", m, q)
+    parts = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            # columns i+1..j-1 are the high free digits of row 1, column j is 0
+            high = np.arange(q ** (j - i - 1), dtype=np.int64) * q ** (m - j)
+            tail = np.arange(q ** (m - 1 - j), dtype=np.int64)
+            row1 = q ** (m - 1 - i) + (high[:, None] + tail).ravel()
+            row2 = q ** (m - 1 - j) + tail
+            parts.append((row1[:, None] * radix + row2).ravel())
+    return np.sort(np.concatenate(parts))
+
+
+def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
+    """Packed plane keys of a vector cycle's windows, and the indices of the
+    degenerate ones (two proportional vectors, which span no plane).
+
+    The closed-form RREF of two rows, over all windows at once: pivot on the
+    first column where either vector is nonzero, with a row nonzero there
+    first; normalize that row and clear the column from the other, which is
+    then zero iff the window is degenerate.  Otherwise normalize the second
+    row at its own pivot and clear that column from the first.
+    """
+    F, m = gc.field, gc.m
+    radix = key_radix("plane", m, F.q)
+    ADD, MUL, INV, NEG = _np_tables(F)
+    a = np.array(gc.vertices, dtype=np.int64)
+    b = np.roll(a, -1, axis=0)
+    rows = np.arange(len(a))
+    p1 = np.argmax((a != 0) | (b != 0), axis=1)
+    swap = (a[rows, p1] == 0)[:, None]
+    r1, r2 = np.where(swap, b, a), np.where(swap, a, b)
+    r1 = MUL[r1, INV[r1[rows, p1]][:, None]]
+    r2 = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
+    p2 = np.argmax(r2 != 0, axis=1)
+    lead = r2[rows, p2]
+    degenerate = lead == 0
+    r2 = MUL[r2, INV[lead][:, None]]
+    r1 = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
+    weights = F.q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    keys = (r1 @ weights) * radix + r2 @ weights
+    return keys[~degenerate], np.flatnonzero(degenerate).tolist()
+
+
+def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace2:
+    row1, row2 = divmod(key, F.q**m)
+    return Subspace2((_digits(row1, m, F.q), _digits(row2, m, F.q)))
+
+
 def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    found, degenerate = gc.walk()
-    return _build_report(all_2subspaces(m, F), found, degenerate)
+    expected = set(_all_plane_keys(m, F).tolist())
+    keys, degenerate = _plane_keys(gc)
+    return _build_report(
+        expected, Counter(keys.tolist()), degenerate, lambda k: _unpack_plane_key(k, m, F)
+    )
 
 
 def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:

@@ -125,6 +125,17 @@ def test_oversized_inputs_exit_2_at_once(tmp_path, capsys, argv, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
 
 
+def test_grassmann_refuses_oversized_plane_keys_at_once(capsys, monkeypatch):
+    # q^(2m) = 2^66 overflows the packed int64 plane keys although the
+    # 4.2M planes pass the size budget; refused before GF(2048) is built
+    monkeypatch.setenv("UCYCLE_MAX_Q", "2048")
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "grassmann", "--m", "3", "--p", "2", "--k", "11")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^63" in err, err
+
+
 def test_verify_parameter_mismatch_exits_2(tmp_path, capsys):
     f = tmp_path / "c.json"
     run(capsys, "gen", "--n", "2", "--p", "2", "--out", str(f))

@@ -14,6 +14,9 @@ import json
 import pytest
 
 from ucycle.cli import main
+from ucycle.gf import field_make
+from ucycle.grassmann import GrassCycle, nested_cycles
+from ucycle.verify import verify_grassmann
 
 PINNED = {
     ("gen", "--n", "3", "--p", "3"):
@@ -38,6 +41,10 @@ PINNED = {
 # verify report of AG(3,3)'s cycle with its first vertex deleted
 PINNED_FAILING_REPORT = "7e0c9751f8cb4576328224f36f67be081bed9f7ad8895ecf23bf39955a9417bf"
 
+# verify_grassmann report of U_4 over GF(3) with its first vertex deleted,
+# taken before the plane keys were packed and decoded in one vectorized pass
+PINNED_FAILING_PLANE_REPORT = "7b554150ee89a85271b68530b44f1730652144c315ee78df68bc2412d93052fa"
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -57,3 +64,12 @@ def test_failing_verify_report_digest(tmp_path, capsys):
     f.write_text(json.dumps(obj))
     assert main(["verify", "--in", str(f)]) == 1
     assert sha256(capsys.readouterr().out) == PINNED_FAILING_REPORT
+
+
+def test_failing_grassmann_report_digest():
+    F = field_make(3)
+    u4 = nested_cycles(4, F)[-1]
+    rep = verify_grassmann(GrassCycle(u4.vertices[1:], F), 4, F)
+    assert not rep.passed
+    text = json.dumps(rep.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert sha256(text) == PINNED_FAILING_PLANE_REPORT

@@ -2,13 +2,16 @@
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
+from ucycle import geometry, grassmann
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     AffineLine,
+    DegenerateWindowError,
     Direction,
     affine,
     decode_window,
@@ -21,16 +24,21 @@ from ucycle.geometry import (
 )
 from ucycle.cycles import Cycle
 from ucycle.constructions import triple_base_cycle, two_fiber_cycle, universal_cycle
-from ucycle.grassmann import GrassCycle, embed_cycle, nested_cycles, singer_cycle
+from ucycle.grassmann import GrassCycle, embed_cycle, nested_cycles, singer_cycle, span2
 from ucycle.verify import (
     MAX_REPORT_ITEMS,
     all_2subspaces,
     all_affine_lines,
     _all_line_keys,
+    _all_plane_keys,
+    _build_report,
+    _plane_keys,
     _unpack_line_key,
+    _unpack_plane_key,
     _window_keys,
     affine_line_count,
     gaussian_binomial_2,
+    key_radix,
     verify_affine,
     verify_grassmann,
     verify_nesting,
@@ -198,6 +206,106 @@ def test_verify_grassmann_singer_q3():
     rep = verify_grassmann(singer_cycle(F), 3, F)
     assert rep.passed
     assert rep.expected_count == 13
+
+
+def random_vector_cycle(m, F, rng, length=120):
+    """Random nonzero vectors, each followed now and then by a repeat or a
+    scalar multiple of itself, so some windows span no plane."""
+    verts = []
+    while len(verts) < length:
+        r = rng.random()
+        if verts and r < 0.15:
+            verts.append(verts[-1])
+        elif verts and r < 0.3:
+            s = rng.randrange(1, F.q)
+            verts.append(tuple(F.mul(s, x) for x in verts[-1]))
+        else:
+            v = tuple(rng.randrange(F.q) for _ in range(m))
+            if any(v):
+                verts.append(v)
+    return GrassCycle(verts, F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_plane_keys_match_span2(m, q):
+    F = field_from_order(q)
+    gc = random_vector_cycle(m, F, random.Random(q * 10 + m))
+    vs = gc.vertices
+    spans, degenerate = [], []
+    for i in range(len(vs)):
+        try:
+            spans.append(span2(vs[i], vs[(i + 1) % len(vs)], F))
+        except DegenerateWindowError:
+            degenerate.append(i)
+    keys, deg = _plane_keys(gc)
+    assert deg == degenerate and degenerate
+    assert [_unpack_plane_key(int(k), m, F) for k in keys] == spans
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for m in (2, 3, 4, 5) for q in (2, 3, 4, 5, 7, 8, 9)
+                                 if gaussian_binomial_2(m, q) <= 20000])
+def test_all_plane_keys_unpack_to_all_2subspaces(m, q):
+    F = field_from_order(q)
+    keys = _all_plane_keys(m, F).tolist()
+    assert keys == sorted(set(keys))
+    planes = [_unpack_plane_key(k, m, F) for k in keys]
+    assert planes == sorted(all_2subspaces(m, F))
+    assert len(planes) == gaussian_binomial_2(m, q)
+
+
+def _grassmann_variants():
+    """Chain levels that are valid, truncated, with a duplicated window, and
+    degenerate (a vertex followed by a scalar multiple of itself)."""
+    for q, top in [(2, 5), (3, 4), (4, 4)]:
+        F = field_from_order(q)
+        for m, u in enumerate(nested_cycles(top, F), 3):
+            vs = u.vertices
+            scaled = tuple(F.mul(F.q - 1, x) for x in vs[2])
+            yield "valid", m, F, vs
+            yield "truncated", m, F, vs[:3] + vs[4:]
+            yield "duplicated", m, F, vs + vs[:2]
+            yield "degenerate", m, F, vs[:3] + (scaled,) + vs[3:]
+
+
+def test_grassmann_report_matches_reference():
+    for kind, m, F, vs in _grassmann_variants():
+        gc = GrassCycle(vs, F)
+        found, degenerate = gc.walk()
+        reference = _build_report(all_2subspaces(m, F), found, degenerate)
+        rep = verify_grassmann(gc, m, F)
+        assert rep.to_json_obj() == reference.to_json_obj(), (kind, m, F.q)
+        assert rep.passed == (kind == "valid"), (kind, m, F.q)
+        assert (rep.degenerate_total > 0) >= (kind == "degenerate")
+
+
+def test_verify_grassmann_does_not_row_reduce(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_grassmann called the general rref")
+
+    F = field_make(3)
+    levels = nested_cycles(5, F)
+    monkeypatch.setattr(geometry, "rref", refuse)
+    monkeypatch.setattr(grassmann, "rref", refuse)
+    for m, u in enumerate(levels, 3):
+        assert verify_grassmann(u, m, F).passed
+    truncated = GrassCycle(levels[-1].vertices[1:], F)
+    assert not verify_grassmann(truncated, 5, F).passed
+
+
+def test_key_radix_int64_bound(monkeypatch):
+    assert key_radix("plane", 3, 1448) == 1448**3  # 1448^6 < 2^63 - 1 < 1449^6
+    with pytest.raises(ValueError, match=r"F_1449\^3 .*q\^\(2m\) <= 2\^63-1"):
+        key_radix("plane", 3, 1449)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        key_radix("line", 10**9, 2)  # refused on bit length, 2^(2·10^9) never formed
+    # the smallest field whose plane keys overflow at m = 3; refused before
+    # any array is built
+    monkeypatch.setenv("UCYCLE_MAX_Q", "1451")
+    F = field_make(1451)
+    gc = GrassCycle([(1, 0, 0), (0, 1, 0), (0, 0, 1)], F)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        verify_grassmann(gc, 3, F)
 
 
 def test_verify_nesting_basic():
