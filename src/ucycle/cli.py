@@ -13,8 +13,7 @@ import json
 import sys
 from typing import Callable
 
-from .gf import field_make, field_order
-from .geometry import enumerate_directions
+from .gf import Field, field_make, field_order
 from .cycles import (
     Cycle,
     cycle_from_json_obj,
@@ -39,18 +38,29 @@ def _check_size(dim: int, q: int, count: Callable[[int, int], int], what: str) -
         raise ValueError(f"{what} exceed the size budget of 2^{SIZE_BUDGET_BITS}")
 
 
+def _sized_order(args, dim: int, count: Callable[[int, int], int], what: str) -> int:
+    """The order q = p^k of the flags' field, once ``_check_size`` passed;
+    both need q alone, so no field table is built yet.  ``what`` is
+    formatted with dim and q."""
+    q = field_order(args.p, args.k)
+    _check_size(dim, q, count, what.format(dim=dim, q=q))
+    return q
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(payload: str, out: str | None, summary: str) -> None:
+def _emit(payload: str, out: str | None, summary: str | None = None) -> None:
+    """Write the payload to ``out``, or to stdout when there is none; the
+    summary line then goes to stdout, or to stderr beside the payload."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        print(summary)
     else:
         sys.stdout.write(payload)
-        print(summary, file=sys.stderr)
+    if summary is not None:
+        print(summary, file=sys.stdout if out else sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,11 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lines_field(args) -> Field:
+    """GF(p^k) for ``gen`` and ``stats``, built after the size check."""
+    _sized_order(args, args.n, affine_line_count, "the lines of AG({dim},{q})")
+    return field_make(args.p, args.k)
+
+
+def _direction_count(n: int, q: int) -> int:
+    return (q**n - 1) // (q - 1)
+
+
 def cmd_gen(args) -> int:
-    F = field_make(args.p, args.k)
-    _check_size(args.n, F.q, affine_line_count, f"the lines of AG({args.n},{F.q})")
+    F = _lines_field(args)
     c = universal_cycle(args.n, F)
-    ndirs = (F.q**args.n - 1) // (F.q - 1)
+    ndirs = _direction_count(args.n, F.q)
     summary = (
         f"n={args.n} q={F.q} vertices={len(c)} windows={len(c)} directions={ndirs}"
     )
@@ -145,9 +164,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
-    # both size checks need only q, and run before the field's tables are built
-    q = field_order(args.p, args.k)
-    _check_size(args.m, q, gaussian_binomial_2, f"the planes of F_{q}^{args.m}")
+    q = _sized_order(args, args.m, gaussian_binomial_2, "the planes of F_{q}^{dim}")
     key_radix("plane", args.m, q)
     F = field_make(args.p, args.k)
     levels = nested_cycles(args.m, F)
@@ -177,21 +194,14 @@ def cmd_grassmann(args) -> int:
             if nested_ok is not None:
                 line += f" nesting(U_{mi - 1} in U_{mi})={nested_ok}"
             print(line, file=sys.stderr)
-    payload = _dumps({"q": F.q, "levels": level_objs})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(_dumps({"q": F.q, "levels": level_objs}), args.out)
     return 0 if all_ok else 1
 
 
 def cmd_stats(args) -> int:
-    F = field_make(args.p, args.k)
-    _check_size(args.n, F.q, affine_line_count, f"the lines of AG({args.n},{F.q})")
+    F = _lines_field(args)
     plan = plan_fibers(args.n, F)
-    ndirs = len(enumerate_directions(args.n, F))
-    print(f"directions = {ndirs}")
+    print(f"directions = {_direction_count(args.n, F.q)}")
     print(f"lines = {affine_line_count(args.n, F.q)}")
     if plan.triplet is None:
         print(f"branch = even: {len(plan.pairs)} pairs")

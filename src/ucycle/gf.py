@@ -1,27 +1,31 @@
 """Exact arithmetic in finite fields, and the rules that fix every choice.
 
-GF(p) is built from the integers mod p.  GF(p^k) is GF(p)[x]/(m) for a monic
-irreducible modulus m of degree k; the modulus is always the
-lexicographically smallest irreducible candidate, comparing coefficient
-tuples from the constant term upward (Field takes no modulus argument), so
-field construction is deterministic and dependency-free.  The polynomial
+GF(p^k) is GF(p)[x]/(m) for a monic irreducible modulus m of degree k; the
+modulus is always the lexicographically smallest irreducible candidate,
+comparing coefficient tuples from the constant term upward (Field takes no
+modulus argument), and the generator is the first element of full order in
+code order, so field construction is deterministic.  The polynomial
 arithmetic, the modulus rule and the generator rule work over any
-coefficient field, so the same code also builds the cubic extension of GF(q)
+coefficient field, so the same code also walks the cubic extension of GF(q)
 behind grassmann.singer_cycle.
 
 Elements are identified with integer codes in [0, q): the base-p digits of
 the code are the polynomial coefficients, least degree first.  This codec is
 the wire representation used everywhere (JSON, CLI, text dumps).  All
-operations are table-backed, which is entirely adequate below the order
-bound (default q <= 512, moved only by the UCYCLE_MAX_Q environment
-variable), checked before any arithmetic on the order.
+operations are table-backed.  One numpy builder serves GF(p) and GF(p^k):
+sums digit by digit mod p, products and inverses from the discrete log of
+the q - 1 powers of the generator (Zech logarithms), so a field costs O(q)
+polynomial products.  The order bound (default q <= 512, moved only by the
+UCYCLE_MAX_Q environment variable) is checked before any arithmetic on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Callable
+
+import numpy as np
 
 DEFAULT_MAX_Q = 512
 MAX_Q_ENV = "UCYCLE_MAX_Q"
@@ -99,12 +103,6 @@ def mulmod(m, K: "Field") -> Callable:
     return lambda a, b: _pmod(_pmul(a, b, K), m, K)
 
 
-def residues(K: "Field", k: int) -> Iterator[tuple[int, ...]]:
-    """Every residue modulo a degree-k polynomial over K, in code order: the
-    residue of code c has the base-|K| digits of c, least degree first."""
-    return (low[::-1] for low in itertools.product(range(K.q), repeat=k))
-
-
 def _is_irreducible(m, K: "Field") -> bool:
     """Trial division by every monic polynomial of degree 1..deg(m)//2."""
     deg = len(m) - 1
@@ -140,17 +138,24 @@ def _power(x, e: int, mul: Callable, one):
     return r
 
 
-def first_generator(candidates: Iterable, order: int, mul: Callable, one):
-    """First candidate x with x^(order/r) != one for every prime r | order.
-
-    With the nonzero elements of a field of order+1 as candidates, that is
-    the first element of multiplicative order ``order``: a generator.
+def generator_powers(mul: Callable, q: int, d: int, count: int) -> list:
+    """The first ``count`` powers 1, g, g^2, ... of the first generator g of
+    a field whose elements are residues of d coefficients over GF(q),
+    multiplied by ``mul``.  Residues are scanned in code order (base-q
+    digits, least degree first); g is the first with g^(N/r) != 1 for every
+    prime r | N = q^d - 1, i.e. the first element of multiplicative order N.
     """
+    order = q**d - 1
+    one = (1,) + (0,) * (d - 1)
     exps = [order // r for r in _prime_factors(order)]
-    for x in candidates:
-        if all(_power(x, e, mul, one) != one for e in exps):
-            return x
-    raise RuntimeError("no generator found")  # unreachable
+    for high in itertools.islice(itertools.product(range(q), repeat=d), 1, None):
+        g = high[::-1]
+        if all(_power(g, e, mul, one) != one for e in exps):
+            break
+    powers = [one]
+    for _ in range(count - 1):
+        powers.append(mul(powers[-1], g))
+    return powers
 
 
 def field_order(p: int, k: int) -> int:
@@ -179,43 +184,42 @@ class Field:
 
     The code-level methods (add, sub, mul, neg, inv) work on plain ints and
     are what the geometry layer uses; ``element`` wraps a code into a
-    FieldElement for operator syntax.
+    FieldElement for operator syntax.  ``arrays`` holds the same tables as
+    int64 numpy arrays (add, mul, neg, inv), for vectorized callers.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "k", "q", "modulus", "arrays", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, k: int):
         q = field_order(p, k)
         self.p = p
         self.k = k
         self.q = q
-        if k == 1:  # the base case, integers mod p; its modulus x needs no division
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
-            self.modulus = smallest_irreducible(self, 1)
+        if k == 1:  # the integers mod p; the modulus x needs no search
+            self.modulus = (0, 1)
+            times = lambda a, b: (a[0] * b[0] % p,)
         else:
             base = Field(p, 1)
             self.modulus = smallest_irreducible(base, k)
-            self._add, self._mul = self._extension_tables(base)
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
-
-    def _extension_tables(self, base: "Field"):
-        """Addition and multiplication tables of base[x]/(modulus)."""
-        q = self.q
-        polys = list(residues(base, self.k))
-        code = {c: a for a, c in enumerate(polys)}
-        badd = base._add
-        times = mulmod(self.modulus, base)
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = polys[a]
-            for b in range(a, q):
-                cb = polys[b]
-                add[a][b] = add[b][a] = code[tuple(badd[x][y] for x, y in zip(ca, cb))]
-                mul[a][b] = mul[b][a] = code[times(ca, cb)]
-        return add, mul
+            times = mulmod(self.modulus, base)
+        weights = p ** np.arange(k, dtype=np.int64)
+        # products and inverses from the discrete log of the generator's powers
+        antilog = np.array(generator_powers(times, p, k, q - 1), dtype=np.int64) @ weights
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = antilog[(log[1:, None] + log[1:]) % (q - 1)]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = antilog[-log[1:] % (q - 1)]
+        # sums digit by digit mod p: the table of the codes below p·w is
+        # built from the one below w, with one more digit
+        residue = np.arange(p, dtype=np.int64)
+        digit_sum = (residue[:, None] + residue) % p
+        add = np.zeros((1, 1), dtype=np.int64)
+        for w in weights:
+            add = (digit_sum[:, None, :, None] * w + add[:, None, :]).reshape(p * w, p * w)
+        self.arrays = (add, mul, mul[p - 1], inv)  # -b is (p - 1)·b
+        self._add, self._mul, self._neg, self._inv = (t.tolist() for t in self.arrays)
 
     # -- integer codec -------------------------------------------------
 
@@ -413,4 +417,5 @@ def multiplicative_order(F: Field, code: int) -> int:
 
 def primitive_element(F: Field) -> FieldElement:
     """First element in code order whose multiplicative order is q - 1."""
-    return FieldElement(F, first_generator(range(1, F.q), F.q - 1, F.mul, 1))
+    g = generator_powers(lambda a, b: (F.mul(a[0], b[0]),), F.q, 1, 2)[1]
+    return FieldElement(F, g[0])

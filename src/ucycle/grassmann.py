@@ -13,10 +13,9 @@ from gf.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple
 
-from .gf import Field, first_generator, mulmod, residues, smallest_irreducible
+from .gf import Field, generator_powers, mulmod, smallest_irreducible
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
 from .cycles import Cycle, VertexSequence, splice
 from .constructions import universal_cycle
@@ -92,12 +91,7 @@ def singer_cycle(F: Field) -> GrassCycle:
     """
     q = F.q
     mul = mulmod(smallest_irreducible(F, 3), F)
-    one = (1, 0, 0)
-    gen = first_generator(itertools.islice(residues(F, 3), 1, None), q**3 - 1, mul, one)
-    verts = [one]
-    for _ in range(q * q + q):
-        verts.append(mul(verts[-1], gen))
-    return GrassCycle(verts, F)
+    return GrassCycle(generator_powers(mul, q, 3, q * q + q + 1), F)
 
 
 def embed_vertices(gc: GrassCycle, m: int) -> tuple[Vector, ...]:

@@ -139,8 +139,6 @@ _REFUSALS = {
     "plane": "F_{q}^{dim} is too large to verify: plane keys need q^(2m) <= 2^63-1",
 }
 
-_np_cache: dict = {}
-
 
 def key_radix(kind: str, dim: int, q: int) -> int:
     """q^dim, the radix of packed ``kind`` keys ("line" or "plane"), after
@@ -160,18 +158,6 @@ def _digits(x: int, n: int, q: int) -> tuple[int, ...]:
         x, r = divmod(x, q)
         out.append(r)
     return tuple(reversed(out))
-
-
-def _np_tables(F: Field):
-    key = (F.p, F.k, F.modulus)
-    if key not in _np_cache:
-        _np_cache[key] = (
-            np.array(F._add, dtype=np.int64),
-            np.array(F._mul, dtype=np.int64),
-            np.array(F._inv, dtype=np.int64),
-            np.array(F._neg, dtype=np.int64),
-        )
-    return _np_cache[key]
 
 
 def _all_line_keys(n: int, F: Field) -> np.ndarray:
@@ -205,7 +191,7 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
     """
     F, n = c.field, c.n
     radix = key_radix("line", n, F.q)
-    ADD, MUL, INV, NEG = _np_tables(F)
+    ADD, MUL, NEG, INV = F.arrays
     N = len(c.vertices)
     inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
     a = np.array([v.coords for v in c.vertices], dtype=np.int64)
@@ -329,7 +315,7 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     """
     F, m = gc.field, gc.m
     radix = key_radix("plane", m, F.q)
-    ADD, MUL, INV, NEG = _np_tables(F)
+    ADD, MUL, NEG, INV = F.arrays
     a = np.array(gc.vertices, dtype=np.int64)
     b = np.roll(a, -1, axis=0)
     rows = np.arange(len(a))

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from ucycle.cli import main
+from ucycle.gf import Field
 
 
 def run(capsys, *argv):
@@ -101,6 +102,10 @@ def two_vertex_file(path, n, q):
     return str(path)
 
 
+def field_built(self, p, k):
+    raise AssertionError(f"GF({p}^{k}) built before the size check")
+
+
 # Each input used to run for more than 10 s or die with a MemoryError: the
 # field-order bound is now checked before any arithmetic on the order, and
 # the CLI refuses more than 2^24 lines or planes before any work.
@@ -111,10 +116,17 @@ def two_vertex_file(path, n, q):
     (["gen", "--n", "20", "--p", "2"], "2^24"),
     (["grassmann", "--m", "24", "--p", "2"], "2^24"),
     (["verify", "--in", "AG(28,2)"], "2^24"),
+    (["gen", "--n", "30", "--p", "2", "--k", "11"], "2^24"),
+    (["stats", "--n", "30", "--p", "2", "--k", "11"], "2^24"),
 ], ids=["huge-p", "huge-k", "verify-huge-q", "gen-AG(20,2)", "grassmann-m24",
-        "verify-AG(28,2)"])
-def test_oversized_inputs_exit_2_at_once(tmp_path, capsys, argv, needle):
-    if argv[-1] == "q=1000000007":
+        "verify-AG(28,2)", "gen-AG(30,2048)", "stats-AG(30,2048)"])
+def test_oversized_inputs_exit_2_at_once(tmp_path, capsys, monkeypatch, argv, needle):
+    if argv[-1] == "11":
+        # GF(2048) passes the raised bound; the size check needs only q, so
+        # the field must not be built
+        monkeypatch.setenv("UCYCLE_MAX_Q", "2048")
+        monkeypatch.setattr(Field, "__init__", field_built)
+    elif argv[-1] == "q=1000000007":
         argv[-1] = two_vertex_file(tmp_path / "c.json", 2, 1000000007)
     elif argv[-1] == "AG(28,2)":
         argv[-1] = two_vertex_file(tmp_path / "c.json", 28, 2)

@@ -183,13 +183,37 @@ def schoolbook_mul(a, b, modulus, p):
     return tuple(c % p for c in prod[:k])
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+TABLE_Q = [4, 8, 9, 25, 27, 64, 81, 125, 128]
+
+
+@pytest.mark.parametrize("q", TABLE_Q)
 def test_mul_table_matches_polynomial_arithmetic(q):
     # independent re-computation of the multiplication table
     F = field_from_order(q)
     for a in range(q):
         for b in range(q):
             assert F.coeffs(F.mul(a, b)) == schoolbook_mul(F.coeffs(a), F.coeffs(b), F.modulus, F.p)
+
+
+@pytest.mark.parametrize("q", TABLE_Q)
+def test_add_table_matches_digitwise_sum(q):
+    # independent re-computation of the addition and negation tables
+    F = field_from_order(q)
+    for a in range(q):
+        ca = F.coeffs(a)
+        assert F.coeffs(F.neg(a)) == tuple(-x % F.p for x in ca)
+        for b in range(q):
+            assert F.coeffs(F.add(a, b)) == tuple((x + y) % F.p for x, y in zip(ca, F.coeffs(b)))
+
+
+def test_gf2048_tables_build_fast(monkeypatch):
+    # the tables come from the q - 1 powers of the generator: O(q)
+    # polynomial products, then numpy indexing
+    monkeypatch.setenv("UCYCLE_MAX_Q", "2048")
+    t0 = time.perf_counter()
+    F = Field(2, 11)
+    assert time.perf_counter() - t0 < 5.0
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, F.q))
 
 
 @pytest.mark.parametrize("q", GRID_Q)
