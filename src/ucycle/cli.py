@@ -18,7 +18,7 @@ from .cycles import (
     Cycle,
     cycle_from_json_obj,
     cycle_from_text,
-    cycle_to_json_obj,
+    cycle_to_json,
     cycle_to_text,
     occurs_cyclically,
 )
@@ -124,10 +124,7 @@ def cmd_gen(args) -> int:
     summary = (
         f"n={args.n} q={F.q} vertices={len(c)} windows={len(c)} directions={ndirs}"
     )
-    if args.format == "json":
-        payload = _dumps(cycle_to_json_obj(c))
-    else:
-        payload = cycle_to_text(c)
+    payload = cycle_to_json(c) if args.format == "json" else cycle_to_text(c)
     _emit(payload, args.out, summary)
     return 0
 

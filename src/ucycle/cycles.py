@@ -1,16 +1,27 @@
-"""Double-window cycles and segments, window extraction, and gluing.
+"""Double-window cycles and segments, window extraction, gluing, and the
+canonical codec.
 
 A cycle is a cyclic vertex sequence over the projective closure whose
 consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints.
-Both, and grassmann.GrassCycle, are immutable VertexSequences whose window
-multiset is computed lazily and cached once.
+Both, and grassmann.GrassCycle, are immutable VertexSequences: one int64
+code array (plus, for cycles and segments, an at-infinity mask), checked
+once over the arrays, with the vertex tuple and the window multiset built
+lazily and cached.  Gluing concatenates the parts' arrays.  ``cycle_to_json``
+and ``cycle_to_text`` write straight from the arrays; ``cycle_from_json_obj``
+fills them from the parsed JSON in one step and falls back to a per-vertex
+loop only for input that does not convert (odd codes that ``int`` accepts,
+or a malformed vertex to name).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .gf import Field, field_from_order
 from .geometry import (
@@ -57,40 +68,115 @@ def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
     return any(doubled[i : i + k] == seq for i in range(len(cycle)))
 
 
+def _int_rows(rows: Sequence, coerce: bool = False) -> np.ndarray | None:
+    """``rows`` as one int64 (N, n) array with n >= 1: None unless they are
+    equal-length rows of plain integers that fit in an int64, or, with
+    ``coerce``, every code passed through ``int`` first."""
+    if coerce:
+        return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
+    try:
+        a = np.array(rows)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.dtype != np.int64 or a.ndim != 2 or a.shape[1] < 1:
+        return None
+    return a
+
+
 class VertexSequence:
     """Vertex sequence over a field: at least 2 vertices, all of one
-    dimension n >= 1, every coordinate a code in [0, q).  A subclass states
-    its per-vertex rule ``_coords(i, v)`` (validate vertex i, return its
-    coordinates), its window decoder ``_decode(a, b)`` and, in ``wrap``,
-    whether the last vertex pairs with the first.
+    dimension n >= 1, every coordinate a code in [0, q).
+
+    The vertices are stored as arrays, ``codes`` first: one int64 (N, n)
+    row of coordinates per vertex.  ``vertices`` is the tuple view, built
+    on first use; a sequence built from vertices keeps them as that view.
+    The checks run once, vectorized over the arrays; the per-vertex rule
+    runs only on the first failing vertex, to word the error.
+
+    Vertices are coordinate tuples unless a subclass adds arrays
+    (``_array_names``) and states how vertices convert to them (``_arrays``:
+    None when they do not convert in one step, for instance ragged rows or
+    non-integer codes) and back (``_view``).  Every subclass states its
+    per-vertex rule ``_coords(i, v)`` (validate vertex i, return its
+    coordinates) and that rule over the arrays (``_rule_fails``), its
+    window decoder ``_decode(a, b)`` and, in ``wrap``, whether the last
+    vertex pairs with the first.
     """
 
-    __slots__ = ("field", "n", "vertices", "_windows")
+    __slots__ = ("field", "n", "codes", "_vertices", "_windows")
     wrap = True
+    _array_names: tuple[str, ...] = ("codes",)
 
     def __init__(self, vertices: Iterable, field: Field):
         vertices = tuple(vertices)
         if len(vertices) < 2:
             raise ValueError("need at least 2 vertices")
-        coords = self._coords
-        n = len(coords(0, vertices[0]))
+        arrays = self._arrays(vertices)
+        if arrays is None:
+            arrays = self._coerce(vertices, field.q)
+        self._vertices = vertices
+        self._set_arrays(arrays, field)
+
+    @classmethod
+    def _from_arrays(cls, field: Field, *arrays: np.ndarray):
+        """A sequence over ``field`` whose vertex view is built on first use."""
+        self = cls.__new__(cls)
+        if len(arrays[0]) < 2:
+            raise ValueError("need at least 2 vertices")
+        self._vertices = None
+        self._set_arrays(arrays, field)
+        return self
+
+    def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
+        for name, a in zip(self._array_names, arrays):
+            setattr(self, name, a)
+        self.field = field
+        self.n = self.codes.shape[1]
+        self._windows = None
+        q = field.q
+        bad = ((self.codes < 0) | (self.codes >= q)).any(axis=1) | self._rule_fails()
+        if bad.any():
+            i = int(np.argmax(bad))
+            v = self._view(i, i + 1)[0] if self._vertices is None else self._vertices[i]
+            self._check(i, v, self.n, q, frozenset(range(q)))
+            raise AssertionError(f"vertex {i} failed a check that its rule accepts")
+
+    @staticmethod
+    def _arrays(vertices: tuple, coerce: bool = False) -> tuple[np.ndarray] | None:
+        codes = _int_rows(vertices, coerce)
+        return None if codes is None else (codes,)
+
+    def _view(self, start: int, stop: int) -> tuple:
+        return tuple(map(tuple, self.codes[start:stop].tolist()))
+
+    def _coerce(self, vertices: tuple, q: int) -> tuple[np.ndarray, ...]:
+        """Arrays of vertices that ``_arrays`` did not convert: raise the
+        first vertex's error, else convert the codes, which then equal
+        integers in [0, q)."""
+        n = len(self._coords(0, vertices[0]))
         if n < 1:
             raise ValueError("vertices need dimension >= 1")
-        q = field.q
-        in_field = frozenset(range(q)).issuperset
+        in_field = frozenset(range(q))
         for i, v in enumerate(vertices):
-            c = coords(i, v)
-            if len(c) != n:
-                raise ValueError(f"vertex {i} has dimension {len(c)}, expected {n}")
-            if not in_field(c):
-                raise ValueError(f"vertex {i} has codes outside [0, {q})")
-        self.field = field
-        self.n = n
-        self.vertices = vertices
-        self._windows = None
+            self._check(i, v, n, q, in_field)
+        return self._arrays(vertices, coerce=True)
+
+    def _check(self, i: int, v, n: int, q: int, in_field: frozenset) -> None:
+        """The per-vertex rule, then the dimension and the range of vertex i."""
+        c = self._coords(i, v)
+        if len(c) != n:
+            raise ValueError(f"vertex {i} has dimension {len(c)}, expected {n}")
+        if not in_field.issuperset(c):
+            raise ValueError(f"vertex {i} has codes outside [0, {q})")
+
+    @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = self._view(0, len(self))
+        return self._vertices
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.codes)
 
     def walk(self) -> tuple[Counter, list[int]]:
         """Decoded window multiset and the indices of degenerate windows."""
@@ -111,10 +197,36 @@ class VertexSequence:
         return f"{type(self).__name__}({len(self)} vertices over {self.field!r}, n={self.n})"
 
 
-class Cycle(VertexSequence):
-    """Cyclic double-window vertex sequence."""
+class _ProjectiveSequence(VertexSequence):
+    """Vertices of the projective closure (ProjVertex); ``at_infinity`` is
+    the bool mask of the vertices at infinity."""
 
-    __slots__ = ()
+    __slots__ = ("at_infinity",)
+    _array_names = ("codes", "at_infinity")
+
+    @staticmethod
+    def _arrays(vertices: tuple, coerce: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+        if not all(map(isinstance, vertices, repeat(ProjVertex))):
+            return None
+        codes = _int_rows(list(map(itemgetter(1), vertices)), coerce)
+        if codes is None:
+            return None
+        flags = map(bool, map(itemgetter(0), vertices))
+        return codes, np.fromiter(flags, dtype=bool, count=len(vertices))
+
+    def _view(self, start: int, stop: int) -> tuple:
+        return tuple(
+            map(
+                ProjVertex,
+                self.at_infinity[start:stop].tolist(),
+                map(tuple, self.codes[start:stop].tolist()),
+            )
+        )
+
+    def _rule_fails(self) -> np.ndarray:
+        # a vector at infinity must have 1 as its first nonzero code
+        lead = self.codes[np.arange(len(self)), np.argmax(self.codes != 0, axis=1)]
+        return self.at_infinity & (lead != 1)
 
     def _coords(self, i: int, v) -> tuple:
         if not isinstance(v, ProjVertex):
@@ -127,13 +239,17 @@ class Cycle(VertexSequence):
         return decode_window(a, b, self.field)
 
 
-class Segment(VertexSequence):
+class Cycle(_ProjectiveSequence):
+    """Cyclic double-window vertex sequence."""
+
+    __slots__ = ()
+
+
+class Segment(_ProjectiveSequence):
     """Open double-window vertex sequence with distinct endpoints."""
 
     __slots__ = ()
     wrap = False
-    _coords = Cycle._coords
-    _decode = Cycle._decode
 
     def __init__(self, vertices: Iterable[ProjVertex], field: Field):
         super().__init__(vertices, field)
@@ -190,15 +306,22 @@ def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
         seen.update(w)
 
 
+def _splice_starts(parts: Sequence[Sequence], at) -> list[int]:
+    """The first position of the vertex ``at`` in each vertex sequence."""
+    starts = []
+    for idx, vs in enumerate(parts):
+        try:
+            starts.append(vs.index(at))
+        except ValueError:
+            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}") from None
+    return starts
+
+
 def splice(parts: Sequence[Sequence], at) -> list:
     """Concatenate the vertex sequences in input order, each rotated to start
     at its first occurrence of the vertex ``at``."""
     out: list = []
-    for idx, vs in enumerate(parts):
-        try:
-            i = vs.index(at)
-        except ValueError:
-            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}") from None
+    for vs, i in zip(parts, _splice_starts(parts, at)):
         out.extend(vs[i:])
         out.extend(vs[:i])
     return out
@@ -213,10 +336,16 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """
     if not cs:
         raise GluingError("nothing to glue")
-    out = splice([c.vertices for c in cs], at)
+    vertex_lists = [c.vertices for c in cs]
+    starts = _splice_starts(vertex_lists, at)
     if check:
         _check_pairwise_transversal(cs)
-    return Cycle(out, cs[0].field)
+    if len({c.n for c in cs}) > 1:
+        # rows of different lengths do not stack; the vertex list words the error
+        return Cycle(splice(vertex_lists, at), cs[0].field)
+    codes = np.concatenate([np.roll(c.codes, -i, axis=0) for c, i in zip(cs, starts)])
+    at_infinity = np.concatenate([np.roll(c.at_infinity, -i) for c, i in zip(cs, starts)])
+    return Cycle._from_arrays(cs[0].field, codes, at_infinity)
 
 
 def glue_segments(ss: Sequence[Segment]) -> Cycle:
@@ -312,11 +441,41 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
 
 
 # -- serialization -----------------------------------------------------------
+#
+# The encoders write straight from a cycle's arrays: every output row is a
+# few strings looked up per code, joined once.
 
 SCHEMA_VERSION = 1
 
 
+def _join_rows(columns: Sequence[np.ndarray]) -> list[str]:
+    """The strings of the columns, row by row, as one flat list."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        table[:, j] = col
+    return table.ravel().tolist()
+
+
+def _coord_columns(c: Cycle, first: str, sep: str, last: str) -> list[np.ndarray]:
+    """Each coordinate column as strings, one precomputed per field code:
+    ``first`` before the first code, ``sep`` between codes and ``last``
+    after the last one."""
+    n, q = c.n, c.field.q
+    return [
+        np.array(
+            [f"{first if j == 0 else ''}{x}{last if j == n - 1 else sep}" for x in range(q)],
+            dtype=object,
+        )[c.codes[:, j]]
+        for j in range(n)
+    ]
+
+
+def _kind_column(c: Cycle, affine: str, infinity: str) -> np.ndarray:
+    return np.array([affine, infinity], dtype=object)[c.at_infinity.view(np.uint8)]
+
+
 def cycle_to_json_obj(c: Cycle) -> dict:
+    """The JSON object of a cycle; ``cycle_to_json`` writes its bytes."""
     return {
         "schema_version": SCHEMA_VERSION,
         "n": c.n,
@@ -326,6 +485,31 @@ def cycle_to_json_obj(c: Cycle) -> dict:
             for v in c.vertices
         ],
     }
+
+
+def cycle_to_json(c: Cycle) -> str:
+    """``cycle_to_json_obj(c)`` as compact JSON with sorted keys and a final
+    newline, written from the arrays."""
+    rows = _join_rows(
+        _coord_columns(c, '{"coords":[', ",", '],"type":"')
+        + [_kind_column(c, 'affine"},', 'infinity"},')]
+    )
+    rows[-1] = rows[-1][:-1]  # no comma after the last vertex
+    head = f'{{"n":{c.n},"q":{c.field.q},"schema_version":{SCHEMA_VERSION},"vertices":['
+    return head + "".join(rows) + "]}\n"
+
+
+def _json_arrays(raw: list, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(codes, at_infinity) when every item is an object with a valid type
+    and n integer coords, else None."""
+    try:
+        kinds = [item["type"] for item in raw]
+        codes = _int_rows([item["coords"] for item in raw])
+        if codes is None or codes.shape[1] != n or not {"affine", "infinity"}.issuperset(kinds):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return codes, np.fromiter(map("infinity".__eq__, kinds), dtype=bool, count=len(kinds))
 
 
 def cycle_from_json_obj(obj: dict) -> Cycle:
@@ -338,6 +522,10 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
     if not isinstance(raw, list):
         raise ValueError("malformed cycle object: 'vertices' is not a list")
     F = field_from_order(q)
+    arrays = _json_arrays(raw, n)
+    if arrays is not None:
+        return Cycle._from_arrays(F, *arrays)
+    # anything else: codes that int() accepts, or a malformed vertex to word
     verts = []
     for i, item in enumerate(raw):
         try:
@@ -353,11 +541,7 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
 
 def cycle_to_text(c: Cycle) -> str:
     """One vertex per line: ``A c1 c2 ...`` or ``I c1 c2 ...`` integer codes."""
-    lines = []
-    for v in c.vertices:
-        tag = "I" if v.at_infinity else "A"
-        lines.append(tag + " " + " ".join(str(x) for x in v.coords))
-    return "\n".join(lines) + "\n"
+    return "".join(_join_rows([_kind_column(c, "A ", "I ")] + _coord_columns(c, "", " ", "\n")))
 
 
 def cycle_from_text(text: str, field: Field) -> Cycle:

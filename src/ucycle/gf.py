@@ -405,14 +405,19 @@ def field_from_order(q: int) -> Field:
 
 
 def multiplicative_order(F: Field, code: int) -> int:
-    """Order of a nonzero code by repeated multiplication (no shortcuts)."""
+    """Order of a nonzero code by repeated multiplication (no shortcuts).
+
+    Stops after q - 1 multiplications, which bound every order in a field:
+    a product table that never returns to 1 is not a field's.
+    """
     if code == 0:
         raise ValueError("0 has no multiplicative order")
-    r, n = code, 1
-    while r != 1:
+    r = code
+    for n in range(1, F.q):
+        if r == 1:
+            return n
         r = F.mul(r, code)
-        n += 1
-    return n
+    raise ValueError(f"code {code} does not reach 1 in {F.q - 1} multiplications")
 
 
 def primitive_element(F: Field) -> FieldElement:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .gf import Field, generator_powers, mulmod, smallest_irreducible
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
 from .cycles import Cycle, VertexSequence, splice
@@ -49,6 +51,9 @@ class GrassCycle(VertexSequence):
     def m(self) -> int:
         return self.n
 
+    def _rule_fails(self) -> np.ndarray:
+        return ~self.codes.any(axis=1)
+
     def _coords(self, i: int, v: Vector) -> Vector:
         if not any(v):
             raise ValueError(f"vertex {i} is the zero vector")
@@ -65,7 +70,7 @@ def tau(L: AffineLine, F: Field) -> Subspace2:
 
 def _homogenize(c: Cycle) -> list[Vector]:
     """The vertices of an affine-line cycle homogenized: x -> (x,1), [d] -> (d,0)."""
-    return [v.coords + ((0,) if v.at_infinity else (1,)) for v in c.vertices]
+    return list(map(tuple, np.column_stack([c.codes, ~c.at_infinity]).tolist()))
 
 
 def lift_affine_cycle(c: Cycle) -> GrassCycle:

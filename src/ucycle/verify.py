@@ -7,8 +7,10 @@ shared with the constructions: an affine line of AG(n,q) is a normalized
 direction together with the one point of the line whose coordinate at the
 direction's pivot is 0, and a plane of F_q^m is a rank-2 RREF row pair.
 Affine and Grassmann windows are each decoded in one vectorized pass to
-packed integer keys: lines with the same closed form as
-``geometry.line_from``, planes with the closed-form RREF of two rows.  Only
+packed integer keys, straight from the cycle's code array (and at-infinity
+mask), so a passing check builds no per-vertex object: lines with the same
+closed form as ``geometry.line_from``, planes with the closed-form RREF of
+two rows.  Only
 ``verify_subset``, against an arbitrary target set, walks its windows one by
 one.  The brute-force point-pair oracle lives in the test suite as the
 independent cross-check.
@@ -192,9 +194,8 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
     F, n = c.field, c.n
     radix = key_radix("line", n, F.q)
     ADD, MUL, NEG, INV = F.arrays
-    N = len(c.vertices)
-    inf = np.fromiter((v.at_infinity for v in c.vertices), dtype=bool, count=N)
-    a = np.array([v.coords for v in c.vertices], dtype=np.int64)
+    N = len(c)
+    inf, a = c.at_infinity, c.codes
     b_inf = np.roll(inf, -1)
     b = np.roll(a, -1, axis=0)
     # the direction is the vertex at infinity if there is one, else b - a
@@ -316,7 +317,7 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     F, m = gc.field, gc.m
     radix = key_radix("plane", m, F.q)
     ADD, MUL, NEG, INV = F.arrays
-    a = np.array(gc.vertices, dtype=np.int64)
+    a = gc.codes
     b = np.roll(a, -1, axis=0)
     rows = np.arange(len(a))
     p1 = np.argmax((a != 0) | (b != 0), axis=1)

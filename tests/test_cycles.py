@@ -5,14 +5,16 @@ import random
 
 import pytest
 
+from ucycle.cli import _dumps
 from ucycle.gf import field_make
-from ucycle.geometry import DegenerateWindowError, Direction, affine, infinity
+from ucycle.geometry import DegenerateWindowError, Direction, ProjVertex, affine, infinity
 from ucycle.cycles import (
     Cycle,
     GluingError,
     Segment,
     cycle_from_json_obj,
     cycle_from_text,
+    cycle_to_json,
     cycle_to_json_obj,
     cycle_to_text,
     equal_up_to_rotation,
@@ -25,7 +27,7 @@ from ucycle.cycles import (
     same_windows,
     translate,
 )
-from ucycle.constructions import two_fiber_cycle
+from ucycle.constructions import plan_fibers, triple_fiber_cycle, two_fiber_cycle, universal_cycle
 from ucycle.grassmann import GrassCycle
 from ucycle.verify import all_affine_lines
 
@@ -299,3 +301,151 @@ def test_malformed_json_rejected():
         cycle_from_json_obj(
             {"n": 1, "q": 2, "vertices": [{"type": "affine", "coords": [5]}] * 2}
         )
+
+
+# -- the array-backed core and the canonical codec ----------------------------
+
+# every acceptance-grid case with q^n <= 500, as (n, p, k)
+SMALL_GRID = [(2, p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+SMALL_GRID += [(3, p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1))]
+SMALL_GRID += [(4, p, k) for p, k in ((2, 1), (3, 1), (2, 2))]
+
+
+def reference_text(c):
+    return "".join(
+        ("I " if v.at_infinity else "A ") + " ".join(str(x) for x in v.coords) + "\n"
+        for v in c.vertices
+    )
+
+
+def assert_codec_matches_reference(c):
+    assert cycle_to_json(c) == _dumps(cycle_to_json_obj(c))
+    assert cycle_to_text(c) == reference_text(c)
+
+
+@pytest.mark.parametrize("n,p,k", SMALL_GRID)
+def test_encoders_match_reference_on_grid_cycles_and_parts(n, p, k):
+    F = field_make(p, k)
+    assert_codec_matches_reference(universal_cycle(n, F))
+    plan = plan_fibers(n, F)
+    if plan.triplet is not None:
+        assert_codec_matches_reference(triple_fiber_cycle(*plan.triplet, n, F))
+    for d1, d2 in plan.pairs:
+        assert_codec_matches_reference(two_fiber_cycle(d1, d2, n, F))
+
+
+def test_encoders_match_reference_on_drawn_cycles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cycles(draw):
+        p, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]))
+        F = field_make(p, k)
+        n = draw(st.integers(1, 4))
+        code = st.integers(0, F.q - 1)
+
+        def vertex():
+            if not draw(st.booleans()):
+                return affine(draw(st.lists(code, min_size=n, max_size=n)))
+            piv = draw(st.integers(0, n - 1))
+            tail = draw(st.lists(code, min_size=n - 1 - piv, max_size=n - 1 - piv))
+            return infinity((0,) * piv + (1,) + tuple(tail))
+
+        verts = [vertex() for _ in range(draw(st.integers(2, 40)))]
+        verts[draw(st.integers(0, len(verts) - 1))] = infinity((1,) + (0,) * (n - 1))
+        return Cycle(verts, F)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cycles())
+    def check(c):
+        assert c.at_infinity.any()
+        assert_codec_matches_reference(c)
+        back = cycle_from_json_obj(json.loads(cycle_to_json(c)))
+        assert back.vertices == c.vertices and back.field == c.field
+
+    check()
+
+
+def test_vertex_view_is_the_input_or_built_from_the_arrays():
+    c, F = plane_cycle_22()
+    verts = list(c.vertices)
+    kept = Cycle(verts, F)
+    assert all(a is b for a, b in zip(kept.vertices, verts))
+    decoded = cycle_from_json_obj(json.loads(cycle_to_json(kept)))
+    assert decoded._vertices is None  # built on first use
+    assert decoded.vertices == c.vertices
+    assert decoded.codes.tolist() == [list(v.coords) for v in verts]
+    assert decoded.at_infinity.tolist() == [v.at_infinity for v in verts]
+
+
+def test_decoder_accepts_the_odd_values_int_accepts():
+    # float, string, zero-padded string and bool codes, extra keys: each is
+    # read as int(x), the values the decoder gave before its array path
+    c = universal_cycle(2, field_make(3))
+    obj = json.loads(cycle_to_json(c))
+    obj["comment"] = "extra"
+    vs = obj["vertices"]
+    vs[0]["coords"] = [float(x) for x in vs[0]["coords"]]
+    vs[1]["coords"] = [str(x) for x in vs[1]["coords"]]
+    vs[2]["coords"] = ["0" + str(x) for x in vs[2]["coords"]]
+    vs[3]["coords"] = [bool(x) for x in vs[3]["coords"]]  # infinity (0, 1)
+    vs[4]["label"] = 4
+    back = cycle_from_json_obj(json.loads(json.dumps(obj)))
+    assert back.vertices == c.vertices
+    assert back.vertices[:5] == (
+        affine((0, 0)), affine((0, 2)), affine((1, 2)), infinity((0, 1)), affine((2, 1))
+    )
+
+
+GOOD_22 = [
+    {"type": "affine", "coords": [0, 0]},
+    {"type": "infinity", "coords": [1, 0]},
+    {"type": "affine", "coords": [1, 1]},
+    {"type": "infinity", "coords": [1, 1]},
+    {"type": "affine", "coords": [1, 0]},
+    {"type": "infinity", "coords": [0, 1]},
+]
+
+
+# the messages are the decoder's from before its array path
+@pytest.mark.parametrize("index,vertex,message", [
+    (2, {"type": "affine", "coords": [-1, 0]}, "vertex 2 has codes outside [0, 2)"),
+    (2, {"type": "affine", "coords": [2**70, 0]}, "vertex 2 has codes outside [0, 2)"),
+    (2, {"type": "affine", "coords": [-(2**70), 0]}, "vertex 2 has codes outside [0, 2)"),
+    (2, {"type": "affine", "coords": [2**63, 0]}, "vertex 2 has codes outside [0, 2)"),
+    (2, {"type": "affine", "coords": [0]},
+     "malformed vertex 2: {'type': 'affine', 'coords': [0]}"),
+    (2, {"type": "affine", "coords": [0, 0, 0]},
+     "malformed vertex 2: {'type': 'affine', 'coords': [0, 0, 0]}"),
+    (3, {"type": "affine", "coords": [2, 0]}, "vertex 3 has codes outside [0, 2)"),
+    (3, {"type": "infinity", "coords": [0, 0]}, "vertex 3: infinity vector (0, 0) not normalized"),
+    (1, {"type": "inf", "coords": [1, 0]},
+     "malformed vertex 1: {'type': 'inf', 'coords': [1, 0]}"),
+], ids=["negative", "2^70", "-2^70", "2^63", "short", "long", "out-of-range",
+        "unnormalized", "bad-type"])
+def test_decoder_refusals_keep_their_messages(index, vertex, message):
+    vertices = [dict(v) for v in GOOD_22]
+    vertices[index] = vertex
+    with pytest.raises(ValueError) as err:
+        cycle_from_json_obj({"n": 2, "q": 2, "vertices": vertices})
+    assert str(err.value) == message
+
+
+def test_decoder_words_the_first_failing_vertex():
+    F3 = {"n": 2, "q": 3}
+    cases = [
+        # an unnormalized vector before an out-of-range code, and after one
+        ([{"type": "affine", "coords": [0, 0]}, {"type": "infinity", "coords": [2, 1]},
+          {"type": "affine", "coords": [5, 0]}], "vertex 1: infinity vector (2, 1) not normalized"),
+        ([{"type": "affine", "coords": [0, 5]}, {"type": "infinity", "coords": [2, 1]}],
+         "vertex 0 has codes outside [0, 3)"),
+        # a malformed vertex is named before any range fault
+        ([{"type": "affine", "coords": [0, 5]}, {"type": "infinity", "coords": [1]}],
+         "malformed vertex 1: {'type': 'infinity', 'coords': [1]}"),
+        ([{"type": "affine", "coords": [0, 0]}], "need at least 2 vertices"),
+    ]
+    for vertices, message in cases:
+        with pytest.raises(ValueError) as err:
+            cycle_from_json_obj(dict(F3, vertices=vertices))
+        assert str(err.value) == message

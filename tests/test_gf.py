@@ -133,6 +133,19 @@ def test_primitive_element_order(q):
     assert all(multiplicative_order(F, c) < q - 1 for c in range(1, g))
 
 
+def test_multiplicative_order_stops_on_a_broken_table(monkeypatch):
+    # every nonzero product is 2, so the powers of 2 never return to 1: the
+    # order loop must fail after q - 1 steps instead of spinning
+    F = field_make(3, 2)
+    assert multiplicative_order(F, 2) == 2  # 2 = -1 in GF(3)
+    broken = [[2 if a and b else 0 for b in range(F.q)] for a in range(F.q)]
+    monkeypatch.setattr(F, "_mul", broken)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="does not reach 1 in 8 multiplications"):
+        multiplicative_order(F, 2)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_pow_matches_repeated_multiplication():
     F = field_make(3, 2)
     for a in range(1, F.q):

@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from ucycle import geometry, grassmann
+from ucycle import cli, geometry, grassmann
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     AffineLine,
     DegenerateWindowError,
     Direction,
+    ProjVertex,
     affine,
     decode_window,
     fiber,
@@ -291,6 +292,24 @@ def test_verify_grassmann_does_not_row_reduce(monkeypatch):
         assert verify_grassmann(u, m, F).passed
     truncated = GrassCycle(levels[-1].vertices[1:], F)
     assert not verify_grassmann(truncated, 5, F).passed
+
+
+def test_verify_does_not_build_projvertex(tmp_path, capsys, monkeypatch):
+    # the passing verify path decodes the file into arrays and reads the
+    # window keys from them, without one ProjVertex
+    def refuse(*args):
+        raise AssertionError("verify built a ProjVertex")
+
+    f = tmp_path / "c.json"
+    assert cli.main(["gen", "--n", "3", "--p", "5", "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(f)]) == 0
+    report = capsys.readouterr()
+    monkeypatch.setattr(ProjVertex, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        affine((0, 0, 0))
+    assert cli.main(["verify", "--in", str(f)]) == 0
+    assert capsys.readouterr() == report
 
 
 def test_key_radix_int64_bound(monkeypatch):
