@@ -23,7 +23,7 @@ from .cycles import (
     occurs_cyclically,
 )
 from .constructions import plan_fibers, universal_cycle
-from .grassmann import embed_vertices, grass_to_json_obj, nested_cycles
+from .grassmann import embed_codes, grass_to_json, nested_cycles
 from .verify import affine_line_count, gaussian_binomial_2, key_radix
 from .verify import verify_affine, verify_grassmann
 
@@ -166,7 +166,7 @@ def cmd_grassmann(args) -> int:
     F = field_make(args.p, args.k)
     levels = nested_cycles(args.m, F)
     all_ok = True
-    level_objs = []
+    level_texts = []
     for idx, u in enumerate(levels):
         mi = idx + 3
         rep = verify_grassmann(u, mi, F)
@@ -174,8 +174,7 @@ def cmd_grassmann(args) -> int:
         nested_ok = None
         if idx > 0:
             # verify_nesting without a validated copy of the padded level
-            inner = embed_vertices(levels[idx - 1], mi)
-            nested_ok = occurs_cyclically(inner, u.vertices)
+            nested_ok = occurs_cyclically(embed_codes(levels[idx - 1], mi), u.codes)
             all_ok &= nested_ok
         wanted = args.nested or mi == args.m
         if wanted:
@@ -184,14 +183,14 @@ def cmd_grassmann(args) -> int:
                 "windows": len(u),
                 "verification": rep.to_json_obj(),
                 "nested_previous": nested_ok,
-                "cycle": grass_to_json_obj(u),
             }
-            level_objs.append(obj)
+            # "cycle" sorts before the other keys: _dumps of the level with it
+            level_texts.append('{"cycle":' + grass_to_json(u)[:-1] + "," + _dumps(obj)[1:-1])
             line = f"U_{mi}: windows={len(u)} {rep.summary()}"
             if nested_ok is not None:
                 line += f" nesting(U_{mi - 1} in U_{mi})={nested_ok}"
             print(line, file=sys.stderr)
-    _emit(_dumps({"q": F.q, "levels": level_objs}), args.out)
+    _emit('{"levels":[' + ",".join(level_texts) + f'],"q":{F.q}}}\n', args.out)
     return 0 if all_ok else 1
 
 

@@ -4,12 +4,21 @@ cycles, and the full universal cycle over all affine lines of AG(n,q).
 Every construction returns a valid double-window cycle that contains the
 affine origin, covers exactly its declared fiber union, and is byte-for-byte
 deterministic for fixed (n, q).
+
+The parts are built on code arrays: a fiber pair interleaves its
+hyperplane's point array with the two direction rows, a lift translates
+the base cycle by one table gather per coset and splices the translates,
+and the plane chart maps the triple base cycle in one pass per coordinate.
+Only the small base cycles of the triple construction (3q vertices) are
+written vertex by vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .gf import Field
 from .geometry import (
@@ -21,8 +30,7 @@ from .geometry import (
     decode_window,
     enumerate_directions,
     find_coplanar_triplet,
-    hyperplane_points,
-    in_span,
+    hyperplane_point_array,
     infinity,
     line_from,
     normalize_direction,
@@ -58,34 +66,33 @@ def two_fiber_cycle(d1: Direction, d2: Direction, n: int, F: Field) -> Cycle:
     if len(d1.vector) != n or len(d2.vector) != n:
         raise ValueError("direction dimension does not match n")
     W = complementary_hyperplane(d1, d2, F)
-    pts = hyperplane_points(W, F)
-    i1, i2 = infinity(d1), infinity(d2)
-
-    def alternation(points):
-        verts = []
-        for i, w in enumerate(points):
-            verts.append(affine(w))
-            verts.append(i1 if i % 2 == 0 else i2)
-        return verts
-
-    if F.q % 2 == 0:
-        return Cycle(alternation(pts), F)
-
+    pts = hyperplane_point_array(W, F)
     u1, u2 = d1.vector, d2.vector
-    f = W.functional
-    # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2.
-    raw = vadd(
-        vscale(vdot(f, u2, F), u1, F),
-        vscale(F.neg(vdot(f, u1, F)), u2, F),
-        F,
-    )
-    wstar = normalize_direction(raw, F).vector
-    a, b = solve2(u1, u2, wstar, F)
-    if a == 0 or b == 0:
-        raise AssertionError("w* decomposition produced a zero coefficient")
-    verts = alternation([w for w in pts if w != wstar])
-    verts[1:1] = [affine(vscale(a, u1, F)), affine(wstar)]
-    return Cycle(verts, F)
+    detour = np.empty((0, n), dtype=np.int64)
+    if F.q % 2:
+        f = W.functional
+        # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2.
+        raw = vadd(
+            vscale(vdot(f, u2, F), u1, F),
+            vscale(F.neg(vdot(f, u1, F)), u2, F),
+            F,
+        )
+        wstar = normalize_direction(raw, F).vector
+        a, b = solve2(u1, u2, wstar, F)
+        if a == 0 or b == 0:
+            raise AssertionError("w* decomposition produced a zero coefficient")
+        pts = pts[(pts != wstar).any(axis=1)]
+        detour = np.array([vscale(a, u1, F), wstar])
+    # the points alternate with [d1] and [d2]: one infinity vertex after each
+    rows = np.empty((len(pts), 2, n), dtype=np.int64)
+    rows[:, 0] = pts
+    rows[:, 1] = np.array([u1, u2])[np.arange(len(pts)) % 2]
+    rows = rows.reshape(-1, n)
+    flags = np.tile([False, True], len(pts))
+    # the detour follows the origin, the first point
+    codes = np.concatenate([rows[:1], detour, rows[1:]])
+    at_infinity = np.concatenate([flags[:1], np.zeros(len(detour), dtype=bool), flags[1:]])
+    return Cycle._from_arrays(F, codes, at_infinity)
 
 
 def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
@@ -102,18 +109,26 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
         raise ValueError(f"dim U = {U.dim} must be smaller than n = {n}")
     if cU.n != n:
         raise ValueError("cycle vertices must already use ambient coordinates")
-    for i, v in enumerate(cU.vertices):
-        if in_span(v.coords, U.basis, F) is None:
-            kind = "direction" if v.at_infinity else "affine vertex"
-            raise ValueError(f"{kind} {v.coords} at position {i} lies outside U")
-    origin = affine((0,) * n)
-    if origin not in cU.vertices:
+    add, mul, neg, _ = F.arrays
+    # reduce every vertex against the RREF basis: what is left is zero iff it lies in U
+    rest = cU.codes
+    pivots = []
+    for row in U.basis:
+        piv = next(i for i, x in enumerate(row) if x != 0)
+        pivots.append(piv)
+        rest = add[rest, mul[neg[rest[:, piv : piv + 1]], np.array(row)]]
+    outside = rest.any(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        kind = "direction" if cU.at_infinity[i] else "affine vertex"
+        raise ValueError(f"{kind} {tuple(cU.codes[i].tolist())} at position {i} lies outside U")
+    if not (~cU.at_infinity & ~cU.codes.any(axis=1)).any():
         raise ValueError("base cycle must contain the origin")
-    anchor = next((v for v in cU.vertices if v.at_infinity), None)
-    if anchor is None:
+    if not cU.at_infinity.any():
         raise ValueError("base cycle has no point at infinity to splice at")
+    i = int(np.argmax(cU.at_infinity))
+    anchor = infinity(cU.codes[i].tolist())
 
-    pivots = {next(i for i, x in enumerate(row) if x != 0) for row in U.basis}
     free = [j for j in range(n) if j not in pivots]
     parts = []
     for assign in itertools.product(range(F.q), repeat=len(free)):

@@ -7,11 +7,12 @@ affine lines; a segment is the open variant with two distinct endpoints.
 Both, and grassmann.GrassCycle, are immutable VertexSequences: one int64
 code array (plus, for cycles and segments, an at-infinity mask), checked
 once over the arrays, with the vertex tuple and the window multiset built
-lazily and cached.  Gluing concatenates the parts' arrays.  ``cycle_to_json``
-and ``cycle_to_text`` write straight from the arrays; ``cycle_from_json_obj``
-fills them from the parsed JSON in one step and falls back to a per-vertex
-loop only for input that does not convert (odd codes that ``int`` accepts,
-or a malformed vertex to name).
+lazily and cached.  Gluing, translation and linear maps work on the
+arrays.  ``cycle_to_json`` and ``cycle_to_text`` write straight from the
+arrays; ``cycle_from_json_obj`` and ``cycle_from_text`` fill them from the
+parsed JSON or the text's tokens in one step and fall back to a per-vertex
+or per-line loop only for input that does not convert (odd codes that
+``int`` accepts, or a malformed vertex or line to name).
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from .geometry import (
     DegenerateWindowError,
     ProjVertex,
     decode_window,
-    mat_apply,
-    normalize_direction,
     rank,
-    vadd,
 )
 
 
@@ -59,13 +57,26 @@ def walk_windows(
     return found, degenerate
 
 
-def occurs_cyclically(seq: tuple, cycle: tuple) -> bool:
-    """True iff seq occurs contiguously in some rotation of cycle (no reversal)."""
-    if len(seq) > len(cycle):
+def occurs_cyclically(seq: np.ndarray, cycle: np.ndarray) -> bool:
+    """True iff the rows of seq occur contiguously in some rotation of the
+    rows of cycle (no reversal); rows of different lengths never match."""
+    seq, cycle = np.asarray(seq), np.asarray(cycle)
+    if len(seq) > len(cycle) or seq.shape[1:] != cycle.shape[1:]:
         return False
-    doubled = cycle + cycle
-    k = len(seq)
-    return any(doubled[i : i + k] == seq for i in range(len(cycle)))
+    if len(seq) == 0:
+        return True
+    window = np.arange(len(seq))
+    return any(
+        np.array_equal(cycle.take(window + i, axis=0, mode="wrap"), seq)
+        for i in np.flatnonzero(_row_hits(cycle, seq[0]))
+    )
+
+
+def _row_hits(rows: np.ndarray, row: Sequence[int]) -> np.ndarray:
+    """Bool mask of the rows equal to ``row``; all False when the lengths differ."""
+    if len(row) != rows.shape[1]:
+        return np.zeros(len(rows), dtype=bool)
+    return (rows == np.asarray(row)).all(axis=1)
 
 
 def _int_rows(rows: Sequence, coerce: bool = False) -> np.ndarray | None:
@@ -289,7 +300,8 @@ def same_windows(a: Structure, b: Structure) -> bool:
 
 
 def equal_up_to_rotation(a: Cycle, b: Cycle) -> bool:
-    return len(a.vertices) == len(b.vertices) and occurs_cyclically(b.vertices, a.vertices)
+    rows_b, rows_a = (np.column_stack([c.codes, c.at_infinity]) for c in (b, a))
+    return len(a) == len(b) and occurs_cyclically(rows_b, rows_a)
 
 
 def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
@@ -306,25 +318,20 @@ def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
         seen.update(w)
 
 
-def _splice_starts(parts: Sequence[Sequence], at) -> list[int]:
-    """The first position of the vertex ``at`` in each vertex sequence."""
+def splice(
+    parts: Sequence[Sequence[np.ndarray]], hits: Sequence[np.ndarray], at
+) -> list[np.ndarray]:
+    """Concatenate the parts in input order, the arrays of each rotated to
+    start at its first hit, the first occurrence of the vertex ``at``."""
     starts = []
-    for idx, vs in enumerate(parts):
-        try:
-            starts.append(vs.index(at))
-        except ValueError:
-            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}") from None
-    return starts
-
-
-def splice(parts: Sequence[Sequence], at) -> list:
-    """Concatenate the vertex sequences in input order, each rotated to start
-    at its first occurrence of the vertex ``at``."""
-    out: list = []
-    for vs, i in zip(parts, _splice_starts(parts, at)):
-        out.extend(vs[i:])
-        out.extend(vs[:i])
-    return out
+    for idx, h in enumerate(hits):
+        if not h.any():
+            raise GluingError(f"cycle {idx} does not contain the splice vertex {at}")
+        starts.append(int(np.argmax(h)))
+    return [
+        np.concatenate([a for p, i in zip(parts, starts) for a in (p[k][i:], p[k][:i])])
+        for k in range(len(parts[0]))
+    ]
 
 
 def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycle:
@@ -336,16 +343,11 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """
     if not cs:
         raise GluingError("nothing to glue")
-    vertex_lists = [c.vertices for c in cs]
-    starts = _splice_starts(vertex_lists, at)
+    hits = [_row_hits(c.codes, at.coords) & (c.at_infinity == at.at_infinity) for c in cs]
+    arrays = splice([(c.codes, c.at_infinity) for c in cs], hits, at)
     if check:
         _check_pairwise_transversal(cs)
-    if len({c.n for c in cs}) > 1:
-        # rows of different lengths do not stack; the vertex list words the error
-        return Cycle(splice(vertex_lists, at), cs[0].field)
-    codes = np.concatenate([np.roll(c.codes, -i, axis=0) for c, i in zip(cs, starts)])
-    at_infinity = np.concatenate([np.roll(c.at_infinity, -i) for c, i in zip(cs, starts)])
-    return Cycle._from_arrays(cs[0].field, codes, at_infinity)
+    return Cycle._from_arrays(cs[0].field, *arrays)
 
 
 def glue_segments(ss: Sequence[Segment]) -> Cycle:
@@ -410,11 +412,11 @@ def translate(c: Cycle, t: Sequence[int]) -> Cycle:
     t = tuple(t)
     if len(t) != c.n:
         raise ValueError(f"translation vector has dimension {len(t)}, cycle has {c.n}")
-    F = c.field
-    verts = tuple(
-        v if v.at_infinity else ProjVertex(False, vadd(v.coords, t, F)) for v in c.vertices
-    )
-    return Cycle(verts, F)
+    add = c.field.arrays[0]
+    codes = c.codes.copy()
+    affine = ~c.at_infinity
+    codes[affine] = add[codes[affine], t]
+    return Cycle._from_arrays(c.field, codes, c.at_infinity)
 
 
 def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
@@ -430,14 +432,16 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
         raise ValueError("matrix column count must match the cycle dimension")
     if rank(M, F) != c.n:
         raise ValueError("matrix is singular (not injective)")
-    verts = []
-    for v in c.vertices:
-        img = mat_apply(M, v.coords, F)
-        if v.at_infinity:
-            verts.append(ProjVertex(True, normalize_direction(img, F).vector))
-        else:
-            verts.append(ProjVertex(False, img))
-    return Cycle(verts, F)
+    add, mul, _, inv = F.arrays
+    img = np.zeros((len(c), len(M)), dtype=np.int64)
+    for r, row in enumerate(M):
+        for j, x in enumerate(row):
+            img[:, r] = add[img[:, r], mul[x, c.codes[:, j]]]
+    # an injective image of a nonzero vector is nonzero: scale by its lead inverse
+    inf = c.at_infinity
+    lead = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
+    img[inf] = mul[inv[lead[inf]][:, None], img[inf]]
+    return Cycle._from_arrays(F, img, inf)
 
 
 # -- serialization -----------------------------------------------------------
@@ -456,7 +460,14 @@ def _join_rows(columns: Sequence[np.ndarray]) -> list[str]:
     return table.ravel().tolist()
 
 
-def _coord_columns(c: Cycle, first: str, sep: str, last: str) -> list[np.ndarray]:
+def _json_rows(columns: Sequence[np.ndarray]) -> str:
+    """The rows joined, without the comma that ends the last one."""
+    rows = _join_rows(columns)
+    rows[-1] = rows[-1][:-1]
+    return "".join(rows)
+
+
+def _coord_columns(c: VertexSequence, first: str, sep: str, last: str) -> list[np.ndarray]:
     """Each coordinate column as strings, one precomputed per field code:
     ``first`` before the first code, ``sep`` between codes and ``last``
     after the last one."""
@@ -490,13 +501,12 @@ def cycle_to_json_obj(c: Cycle) -> dict:
 def cycle_to_json(c: Cycle) -> str:
     """``cycle_to_json_obj(c)`` as compact JSON with sorted keys and a final
     newline, written from the arrays."""
-    rows = _join_rows(
+    rows = _json_rows(
         _coord_columns(c, '{"coords":[', ",", '],"type":"')
         + [_kind_column(c, 'affine"},', 'infinity"},')]
     )
-    rows[-1] = rows[-1][:-1]  # no comma after the last vertex
     head = f'{{"n":{c.n},"q":{c.field.q},"schema_version":{SCHEMA_VERSION},"vertices":['
-    return head + "".join(rows) + "]}\n"
+    return head + rows + "]}\n"
 
 
 def _json_arrays(raw: list, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -544,7 +554,40 @@ def cycle_to_text(c: Cycle) -> str:
     return "".join(_join_rows([_kind_column(c, "A ", "I ")] + _coord_columns(c, "", " ", "\n")))
 
 
+def _text_arrays(text: str, q: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(codes, at_infinity) when the text is ASCII with newline line ends
+    only and every line but comments starts with ``A`` or ``I``, then the
+    same number n >= 1 of codes, each written as ``str`` writes a code below
+    q; else None."""
+    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
+        return None
+    if "#" in text:
+        text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
+    body = "\n" + text.strip()
+    rows = body.count("\n")
+    tokens = body.split()
+    w = len(tokens) // rows
+    # codes are digits, so when each line starts with a kind and every w-th
+    # token is one, each line holds w tokens
+    if w < 2 or len(tokens) != w * rows or body.count("\nA") + body.count("\nI") != rows:
+        return None
+    kinds = tokens[::w]
+    del tokens[::w]
+    code = {str(x): x for x in range(q)}
+    if not {"A", "I"}.issuperset(kinds):
+        return None
+    try:
+        codes = np.array(list(map(code.__getitem__, tokens)), dtype=np.int64)
+    except KeyError:
+        return None
+    return codes.reshape(rows, w - 1), np.fromiter(map("I".__eq__, kinds), dtype=bool, count=rows)
+
+
 def cycle_from_text(text: str, field: Field) -> Cycle:
+    arrays = _text_arrays(text, field.q)
+    if arrays is not None:
+        return Cycle._from_arrays(field, *arrays)
+    # anything else: codes that int() accepts, or a line to word the error for
     verts = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

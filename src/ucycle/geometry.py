@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .gf import Field
 
 Point = tuple[int, ...]
@@ -107,11 +109,6 @@ def normalize_direction(vec: Vector, F: Field) -> Direction:
             s = F.inv(c)
             return Direction(vscale(s, vec, F))
     raise ValueError("zero vector has no direction")
-
-
-def mat_apply(M: Sequence[Vector], v: Vector, F: Field) -> Vector:
-    """Apply a matrix given as a tuple of rows to a column vector."""
-    return tuple(vdot(row, v, F) for row in M)
 
 
 # -- row reduction -----------------------------------------------------------
@@ -257,24 +254,35 @@ def complementary_hyperplane(d1: Direction, d2: Direction, F: Field) -> Hyperpla
     raise RuntimeError("no transversal hyperplane found")  # unreachable for n >= 2
 
 
-def hyperplane_points(W: Hyperplane, F: Field) -> list[Point]:
-    """All q^(n-1) kernel points, ascending lexicographic (0 first)."""
+def hyperplane_point_array(W: Hyperplane, F: Field) -> np.ndarray:
+    """All q^(n-1) kernel points as one int64 (q^(n-1), n) array, ascending
+    lexicographic (0 first).
+
+    The free coordinates run through every assignment; the pivot coordinate
+    is then -f(free part)/f[piv], summed over the field tables in one pass
+    per nonzero coefficient (f vanishes before its pivot), and the rows are
+    sorted once.
+    """
     f = W.functional
     n = len(f)
+    add, mul, neg, inv = F.arrays
     piv = next(i for i, x in enumerate(f) if x != 0)
-    ipiv = F.inv(f[piv])
-    pts = []
     free = [j for j in range(n) if j != piv]
-    for assign in itertools.product(range(F.q), repeat=n - 1):
-        x = [0] * n
-        s = 0
-        for j, val in zip(free, assign):
-            x[j] = val
-            s = F.add(s, F.mul(f[j], val))
-        x[piv] = F.mul(F.neg(s), ipiv)
-        pts.append(tuple(x))
-    pts.sort()
-    return pts
+    pts = np.zeros((F.q ** (n - 1), n), dtype=np.int64)
+    if free:
+        grid = np.indices((F.q,) * (n - 1)).reshape(n - 1, -1)
+        pts[:, free] = grid.T
+    s = np.zeros(len(pts), dtype=np.int64)
+    for j in range(piv + 1, n):
+        if f[j]:
+            s = add[s, mul[f[j], pts[:, j]]]
+    pts[:, piv] = mul[neg[s], inv[f[piv]]]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def hyperplane_points(W: Hyperplane, F: Field) -> list[Point]:
+    """``hyperplane_point_array`` as a list of point tuples."""
+    return list(map(tuple, hyperplane_point_array(W, F).tolist()))
 
 
 def fiber(d: Direction, n: int, F: Field) -> list[AffineLine]:

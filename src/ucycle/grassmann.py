@@ -9,6 +9,11 @@ yields a chain U_3, U_4, ... in which each cycle is a verbatim contiguous
 subcycle of the next, attached at the shared vertex e_1.  The multiplicative
 (Singer) cycle takes its finite-field arithmetic, cubic modulus and generator
 from gf.
+
+The chain is built on code arrays: a level is the zero-padded previous level
+and the homogenized affine cycle (one column stack), both rotated to start
+at e_1 and concatenated, and ``grass_to_json`` writes a level's payload
+straight from its array.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .gf import Field, generator_powers, mulmod, smallest_irreducible
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
-from .cycles import Cycle, VertexSequence, splice
+from .cycles import Cycle, VertexSequence, _coord_columns, _json_rows, _row_hits, splice
 from .constructions import universal_cycle
 
 
@@ -68,9 +73,9 @@ def tau(L: AffineLine, F: Field) -> Subspace2:
     return span2(L.base + (1,), L.dir.vector + (0,), F)
 
 
-def _homogenize(c: Cycle) -> list[Vector]:
-    """The vertices of an affine-line cycle homogenized: x -> (x,1), [d] -> (d,0)."""
-    return list(map(tuple, np.column_stack([c.codes, ~c.at_infinity]).tolist()))
+def _homogenize(c: Cycle) -> np.ndarray:
+    """The codes of an affine-line cycle homogenized: x -> (x,1), [d] -> (d,0)."""
+    return np.column_stack([c.codes, ~c.at_infinity])
 
 
 def lift_affine_cycle(c: Cycle) -> GrassCycle:
@@ -80,7 +85,7 @@ def lift_affine_cycle(c: Cycle) -> GrassCycle:
     cycle on all affine lines of AG(m-1,q) becomes a universal cycle on the
     outer shell of G_q(2,m).
     """
-    return GrassCycle(_homogenize(c), c.field)
+    return GrassCycle._from_arrays(c.field, _homogenize(c))
 
 
 def singer_cycle(F: Field) -> GrassCycle:
@@ -99,19 +104,18 @@ def singer_cycle(F: Field) -> GrassCycle:
     return GrassCycle(generator_powers(mul, q, 3, q * q + q + 1), F)
 
 
-def embed_vertices(gc: GrassCycle, m: int) -> tuple[Vector, ...]:
-    """The vertices of gc zero-padded into F_q^m, so their spans stay inside
+def embed_codes(gc: GrassCycle, m: int) -> np.ndarray:
+    """The codes of gc zero-padded into F_q^m, so their spans stay inside
     x_j = 0 for j > gc.m."""
     if m < gc.m:
         raise ValueError("cannot embed into a smaller dimension")
-    pad = (0,) * (m - gc.m)
-    return tuple(v + pad for v in gc.vertices)
+    return np.pad(gc.codes, ((0, 0), (0, m - gc.m)))
 
 
 def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
-    """``embed_vertices`` as a cycle of F_q^m; gc itself when m == gc.m."""
-    vertices = embed_vertices(gc, m)
-    return gc if m == gc.m else GrassCycle(vertices, gc.field)
+    """``embed_codes`` as a cycle of F_q^m; gc itself when m == gc.m."""
+    codes = embed_codes(gc, m)
+    return gc if m == gc.m else GrassCycle._from_arrays(gc.field, codes)
 
 
 def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
@@ -128,23 +132,30 @@ def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
         raise ValueError(f"need m >= 3, got {m}")
     levels = [singer_cycle(F)]
     for j in range(3, m):
-        # only the spliced level is validated, once: the inner level and
-        # the affine cycle were validated when they were built
         shell = _homogenize(universal_cycle(j, F))
-        inner = embed_vertices(levels[-1], j + 1)
+        inner = embed_codes(levels[-1], j + 1)
         e1 = (1,) + (0,) * j
-        levels.append(GrassCycle(splice([inner, shell], e1), F))
+        hits = [_row_hits(inner, e1), _row_hits(shell, e1)]
+        levels.append(GrassCycle._from_arrays(F, *splice([(inner,), (shell,)], hits, e1)))
     return levels
 
 
 # -- serialization -----------------------------------------------------------
 
 def grass_to_json_obj(gc: GrassCycle) -> dict:
+    """The JSON object of a Grassmannian cycle; ``grass_to_json`` writes its bytes."""
     return {
         "m": gc.m,
         "q": gc.field.q,
         "vertices": [list(v) for v in gc.vertices],
     }
+
+
+def grass_to_json(gc: GrassCycle) -> str:
+    """``grass_to_json_obj(gc)`` as compact JSON with sorted keys and a final
+    newline, written from the code array."""
+    rows = _json_rows(_coord_columns(gc, "[", ",", "],"))
+    return f'{{"m":{gc.m},"q":{gc.field.q},"vertices":[{rows}]}}\n'
 
 
 def subspace_to_json_obj(s: Subspace2) -> dict:

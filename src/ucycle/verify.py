@@ -356,4 +356,4 @@ def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:
     rotation of the outer cycle only (no reversal)."""
     if inner.m != outer.m:
         raise ValueError(f"ambient dimensions differ: {inner.m} vs {outer.m}")
-    return occurs_cyclically(inner.vertices, outer.vertices)
+    return occurs_cyclically(inner.codes, outer.codes)

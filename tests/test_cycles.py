@@ -449,3 +449,96 @@ def test_decoder_words_the_first_failing_vertex():
         with pytest.raises(ValueError) as err:
             cycle_from_json_obj(dict(F3, vertices=vertices))
         assert str(err.value) == message
+
+
+# -- text decoding: one pass over well-formed files, the line loop otherwise --
+
+
+def reference_from_text(text, F):
+    """The line-by-line decoder the one-pass path must agree with."""
+    verts = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] not in ("A", "I"):
+            raise ValueError(f"line {lineno}: expected A or I, got {parts[0]!r}")
+        coords = tuple(int(x) for x in parts[1:])
+        if any(not 0 <= x < F.q for x in coords):
+            raise ValueError(f"line {lineno}: codes outside [0, {F.q})")
+        verts.append(ProjVertex(parts[0] == "I", coords))
+    return Cycle(verts, F)
+
+
+def decode_outcome(decode, text, F):
+    try:
+        c = decode(text, F)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+    return c.vertices, c.codes.tolist(), c.at_infinity.tolist()
+
+
+PLAIN_22 = "A 0 0\nI 1 0\nA 1 1\nI 1 1\nA 1 0\nI 0 1\n"
+TEXT_CASES = [
+    PLAIN_22,
+    PLAIN_22.rstrip("\n"),
+    "# a comment\n" + PLAIN_22 + "  # another\n",
+    "\n\n" + PLAIN_22.replace("\n", "\n\n"),  # blank lines
+    PLAIN_22.replace("\n", "\r\n"),
+    PLAIN_22.replace("\n", "\x1c"),  # a line break that splitlines knows
+    PLAIN_22.replace(" ", "\t  "),
+    PLAIN_22.replace(" 1 1\n", " 01 1\n"),  # zero-padded
+    PLAIN_22.replace(" 1 1\n", " +1 1\n"),  # signed
+    PLAIN_22.replace("A 1 0\n", "A 1_0 0\n"),  # underscore: 10, outside [0, 2)
+    PLAIN_22.replace(" 1 1\n", " ١ 1\n"),  # ARABIC-INDIC DIGIT ONE
+    PLAIN_22.replace(" 1 1\n", " １ 1\n"),  # FULLWIDTH DIGIT ONE
+    PLAIN_22.replace(" 1 1\n", " ² 1\n"),  # superscript two: isdigit, not int
+    PLAIN_22.replace("A 1 0\n", "A 2 0\n"),  # outside [0, 2)
+    PLAIN_22.replace("A 1 0\n", "A " + "9" * 30 + " 0\n"),
+    PLAIN_22.replace("A 1 0\n", "A -1 0\n"),
+    PLAIN_22.replace("A 1 0\n", "B 1 0\n"),
+    PLAIN_22.replace("A 1 0\n", "A 1 0 #x\n"),
+    PLAIN_22.replace("A 1 0\n", "A 1 0 \xb6 A 1 0\n"),  # the one-pass line mark
+    PLAIN_22.replace("A 1 0\n", "A 1 0 I 0 1\n"),
+    PLAIN_22.replace("A 1 0\n", "A 1\n0\n"),
+    PLAIN_22.replace("A 1 0\n", "A 1 0 0\n"),  # one vertex of another dimension
+    PLAIN_22.replace("I 1 1\n", "I 0 0\n"),  # infinity vector not normalized
+    "A\nI\n",
+    "A 0 0\n",
+    "",
+    "# only a comment\n",
+]
+
+
+@pytest.mark.parametrize("text", TEXT_CASES, ids=repr)
+def test_text_decoder_matches_the_line_loop(text):
+    F = field_make(2)
+    assert decode_outcome(cycle_from_text, text, F) == decode_outcome(reference_from_text, text, F)
+
+
+def test_text_decoder_reads_odd_codes_as_int_does():
+    F = field_make(2)
+    want = cycle_from_text(PLAIN_22, F).vertices
+    for code in ("+1", "01", "١", "１"):
+        assert cycle_from_text(PLAIN_22.replace(" 1 1\n", f" {code} 1\n"), F).vertices == want
+    with pytest.raises(ValueError, match=r"^line 5: codes outside \[0, 2\)$"):
+        cycle_from_text(PLAIN_22.replace("A 1 0\n", "A 1_0 0\n"), F)
+
+
+@pytest.mark.parametrize("n,p,k", SMALL_GRID)
+def test_text_decoder_matches_the_line_loop_on_grid_cycles(n, p, k):
+    F = field_make(p, k)
+    text = cycle_to_text(universal_cycle(n, F))
+    assert decode_outcome(cycle_from_text, text, F) == decode_outcome(reference_from_text, text, F)
+
+
+def test_text_one_pass_reads_well_formed_files():
+    from ucycle.cycles import _text_arrays
+
+    for text in TEXT_CASES[:3] + [PLAIN_22.replace(" ", "\t  ")]:
+        codes, at_infinity = _text_arrays(text, 2)
+        assert codes.tolist() == [[0, 0], [1, 0], [1, 1], [1, 1], [1, 0], [0, 1]]
+        assert at_infinity.tolist() == [False, True] * 3
+    for code in ("+1", "01", "1_0", "١"):
+        assert _text_arrays(PLAIN_22.replace(" 1 1\n", f" {code} 1\n"), 2) is None

@@ -36,6 +36,17 @@ PINNED = {
         "bc9a17b0ea8024ba976904b7255be47c0eda30ffa8ae4d7cf243da93dad5bf00",
     ("grassmann", "--m", "3", "--p", "31"):
         "99328a36f49babfbc6c513aee61811e2ff039d48e423f6e0319f13e187179c04",
+    # taken before the constructions moved onto code arrays: a triplet lifted
+    # over 8 cosets, odd q with the w* detour and 5 cosets, a text payload
+    # over GF(8), and a last level written without the rest of the chain
+    ("gen", "--n", "5", "--p", "2"):
+        "3f3a1b2cf44648d06ac7002f1880eab7bbcd95552ac66fc2d3542d58faf24d10",
+    ("gen", "--n", "3", "--p", "5"):
+        "e7a6b7a5573d5212ddbe5267194f813b0637ff0640476a7ca9fca684fdd2b4fb",
+    ("gen", "--n", "2", "--p", "2", "--k", "3", "--format", "text"):
+        "e66c5475b7b8adcb056a9009ba9c58cc3a4ce8fe55f069d65db2b21e394d6e39",
+    ("grassmann", "--m", "6", "--p", "2"):
+        "14e3ca9b00fd6c8a4d4f433c4e12424ab51f588b438010004559e34f2aa90797",
 }
 
 # verify report of AG(3,3)'s cycle with its first vertex deleted
