@@ -10,7 +10,9 @@ hyperplane's point array with the two direction rows, a lift translates
 the base cycle by one table gather per coset and splices the translates,
 and the plane chart maps the triple base cycle in one pass per coordinate.
 Only the small base cycles of the triple construction (3q vertices) are
-written vertex by vertex.
+written vertex by vertex.  Nothing is searched: for odd q the triple base
+cycle starts from one of three written 9-window kernels (q = 3, q = 3^k >= 9,
+p >= 5), each checked against its target lines when it is built.
 """
 
 from __future__ import annotations
@@ -23,20 +25,16 @@ import numpy as np
 from .gf import Field
 from .geometry import (
     Direction,
-    DegenerateWindowError,
     Subspace,
     affine,
     complementary_hyperplane,
-    decode_window,
     enumerate_directions,
     find_coplanar_triplet,
     hyperplane_point_array,
     infinity,
     line_from,
-    normalize_direction,
     pgl_normalizer,
     rref,
-    solve2,
     vadd,
     vdot,
     vscale,
@@ -71,14 +69,13 @@ def two_fiber_cycle(d1: Direction, d2: Direction, n: int, F: Field) -> Cycle:
     detour = np.empty((0, n), dtype=np.int64)
     if F.q % 2:
         f = W.functional
-        # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2.
-        raw = vadd(
-            vscale(vdot(f, u2, F), u1, F),
-            vscale(F.neg(vdot(f, u1, F)), u2, F),
-            F,
-        )
-        wstar = normalize_direction(raw, F).vector
-        a, b = solve2(u1, u2, wstar, F)
+        # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2;
+        # s normalizes it to w* = a*u1 + b*u2
+        fu1, fu2 = vdot(f, u1, F), vdot(f, u2, F)
+        raw = vadd(vscale(fu2, u1, F), vscale(F.neg(fu1), u2, F), F)
+        s = F.inv(next(x for x in raw if x))
+        a, b = F.mul(s, fu2), F.mul(s, F.neg(fu1))
+        wstar = vscale(s, raw, F)
         if a == 0 or b == 0:
             raise AssertionError("w* decomposition produced a zero coefficient")
         pts = pts[(pts != wstar).any(axis=1)]
@@ -157,71 +154,28 @@ def _kernel_targets(F: Field) -> set:
     return targets
 
 
-def _search_kernel(F: Field) -> list:
-    """Bounded DFS for a 9-window cycle through (0,0) covering the kernel lines.
-
-    Vertices are restricted to the 3x3 grid over {0,1,2} plus the three
-    reference directions; candidates are tried in a fixed order, so the first
-    solution found is deterministic.
-    """
-    targets = _kernel_targets(F)
-    cands = [affine((x, y)) for x in (0, 1, 2) for y in (0, 1, 2)]
-    cands += [infinity(_D1), infinity(_D2), infinity(_D3)]
-    path = [affine((0, 0))]
-    used: set = set()
-
-    def step() -> bool:
-        if len(path) == 9:
-            try:
-                wrap = decode_window(path[-1], path[0], F)
-            except DegenerateWindowError:
-                return False
-            return wrap in targets and wrap not in used
-        for v in cands:
-            if v == path[-1]:
-                continue
-            try:
-                line = decode_window(path[-1], v, F)
-            except DegenerateWindowError:
-                continue
-            if line in targets and line not in used:
-                path.append(v)
-                used.add(line)
-                if step():
-                    return True
-                path.pop()
-                used.remove(line)
-        return False
-
-    if not step():
-        raise RuntimeError(f"no kernel cycle found for q = {F.q}")
-    return path
-
-
 def kernel_cycle(F: Field) -> Cycle:
     """9-window cycle through (0,0) covering the index-{0,1,2} lines (odd q).
 
-    For q = 3 a fixed explicit sequence works; its slope-one coverage only
-    lines up when intercept arithmetic wraps mod 3, so every larger odd q
-    uses the searched sequence instead.  Either way the result is checked
+    Every vertex has codes 0, 1, 2, which are elements of the prime field,
+    so which of its windows decode to which target line depends only on
+    arithmetic mod p on those codes.  Every power of 3 shares GF(3); for
+    p >= 5 no difference of two such codes wraps, so all of them behave
+    like the integers.  Hence one sequence serves every p >= 5 and one
+    every q = 3^k >= 9.  The q = 3 sequence relies on slope-one intercepts
+    wrapping mod 3 and is kept for q = 3 alone.  The result is checked
     against the 9 target lines before being returned.
     """
     if F.q % 2 == 0 or F.q < 3:
         raise ValueError("kernel cycle requires odd q >= 3")
+    a = lambda x, y: affine((x, y))
+    i1, i2, i3 = infinity(_D1), infinity(_D2), infinity(_D3)
     if F.q == 3:
-        verts = [
-            affine((0, 1)),
-            affine((0, 2)),
-            infinity(_D3),
-            affine((2, 0)),
-            affine((0, 0)),
-            affine((1, 1)),
-            infinity(_D1),
-            affine((2, 2)),
-            infinity(_D2),
-        ]
+        verts = [a(0, 1), a(0, 2), i3, a(2, 0), a(0, 0), a(1, 1), i1, a(2, 2), i2]
+    elif F.p == 3:
+        verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(0, 2), a(1, 2), i3, a(2, 2), a(2, 0)]
     else:
-        verts = _search_kernel(F)
+        verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(2, 1), a(2, 0), i3, a(2, 2), i2]
     cyc = Cycle(verts, F)
     w = cyc.windows()
     if set(w) != _kernel_targets(F) or any(c != 1 for c in w.values()):

@@ -161,28 +161,17 @@ def in_span(v: Vector, basis: Sequence[Vector], F: Field) -> Optional[tuple[int,
 
 
 def solve2(u: Vector, v: Vector, target: Vector, F: Field) -> tuple[int, int]:
-    """Solve a*u + b*v = target for independent u, v."""
-    i0 = next((i for i, x in enumerate(u) if x != 0), None)
-    if i0 is None:
-        raise ValueError("u is zero")
-    pinv = F.inv(u[i0])
-    r1 = F.mul(v[i0], pinv)
-    s1 = F.mul(target[i0], pinv)
-    b = None
-    for j in range(len(u)):
-        if j == i0:
-            continue
-        coef = F.sub(v[j], F.mul(u[j], r1))
-        if coef != 0:
-            rhs = F.sub(target[j], F.mul(u[j], s1))
-            b = F.mul(rhs, F.inv(coef))
-            break
-    if b is None:
+    """Solve a*u + b*v = target for independent u, v.
+
+    u, v are independent and target lies in their span exactly when the RREF
+    of the columns [u v target] is (1, 0, a), (0, 1, b).
+    """
+    R = rref(zip(u, v, target), F)
+    if len(R) < 2 or R[0][:2] != (1, 0) or R[1][:2] != (0, 1):
         raise ValueError("u and v are not independent")
-    a = F.sub(s1, F.mul(r1, b))
-    if vadd(vscale(a, u, F), vscale(b, v, F), F) != tuple(target):
+    if len(R) > 2:
         raise ValueError("target is outside span{u, v}")
-    return a, b
+    return R[0][2], R[1][2]
 
 
 # -- enumeration and canonical lines -----------------------------------------
@@ -286,16 +275,14 @@ def hyperplane_points(W: Hyperplane, F: Field) -> list[Point]:
 
 
 def fiber(d: Direction, n: int, F: Field) -> list[AffineLine]:
-    """The q^(n-1) lines parallel to d, ordered by base point."""
-    seen: set[Point] = set()
-    lines = []
-    for pt in all_points(n, F):
-        if pt in seen:
-            continue
-        L = line_from(pt, d, F)
-        lines.append(L)
-        seen.update(vadd(pt, vscale(t, d.vector, F), F) for t in range(F.q))
-    return lines
+    """The q^(n-1) lines parallel to d, ordered by base point.
+
+    The canonical bases (``line_from``) are exactly the points whose
+    coordinate at d's pivot is 0; inserting that 0 into every point of
+    F_q^(n-1) keeps the ascending order.
+    """
+    piv = next(i for i, x in enumerate(d.vector) if x != 0)
+    return [AffineLine(d, pt[:piv] + (0,) + pt[piv:]) for pt in all_points(n - 1, F)]
 
 
 def find_coplanar_triplet(

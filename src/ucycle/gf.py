@@ -74,27 +74,26 @@ def _max_q() -> int:
 # d coefficients, the form Field.coeffs gives an element of GF(p^d).
 
 def _pmul(a, b, K: "Field") -> list[int]:
-    add, mul = K._add, K._mul
+    add, mul = K.arrays[:2]
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            row = mul[ai]
             for j, bj in enumerate(b, i):
-                out[j] = add[out[j]][row[bj]]
+                out[j] = add.item(out[j], mul.item(ai, bj))
     return out
 
 
 def _pmod(a, m, K: "Field") -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m, as deg(m) coefficients."""
-    add, mul, neg = K._add, K._mul, K._neg
+    add, mul, neg = K.arrays[:3]
     r = list(a)
     d = len(m) - 1
     for top in range(len(r) - 1, d - 1, -1):
         lead = r[top]
         if lead:
-            row = mul[neg[lead]]
+            c = neg.item(lead)
             for i, mi in enumerate(m, top - d):
-                r[i] = add[r[i]][row[mi]]
+                r[i] = add.item(r[i], mul.item(c, mi))
     return tuple(r[:d]) + (0,) * (d - len(r))
 
 
@@ -182,13 +181,14 @@ def field_order(p: int, k: int) -> int:
 class Field:
     """GF(p^k) with precomputed operation tables on integer codes.
 
-    The code-level methods (add, sub, mul, neg, inv) work on plain ints and
-    are what the geometry layer uses; ``element`` wraps a code into a
-    FieldElement for operator syntax.  ``arrays`` holds the same tables as
-    int64 numpy arrays (add, mul, neg, inv), for vectorized callers.
+    ``arrays`` holds the tables as int64 numpy arrays (add, mul, neg, inv),
+    for vectorized callers.  The code-level methods (add, sub, mul, neg,
+    inv) read single entries of the same arrays and return plain ints; they
+    are what the geometry layer uses.  ``element`` wraps a code into a
+    FieldElement for operator syntax.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "arrays", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "k", "q", "modulus", "arrays")
 
     def __init__(self, p: int, k: int):
         q = field_order(p, k)
@@ -219,7 +219,6 @@ class Field:
         for w in weights:
             add = (digit_sum[:, None, :, None] * w + add[:, None, :]).reshape(p * w, p * w)
         self.arrays = (add, mul, mul[p - 1], inv)  # -b is (p - 1)·b
-        self._add, self._mul, self._neg, self._inv = (t.tolist() for t in self.arrays)
 
     # -- integer codec -------------------------------------------------
 
@@ -240,21 +239,21 @@ class Field:
     # -- code-level arithmetic ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.arrays[0].item(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self.arrays[0].item(a, self.arrays[2].item(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.arrays[1].item(a, b)
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self.arrays[2].item(a)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
-        return self._inv[a]
+        return self.arrays[3].item(a)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ucycle.gf import field_from_order, field_make
+from ucycle.gf import field_from_order, field_make, is_prime
 from ucycle.geometry import (
     Direction,
     Subspace,
@@ -217,7 +217,14 @@ def test_kernel_rejects_even_q():
         kernel_cycle(field_make(2))
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+# every odd prime power up to the default order bound: the three written
+# kernels (q = 3, q = 3^k >= 9, p >= 5) over each field they serve
+ODD_Q = sorted(
+    p**k for p in range(3, 513, 2) if is_prime(p) for k in range(1, 9) if p**k <= 512
+)
+
+
+@pytest.mark.parametrize("q", ODD_Q)
 def test_searched_kernel_covers_targets(q):
     F = field_from_order(q)
     c = kernel_cycle(F)

@@ -180,6 +180,9 @@ def test_fiber_partitions_space(n, q):
         assert len(covered) == q**n
         assert len(set(covered)) == q**n
         assert all(L.dir == d for L in lines)
+        # canonical lines, in ascending base order
+        assert all(line_from(L.base, d, F) == L for L in lines)
+        assert [L.base for L in lines] == sorted(L.base for L in lines)
 
 
 def test_find_coplanar_triplet_2d_takes_first_three():

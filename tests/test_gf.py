@@ -3,6 +3,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from ucycle.gf import (
@@ -138,8 +139,9 @@ def test_multiplicative_order_stops_on_a_broken_table(monkeypatch):
     # order loop must fail after q - 1 steps instead of spinning
     F = field_make(3, 2)
     assert multiplicative_order(F, 2) == 2  # 2 = -1 in GF(3)
-    broken = [[2 if a and b else 0 for b in range(F.q)] for a in range(F.q)]
-    monkeypatch.setattr(F, "_mul", broken)
+    add, _, neg, inv = F.arrays
+    broken = np.array([[2 if a and b else 0 for b in range(F.q)] for a in range(F.q)])
+    monkeypatch.setattr(F, "arrays", (add, broken, neg, inv))
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="does not reach 1 in 8 multiplications"):
         multiplicative_order(F, 2)
@@ -246,6 +248,11 @@ def test_field_axioms_all_triples(q):
         assert F.mul(a, 1) == a
         if a:
             assert F.mul(a, F.inv(a)) == 1
+    # the code-level methods return plain ints, not numpy scalars
+    for a, b in itertools.product(els, repeat=2):
+        out = [F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.pow(a, 3)]
+        out += [F.inv(a), F.pow(a, -2)] if a else []
+        assert all(type(x) is int for x in out)
 
 
 def test_field_value_equality():

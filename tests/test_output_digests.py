@@ -47,6 +47,12 @@ PINNED = {
         "e66c5475b7b8adcb056a9009ba9c58cc3a4ce8fe55f069d65db2b21e394d6e39",
     ("grassmann", "--m", "6", "--p", "2"):
         "14e3ca9b00fd6c8a4d4f433c4e12424ab51f588b438010004559e34f2aa90797",
+    # taken before the odd-q kernels were written down as literals: the
+    # characteristic-3 kernel at q = 9 and the p >= 5 kernel over GF(25)
+    ("gen", "--n", "3", "--p", "3", "--k", "2"):
+        "cc2892d4fd4f9c7726e42c62c4921ee70358530169ed1fe7a97b0f03d1216ced",
+    ("gen", "--n", "3", "--p", "5", "--k", "2"):
+        "0b7d436b463750516ebafb9896ff7ecfb610844c15977a3de94241a8059382a2",
 }
 
 # verify report of AG(3,3)'s cycle with its first vertex deleted
