@@ -69,45 +69,53 @@ def _max_q() -> int:
 
 
 # -- polynomials over a coefficient field K ----------------------------------
-# A polynomial is a tuple of codes of K, least degree first; K is a Field and
-# lends its tables.  A residue modulo a monic m of degree d is kept as exactly
-# d coefficients, the form Field.coeffs gives an element of GF(p^d).
+# A polynomial is a tuple of codes of K, least degree first.  The arithmetic
+# reads K's add, mul and neg tables as Python lists (``_tables``), made once
+# per mulmod or per search, since a list index is about 10x faster than a
+# numpy scalar read.  A residue modulo a monic m of degree d is kept as
+# exactly d coefficients, the form Field.coeffs gives an element of GF(p^d).
 
-def _pmul(a, b, K: "Field") -> list[int]:
-    add, mul = K.arrays[:2]
+def _tables(K: "Field") -> tuple[list, list, list]:
+    """K's add, mul and neg tables as Python lists."""
+    return tuple(t.tolist() for t in K.arrays[:3])
+
+
+def _pmul(a, b, add: list, mul: list) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
+            row = mul[ai]
             for j, bj in enumerate(b, i):
-                out[j] = add.item(out[j], mul.item(ai, bj))
+                out[j] = add[out[j]][row[bj]]
     return out
 
 
-def _pmod(a, m, K: "Field") -> tuple[int, ...]:
+def _pmod(a, m, add: list, mul: list, neg: list) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m, as deg(m) coefficients."""
-    add, mul, neg = K.arrays[:3]
     r = list(a)
     d = len(m) - 1
     for top in range(len(r) - 1, d - 1, -1):
         lead = r[top]
         if lead:
-            c = neg.item(lead)
+            row = mul[neg[lead]]
             for i, mi in enumerate(m, top - d):
-                r[i] = add.item(r[i], mul.item(c, mi))
+                r[i] = add[r[i]][row[mi]]
     return tuple(r[:d]) + (0,) * (d - len(r))
 
 
 def mulmod(m, K: "Field") -> Callable:
     """Multiplication in K[x]/(m) on residues of deg(m) coefficients."""
-    return lambda a, b: _pmod(_pmul(a, b, K), m, K)
+    add, mul, neg = _tables(K)
+    return lambda a, b: _pmod(_pmul(a, b, add, mul), m, add, mul, neg)
 
 
-def _is_irreducible(m, K: "Field") -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
+def _is_irreducible(m, tables: tuple[list, list, list]) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg(m)//2 over
+    the field whose ``_tables`` are given."""
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
-        for low in itertools.product(range(K.q), repeat=d):
-            if not any(_pmod(m, low + (1,), K)):
+        for low in itertools.product(range(len(tables[0])), repeat=d):
+            if not any(_pmod(m, low + (1,), *tables)):
                 return False
     return True
 
@@ -119,9 +127,10 @@ def smallest_irreducible(K: "Field", k: int) -> tuple[int, ...]:
     (c0, ..., c_{k-1}); the leading coefficient is fixed to 1.  For k = 1
     this yields the polynomial x.
     """
+    tables = _tables(K)
     for low in itertools.product(range(K.q), repeat=k):
         cand = low + (1,)
-        if _is_irreducible(cand, K):
+        if _is_irreducible(cand, tables):
             return cand
     raise RuntimeError(f"no irreducible polynomial of degree {k} over {K!r}")
 

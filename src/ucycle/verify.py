@@ -1,19 +1,21 @@
 """Exact-cover checks for affine-line and Grassmannian cycles.
 
-Every check compares the window multiset of a candidate against a target set
-and returns a CoverageReport rather than raising, so invalid cycles produce
-failing reports.  The targets are enumerated in closed form, with no code
-shared with the constructions: an affine line of AG(n,q) is a normalized
-direction together with the one point of the line whose coordinate at the
-direction's pivot is 0, and a plane of F_q^m is a rank-2 RREF row pair.
-Affine and Grassmann windows are each decoded in one vectorized pass to
-packed integer keys, straight from the cycle's code array (and at-infinity
-mask), so a passing check builds no per-vertex object: lines with the same
-closed form as ``geometry.line_from``, planes with the closed-form RREF of
-two rows.  Only
+Every check returns a CoverageReport rather than raising, so invalid cycles
+produce failing reports.  The targets are enumerated in closed form, with no
+code shared with the constructions: an affine line of AG(n,q) is a
+normalized direction together with the one point of the line whose
+coordinate at the direction's pivot is 0, and a plane of F_q^m is a rank-2
+RREF row pair.  Affine and Grassmann windows are each decoded in one
+vectorized pass to packed integer keys, straight from the cycle's code array
+(and at-infinity mask), so a passing check builds no per-vertex object:
+lines with the same closed form as ``geometry.line_from``, planes with the
+closed-form RREF of two rows.  ``verify_affine`` and ``verify_grassmann``
+decide exact cover on sorted int64 arrays (``_key_report``): the distinct
+window keys with their counts against the ascending target keys.  Only
 ``verify_subset``, against an arbitrary target set, walks its windows one by
-one.  The brute-force point-pair oracle lives in the test suite as the
-independent cross-check.
+one and compares a Counter of them with a set (``_build_report``).  The
+brute-force point-pair oracle lives in the test suite as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -96,10 +98,13 @@ class CoverageReport:
 def _build_report(
     expected, found: Counter, degenerate: list[int], item: Callable = lambda k: k
 ) -> CoverageReport:
-    """Compare found window keys with the expected keys.
+    """Compare found window keys with the expected keys, held as a set and a
+    Counter of any hashable keys.
 
-    ``item`` turns a key into its report entry; it runs only on the entries
-    kept after truncation to MAX_REPORT_ITEMS.
+    It serves ``verify_subset``, whose targets are arbitrary, and is the
+    tests' reference for ``_key_report``.  ``item`` turns a key into its
+    report entry; it runs only on the entries kept after truncation to
+    MAX_REPORT_ITEMS.
     """
     missing = sorted(k for k in expected if k not in found)
     duplicated = sorted((k, c) for k, c in found.items() if c > 1)
@@ -124,6 +129,43 @@ def _build_report(
         unexpected_total=len(unexpected),
         degenerate_total=len(degenerate),
         passed=passed,
+    )
+
+
+def _key_report(
+    keys: np.ndarray, degenerate: list[int], expected: np.ndarray, item: Callable
+) -> CoverageReport:
+    """The report of ``_build_report(set(expected), Counter(keys), ...)``,
+    decided on sorted int64 arrays: ``expected`` holds the target keys in
+    ascending order, ``keys`` the packed keys of the decodable windows.
+
+    ``np.unique`` gives the distinct found keys in ascending order with their
+    counts, and one ``searchsorted`` marks the found keys that are targets
+    and the targets that are found.  Only the entries kept after truncation
+    leave numpy, as plain ints.
+    """
+    found, counts = np.unique(keys, return_counts=True)
+    at = np.searchsorted(expected, found)
+    known = expected.take(at, mode="clip") == found
+    present = np.zeros(len(expected), dtype=bool)
+    present[at[known]] = True
+    missing, unexpected = expected[~present], found[~known]
+    twice = counts > 1
+    duplicated_total = int(np.count_nonzero(twice))
+    head = lambda a: a[:MAX_REPORT_ITEMS].tolist()
+    return CoverageReport(
+        expected_count=len(expected),
+        found_count=len(keys) + len(degenerate),
+        missing=[item(k) for k in head(missing)],
+        duplicated=[(item(k), c) for k, c in zip(head(found[twice]), head(counts[twice]))],
+        unexpected=[item(k) for k in head(unexpected)],
+        degenerate_windows=degenerate[:MAX_REPORT_ITEMS],
+        missing_total=len(missing),
+        duplicated_total=duplicated_total,
+        unexpected_total=len(unexpected),
+        degenerate_total=len(degenerate),
+        # with none of these, the distinct keys are the targets, each once
+        passed=not (len(missing) or duplicated_total or len(unexpected) or degenerate),
     )
 
 
@@ -229,9 +271,8 @@ def verify_affine(c: Cycle, n: int, F: Field) -> CoverageReport:
     if c.n != n or c.field != F:
         raise ValueError("cycle does not live in AG(n,q) for the given n, q")
     keys, degenerate = _window_keys(c)
-    expected = set(_all_line_keys(n, F).tolist())
-    return _build_report(
-        expected, Counter(keys.tolist()), degenerate, lambda k: _unpack_line_key(k, n, F)
+    return _key_report(
+        keys, degenerate, _all_line_keys(n, F), lambda k: _unpack_line_key(k, n, F)
     )
 
 
@@ -344,11 +385,9 @@ def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    expected = set(_all_plane_keys(m, F).tolist())
+    expected = _all_plane_keys(m, F)
     keys, degenerate = _plane_keys(gc)
-    return _build_report(
-        expected, Counter(keys.tolist()), degenerate, lambda k: _unpack_plane_key(k, m, F)
-    )
+    return _key_report(keys, degenerate, expected, lambda k: _unpack_plane_key(k, m, F))
 
 
 def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:

@@ -105,7 +105,9 @@ def test_vectorized_keys_match_pure_pairs(n, q):
 
 def _small_grid_variants():
     """Valid small-grid cycles and broken copies: a vertex deleted, a window
-    duplicated, and a degenerate window (the same affine point twice)."""
+    duplicated, a degenerate window (the same affine point twice), every line
+    three times, and the first half only (at AG(3,3), 117 lines duplicated
+    or more than MAX_REPORT_ITEMS missing, so the lists are truncated)."""
     for n, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]:
         F = field_from_order(q)
         vs = universal_cycle(n, F).vertices
@@ -114,6 +116,8 @@ def _small_grid_variants():
         yield "deleted", n, F, vs[:3] + vs[4:]
         yield "duplicated", n, F, vs + vs[:2]
         yield "degenerate", n, F, vs[: affine_at + 1] + vs[affine_at:]
+        yield "tripled", n, F, vs * 3
+        yield "half", n, F, vs[: len(vs) // 2]
 
 
 def test_vectorized_report_matches_pure_report():
@@ -125,6 +129,9 @@ def test_vectorized_report_matches_pure_report():
         assert fast.passed == (kind == "valid"), (kind, n, F.q)
         assert (fast.duplicated_total > 0) >= (kind == "duplicated")
         assert (fast.degenerate_total > 0) >= (kind == "degenerate")
+        if kind == "tripled":
+            assert fast.duplicated_total == affine_line_count(n, F.q)
+            assert {c for _, c in fast.duplicated} == {3}
 
 
 def test_plane_cycle_passes():
@@ -256,8 +263,9 @@ def test_all_plane_keys_unpack_to_all_2subspaces(m, q):
 
 
 def _grassmann_variants():
-    """Chain levels that are valid, truncated, with a duplicated window, and
-    degenerate (a vertex followed by a scalar multiple of itself)."""
+    """Chain levels that are valid, truncated, with a duplicated window,
+    degenerate (a vertex followed by a scalar multiple of itself), with every
+    plane three times, and cut to their first half."""
     for q, top in [(2, 5), (3, 4), (4, 4)]:
         F = field_from_order(q)
         for m, u in enumerate(nested_cycles(top, F), 3):
@@ -267,6 +275,8 @@ def _grassmann_variants():
             yield "truncated", m, F, vs[:3] + vs[4:]
             yield "duplicated", m, F, vs + vs[:2]
             yield "degenerate", m, F, vs[:3] + (scaled,) + vs[3:]
+            yield "tripled", m, F, vs * 3
+            yield "half", m, F, vs[: len(vs) // 2]
 
 
 def test_grassmann_report_matches_reference():
@@ -278,6 +288,9 @@ def test_grassmann_report_matches_reference():
         assert rep.to_json_obj() == reference.to_json_obj(), (kind, m, F.q)
         assert rep.passed == (kind == "valid"), (kind, m, F.q)
         assert (rep.degenerate_total > 0) >= (kind == "degenerate")
+        if kind == "tripled":
+            assert rep.duplicated_total == gaussian_binomial_2(m, F.q)
+            assert {c for _, c in rep.duplicated} == {3}
 
 
 def test_verify_grassmann_does_not_row_reduce(monkeypatch):
