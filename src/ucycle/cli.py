@@ -16,7 +16,7 @@ from typing import Callable
 from .gf import Field, field_make, field_order
 from .cycles import (
     Cycle,
-    cycle_from_json_obj,
+    cycle_from_json,
     cycle_from_text,
     cycle_to_json,
     cycle_to_text,
@@ -133,11 +133,7 @@ def _load_cycle(args) -> Cycle:
     with open(args.infile, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError("cycle JSON is nested too deeply") from None
-        c = cycle_from_json_obj(obj)
+        c = cycle_from_json(text)
     else:
         if args.p is None:
             raise ValueError("text cycle files need --p (and --k for extensions)")

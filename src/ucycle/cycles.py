@@ -9,14 +9,19 @@ code array (plus, for cycles and segments, an at-infinity mask), checked
 once over the arrays, with the vertex tuple and the window multiset built
 lazily and cached.  Gluing, translation and linear maps work on the
 arrays.  ``cycle_to_json`` and ``cycle_to_text`` write straight from the
-arrays; ``cycle_from_json_obj`` and ``cycle_from_text`` fill them from the
-parsed JSON or the text's tokens in one step and fall back to a per-vertex
-or per-line loop only for input that does not convert (odd codes that
-``int`` accepts, or a malformed vertex or line to name).
+arrays.  ``cycle_from_json`` reads the byte form ``gen`` writes directly,
+in one numpy pass checked by encoding it back, and falls back to
+``json.loads`` and the per-vertex loop of ``cycle_from_json_obj``
+otherwise.  ``cycle_from_text`` fills the arrays from the text's tokens in
+one step and falls back to a per-line loop only for input that does not
+convert (odd codes that ``int`` accepts, or a malformed line to name).
 """
 
 from __future__ import annotations
 
+import json
+import re
+import warnings
 from collections import Counter, defaultdict
 from itertools import repeat
 from operator import itemgetter
@@ -509,19 +514,6 @@ def cycle_to_json(c: Cycle) -> str:
     return head + rows + "]}\n"
 
 
-def _json_arrays(raw: list, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(codes, at_infinity) when every item is an object with a valid type
-    and n integer coords, else None."""
-    try:
-        kinds = [item["type"] for item in raw]
-        codes = _int_rows([item["coords"] for item in raw])
-        if codes is None or codes.shape[1] != n or not {"affine", "infinity"}.issuperset(kinds):
-            return None
-    except (KeyError, TypeError):
-        return None
-    return codes, np.fromiter(map("infinity".__eq__, kinds), dtype=bool, count=len(kinds))
-
-
 def cycle_from_json_obj(obj: dict) -> Cycle:
     try:
         n = int(obj["n"])
@@ -532,10 +524,6 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
     if not isinstance(raw, list):
         raise ValueError("malformed cycle object: 'vertices' is not a list")
     F = field_from_order(q)
-    arrays = _json_arrays(raw, n)
-    if arrays is not None:
-        return Cycle._from_arrays(F, *arrays)
-    # anything else: codes that int() accepts, or a malformed vertex to word
     verts = []
     for i, item in enumerate(raw):
         try:
@@ -547,6 +535,62 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
             raise ValueError(f"malformed vertex {i}: {item!r}")
         verts.append(ProjVertex(kind == "infinity", coords))
     return Cycle(verts, F)
+
+
+_JSON_HEAD = re.compile(
+    rf'\{{"n":([0-9]+),"q":([0-9]+),"schema_version":{SCHEMA_VERSION},"vertices":\['
+)
+_JSON_TAIL = "]}\n"
+
+
+def _canonical_cycle(text: str) -> Cycle:
+    """The cycle that ``cycle_to_json`` writes as ``text``.
+
+    The row strings are cut out and the codes, each followed by its row's
+    kind as 0 or 1, are read in one numpy pass.  Raises ValueError, or the
+    parse's warning, when the text is not such a cycle's bytes.
+    """
+    head = _JSON_HEAD.match(text)
+    if head is None or not text.endswith(_JSON_TAIL):
+        raise ValueError("not the canonical byte form")
+    n, q = int(head[1]), int(head[2])
+    body = (
+        text[head.end() : -len(_JSON_TAIL)]
+        .replace('{"coords":[', "")
+        .replace('],"type":"affine"}', ",0")
+        .replace('],"type":"infinity"}', ",1")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.fromstring(body, dtype=np.int64, sep=",")
+    # body and rows go before the re-encode, whose strings set the peak:
+    # ~150 B per vertex at AG(4,9) against ~200 B with them held
+    del body
+    rows = rows.reshape(-1, n + 1)
+    c = Cycle._from_arrays(field_from_order(q), rows[:, :n].copy(), rows[:, n] == 1)
+    del rows
+    if cycle_to_json(c) != text:
+        raise ValueError("not the canonical byte form")
+    return c
+
+
+def cycle_from_json(text: str) -> Cycle:
+    """The inverse of ``cycle_to_json``, for any JSON text of a cycle.
+
+    The byte form ``gen`` writes is read directly, and accepted only if it
+    encodes back to the same bytes: the result is then the one ``json.loads``
+    and ``cycle_from_json_obj`` give.  Any other text, or a refusal, goes
+    that way, which words the error.
+    """
+    try:
+        return _canonical_cycle(text)
+    except (ValueError, Warning):
+        pass
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("cycle JSON is nested too deeply") from None
+    return cycle_from_json_obj(obj)
 
 
 def cycle_to_text(c: Cycle) -> str:

@@ -125,10 +125,12 @@ def smallest_irreducible(K: "Field", k: int) -> tuple[int, ...]:
 
     Candidates are scanned by their low-degree-first coefficient tuple
     (c0, ..., c_{k-1}); the leading coefficient is fixed to 1.  For k = 1
-    this yields the polynomial x.
+    this yields the polynomial x; for k >= 2 the scan starts at c0 = 1,
+    since x divides every candidate with c0 = 0.
     """
     tables = _tables(K)
-    for low in itertools.product(range(K.q), repeat=k):
+    first = range(1 if k >= 2 else 0, K.q)
+    for low in itertools.product(first, *[range(K.q)] * (k - 1)):
         cand = low + (1,)
         if _is_irreducible(cand, tables):
             return cand

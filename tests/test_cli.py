@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from ucycle.cli import main
+from ucycle import cycles
+from ucycle.cli import _dumps, main
 from ucycle.gf import Field
 
 
@@ -248,3 +249,126 @@ def test_gen_verify_round_trip_grid(tmp_path, capsys, n, p, k):
     assert run(capsys, "gen", "--n", str(n), "--p", str(p), "--k", str(k),
                "--out", str(f))[0] == 0
     assert run(capsys, "verify", "--in", str(f))[0] == 0
+
+
+# -- JSON decoding: gen's bytes in one pass, json.loads for everything else ----
+
+
+class LoadsCalled(Exception):
+    pass
+
+
+def refuse_loads(text):
+    raise LoadsCalled("json.loads reached")
+
+
+def not_canonical(text):
+    raise ValueError("not the canonical byte form")
+
+
+def loads_route(monkeypatch, capsys, *argv):
+    """The CLI's result when every JSON text goes through json.loads and
+    cycle_from_json_obj, the reference route that words every refusal."""
+    with monkeypatch.context() as m:
+        m.setattr(cycles, "_canonical_cycle", not_canonical)
+        return run(capsys, *argv)
+
+
+def gen_json(capsys, path, n, p, k=1):
+    assert run(capsys, "gen", "--n", str(n), "--p", str(p), "--k", str(k), "--out", str(path))[0] == 0
+    return path.read_text()
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 5, 1), (2, 2, 3), (2, 2, 1)])
+def test_verify_reads_gen_files_without_json_loads(tmp_path, capsys, monkeypatch, n, p, k):
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, n, p, k)
+    assert '"type":"infinity"' in text
+    bad = tmp_path / "bad.json"
+    obj = json.loads(text)
+    del obj["vertices"][len(obj["vertices"]) // 2]
+    bad.write_text(_dumps(obj))
+    for path, rc in ((f, 0), (bad, 1)):
+        expected = loads_route(monkeypatch, capsys, "verify", "--in", str(path))
+        with monkeypatch.context() as m:
+            m.setattr(json, "loads", refuse_loads)
+            assert run(capsys, "verify", "--in", str(path)) == expected
+        assert expected[0] == rc
+
+
+def with_codes(obj, rule, change):
+    """gen's bytes of obj with the codes of the first vertex that ``rule``
+    accepts passed through ``change``."""
+    obj = json.loads(json.dumps(obj))
+    v = next(v for v in obj["vertices"] if rule(v["coords"]))
+    v["coords"] = [change(x) for x in v["coords"]]
+    return _dumps(obj)
+
+
+def reordered(obj):
+    vs = [{"type": v["type"], "coords": v["coords"]} for v in obj["vertices"]]
+    return json.dumps({"vertices": vs, "schema_version": 1, "q": obj["q"], "n": obj["n"]})
+
+
+# valid JSON of the AG(2,5) cycle in a form gen does not write; the second
+# item says whether the text still differs from gen's bytes once read with
+# universal newlines
+NON_CANONICAL = {
+    "indented": (lambda t, o: json.dumps(o, indent=2, sort_keys=True) + "\n", True),
+    "spaces": (lambda t, o: json.dumps(o, sort_keys=True) + "\n", True),
+    "key-order": (lambda t, o: reordered(o), True),
+    "float-code": (lambda t, o: with_codes(o, any, float), True),
+    "zero-padded-string": (lambda t, o: with_codes(o, any, lambda x: f"0{x}"), True),
+    "true": (lambda t, o: with_codes(o, lambda c: max(c) == 1, bool), True),
+    "extra-keys": (lambda t, o: _dumps(dict(o, comment="x")).replace("}", ',"label":1}', 1), True),
+    "escaped-kind": (lambda t, o: t.replace('"type":"affine"', '"type":"\\u0061ffine"', 1), True),
+    "schema-version-float": (lambda t, o: t.replace('"schema_version":1,', '"schema_version":1.0,'), True),
+    "no-final-newline": (lambda t, o: t[:-1], True),
+    "crlf-between-vertices": (lambda t, o: t.replace("},{", "},\r\n{"), True),
+    "crlf-line-end": (lambda t, o: t[:-1] + "\r\n", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CANONICAL))
+def test_verify_non_canonical_json_takes_json_loads(tmp_path, capsys, monkeypatch, case):
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 5)
+    change, differs = NON_CANONICAL[case]
+    f.write_bytes(change(text, json.loads(text)).encode())
+    assert f.read_bytes() != text.encode()
+    expected = loads_route(monkeypatch, capsys, "verify", "--in", str(f))
+    assert expected[0] == 0
+    calls = []
+    loads = json.loads
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
+        assert run(capsys, "verify", "--in", str(f)) == expected
+    assert len(calls) == differs
+
+
+# one byte of the canonical AG(2,5) file changed in each field, or inserted
+ONE_BYTE = {
+    "n": ('"n":2', '"n":3'),
+    "n-non-digit": ('"n":2', '"n":x'),
+    "q": ('"q":5', '"q":7'),
+    "q-not-prime-power": ('"q":5', '"q":6'),
+    "code-out-of-range": ('[0,4]', '[0,9]'),
+    "code-non-digit": ('[0,4]', '[0,a]'),
+    "code-leading-zero": ('[0,4]', '[0,04]'),
+    "kind": ('"affine"', '"affinf"'),
+    "kind-infinity": ('"infinity"', '"infinitz"'),
+    "bracket": ('"coords":[0,4]', '"coords":{0,4]'),
+    "tail": (']}\n', ']]\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BYTE))
+def test_verify_one_byte_changed_matches_json_loads(tmp_path, capsys, monkeypatch, case):
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 5)
+    old, new = ONE_BYTE[case]
+    assert old in text
+    f.write_text(text.replace(old, new, 1))
+    expected = loads_route(monkeypatch, capsys, "verify", "--in", str(f))
+    assert run(capsys, "verify", "--in", str(f)) == expected
+    assert expected[0] in (1, 2) and expected[2].count("\n") == 1

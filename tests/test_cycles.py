@@ -2,7 +2,10 @@
 
 import json
 import random
+import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 
 from ucycle.cli import _dumps
@@ -12,6 +15,8 @@ from ucycle.cycles import (
     Cycle,
     GluingError,
     Segment,
+    _canonical_cycle,
+    cycle_from_json,
     cycle_from_json_obj,
     cycle_from_text,
     cycle_to_json,
@@ -361,10 +366,59 @@ def test_encoders_match_reference_on_drawn_cycles():
     def check(c):
         assert c.at_infinity.any()
         assert_codec_matches_reference(c)
-        back = cycle_from_json_obj(json.loads(cycle_to_json(c)))
+        text = cycle_to_json(c)
+        back = cycle_from_json_obj(json.loads(text))
         assert back.vertices == c.vertices and back.field == c.field
+        # the one-pass decoder takes the text and agrees with json.loads
+        for decoded in (_canonical_cycle(text), cycle_from_json(text)):
+            assert_same_arrays(decoded, c)
+            assert_same_arrays(decoded, back)
 
     check()
+
+
+def assert_same_arrays(a, b):
+    assert a.field == b.field
+    assert a.codes.dtype == b.codes.dtype == np.int64
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.at_infinity, b.at_infinity)
+
+
+def test_canonical_decode_is_linear_in_memory():
+    # json.loads plus cycle_from_json_obj peak at ~418 B per line on this text
+    text = cycle_to_json(universal_cycle(4, field_make(3, 2)))
+    tracemalloc.start()
+    try:
+        c = cycle_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 597_780
+    assert peak / len(c) <= 220
+
+
+def test_a_parse_warning_takes_the_fallback(monkeypatch):
+    # numpy < 2.3 warns, instead of raising, when it stops before the end
+    text = cycle_to_json(universal_cycle(2, field_make(3)))
+    expected = cycle_from_json_obj(json.loads(text))
+    fromstring, loads = np.fromstring, json.loads
+    calls = []
+
+    def partial(s, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return fromstring(s, dtype=dtype, sep=sep)[:-1]
+
+    def counted(s):
+        calls.append(len(s))
+        return loads(s)
+
+    monkeypatch.setattr(np, "fromstring", partial)
+    monkeypatch.setattr(json, "loads", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = cycle_from_json(text)
+    assert caught == [] and calls == [len(text)]
+    assert_same_arrays(c, expected)
 
 
 def test_vertex_view_is_the_input_or_built_from_the_arrays():
@@ -372,7 +426,7 @@ def test_vertex_view_is_the_input_or_built_from_the_arrays():
     verts = list(c.vertices)
     kept = Cycle(verts, F)
     assert all(a is b for a, b in zip(kept.vertices, verts))
-    decoded = cycle_from_json_obj(json.loads(cycle_to_json(kept)))
+    decoded = cycle_from_json(cycle_to_json(kept))
     assert decoded._vertices is None  # built on first use
     assert decoded.vertices == c.vertices
     assert decoded.codes.tolist() == [list(v.coords) for v in verts]

@@ -9,6 +9,9 @@ import pytest
 from ucycle.gf import (
     Field,
     FieldMismatchError,
+    _is_irreducible,
+    _prime_factors,
+    _tables,
     field_from_order,
     field_make,
     multiplicative_order,
@@ -48,6 +51,23 @@ def test_modulus_over_an_extension_field():
     # x(x + c1), x^2 + 1 = (x + 1)^2, x^2 + x + 1 has the roots t and t + 1,
     # and x^2 + t x + 1 has no root, so it is the first irreducible quadratic
     assert smallest_irreducible(field_make(2, 2), 2) == (1, 2, 1)
+
+
+PRIME_POWERS_64 = [q for q in range(2, 65) if len(_prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_modulus_scan_matches_the_full_scan(q):
+    # the full scan from c0 = 0 is the reference for the scan that skips it
+    K = field_from_order(q)
+    tables = _tables(K)
+    for k in (2, 3):
+        reference = next(
+            low + (1,)
+            for low in itertools.product(range(q), repeat=k)
+            if _is_irreducible(low + (1,), tables)
+        )
+        assert smallest_irreducible(K, k) == reference
 
 
 @pytest.mark.parametrize("p", [1, 4, 6, 9])
