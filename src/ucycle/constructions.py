@@ -5,19 +5,18 @@ Every construction returns a valid double-window cycle that contains the
 affine origin, covers exactly its declared fiber union, and is byte-for-byte
 deterministic for fixed (n, q).
 
-The parts are built on code arrays: a fiber pair interleaves its
-hyperplane's point array with the two direction rows, a lift translates
-the base cycle by one table gather per coset and splices the translates,
-and the plane chart maps the triple base cycle in one pass per coordinate.
-Only the small base cycles of the triple construction (3q vertices) are
-written vertex by vertex.  Nothing is searched: for odd q the triple base
-cycle starts from one of three written 9-window kernels (q = 3, q = 3^k >= 9,
-p >= 5), each checked against its target lines when it is built.
+The parts are built on code arrays.  One builder writes all fiber pairs
+into one preallocated block, building each distinct hyperplane's points
+once; as every pair starts at the origin, the full cycle is the triplet
+part rotated there followed by that block, checked once.  A lift translates
+its rotated base to every coset in one table gather.  Only the triple base
+cycles (3q vertices) are written vertex by vertex.  Nothing is searched:
+for odd q the triple base cycle starts from one of three written 9-window
+kernels (q = 3, q = 3^k >= 9, p >= 5), each checked when it is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,9 +24,11 @@ import numpy as np
 from .gf import Field
 from .geometry import (
     Direction,
+    Hyperplane,
     Subspace,
     affine,
-    complementary_hyperplane,
+    complementary_functionals,
+    dots,
     enumerate_directions,
     find_coplanar_triplet,
     hyperplane_point_array,
@@ -35,11 +36,8 @@ from .geometry import (
     line_from,
     pgl_normalizer,
     rref,
-    vadd,
-    vdot,
-    vscale,
 )
-from .cycles import Cycle, glue_cycles, map_linear, translate
+from .cycles import Cycle, glue_cycles, map_linear
 
 
 class FiberPlan(NamedTuple):
@@ -49,47 +47,61 @@ class FiberPlan(NamedTuple):
     pairs: tuple[tuple[Direction, Direction], ...]
 
 
-def two_fiber_cycle(d1: Direction, d2: Direction, n: int, F: Field) -> Cycle:
-    """Universal cycle on the union of two direction fibers.
-
-    The affine vertices are exactly the points of a hyperplane W transversal
-    to both directions, so the cycle contains 0.  For even q the points of W
-    alternate with the two infinity vertices; for odd q the lone point w*
-    spanning W with the plane of the two directions is excised from the
-    alternation and reinserted through the detour 0 -> a*u1 -> w* -> [d1],
-    whose three windows restore the two otherwise-missing lines.
+def _fiber_pairs(
+    u1: np.ndarray, u2: np.ndarray, F: Field, lead: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and at-infinity mask of the fiber-pair cycles of the rows of the
+    (P, n) direction arrays u1 and u2, in row order, after ``lead`` rows left
+    for the caller.  A pair's affine vertices are the points of a hyperplane
+    W transversal to both directions, origin first, alternating with [d1]
+    and [d2]; for odd q the lone point w* of W in the plane of the two
+    directions moves up through the detour 0 -> a*u1 -> w* -> [d1], whose
+    three windows restore the two otherwise-missing lines.  Each distinct
+    W's point array is built once and written to all its pairs.
     """
-    if d1 == d2:
-        raise ValueError("directions must be distinct")
-    if len(d1.vector) != n or len(d2.vector) != n:
-        raise ValueError("direction dimension does not match n")
-    W = complementary_hyperplane(d1, d2, F)
-    pts = hyperplane_point_array(W, F)
-    u1, u2 = d1.vector, d2.vector
-    detour = np.empty((0, n), dtype=np.int64)
-    if F.q % 2:
-        f = W.functional
+    P, n = u1.shape
+    m = F.q ** (n - 1)
+    add, mul, neg, inv = F.arrays
+    f = complementary_functionals(u1, u2, F)
+    codes = np.empty((lead + P * 2 * m, n), dtype=np.int64)
+    at_infinity = np.zeros(len(codes), dtype=bool)
+    parts, flags = codes[lead:].reshape(P, 2 * m, n), at_infinity[lead:].reshape(P, 2 * m)
+    odd = F.q % 2
+    # every other point is followed by [d1]; for odd q the detour shifts them by one
+    parts[:, 1::4], parts[:, 3::4] = (u1, u2)[odd][:, None], (u2, u1)[odd][:, None]
+    flags[:, 1::2] = True
+    if odd:
         # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2;
         # s normalizes it to w* = a*u1 + b*u2
-        fu1, fu2 = vdot(f, u1, F), vdot(f, u2, F)
-        raw = vadd(vscale(fu2, u1, F), vscale(F.neg(fu1), u2, F), F)
-        s = F.inv(next(x for x in raw if x))
-        a, b = F.mul(s, fu2), F.mul(s, F.neg(fu1))
-        wstar = vscale(s, raw, F)
-        if a == 0 or b == 0:
+        fu1, fu2 = dots(f[:, None], np.stack([u1, u2], axis=1), F).T
+        raw = add[mul[fu2[:, None], u1], mul[neg[fu1][:, None], u2]]
+        s = inv[raw[np.arange(P), (raw != 0).argmax(axis=1)]]
+        a, b = mul[s, fu2], mul[s, neg[fu1]]
+        if not (a.all() and b.all()):
             raise AssertionError("w* decomposition produced a zero coefficient")
-        pts = pts[(pts != wstar).any(axis=1)]
-        detour = np.array([vscale(a, u1, F), wstar])
-    # the points alternate with [d1] and [d2]: one infinity vertex after each
-    rows = np.empty((len(pts), 2, n), dtype=np.int64)
-    rows[:, 0] = pts
-    rows[:, 1] = np.array([u1, u2])[np.arange(len(pts)) % 2]
-    rows = rows.reshape(-1, n)
-    flags = np.tile([False, True], len(pts))
-    # the detour follows the origin, the first point
-    codes = np.concatenate([rows[:1], detour, rows[1:]])
-    at_infinity = np.concatenate([flags[:1], np.zeros(len(detour), dtype=bool), flags[1:]])
-    return Cycle._from_arrays(F, codes, at_infinity)
+        wstar = mul[s[:, None], raw]
+        parts[:, 1], flags[:, 1] = mul[a[:, None], u1], False
+    # the pairs grouped by W, keyed by f's digits (below q^n, as the block fits in memory)
+    _, first, group = np.unique(f @ F.q ** np.arange(n), return_index=True, return_inverse=True)
+    k = np.arange(m)
+    for g, W in enumerate(f[first]):
+        sel = group == g
+        pts = hyperplane_point_array(Hyperplane(tuple(W.tolist())), F)
+        if odd:
+            # the sorted points with each pair's w*, at index r, moved to second place
+            r = (pts == wstar[sel, None]).all(axis=2).argmax(axis=1)
+            order = np.where(k > r[:, None], k, k - 1)
+            order[:, 0], order[:, 1] = 0, r
+            pts = pts[order]
+        parts[sel, 0::2] = pts
+    return codes, at_infinity
+
+
+def two_fiber_cycle(d1: Direction, d2: Direction, n: int, F: Field) -> Cycle:
+    """Universal cycle on the union of two direction fibers: ``_fiber_pairs`` of one pair."""
+    if len(d1.vector) != n or len(d2.vector) != n:
+        raise ValueError("direction dimension does not match n")
+    return Cycle._from_arrays(F, *_fiber_pairs(np.array([d1.vector]), np.array([d2.vector]), F))
 
 
 def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
@@ -100,6 +112,8 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     covers the same fibers in F_q^n.  Coset representatives are the vectors
     supported on the non-pivot coordinates of U's RREF basis, in ascending
     integer order (the zero representative first, keeping 0 in the result).
+    The base, rotated to its first point at infinity, the splice vertex,
+    is translated to every representative in one gather.
     """
     F = cU.field
     if U.dim >= n:
@@ -109,10 +123,8 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     add, mul, neg, _ = F.arrays
     # reduce every vertex against the RREF basis: what is left is zero iff it lies in U
     rest = cU.codes
-    pivots = []
-    for row in U.basis:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        pivots.append(piv)
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in U.basis]
+    for piv, row in zip(pivots, U.basis):
         rest = add[rest, mul[neg[rest[:, piv : piv + 1]], np.array(row)]]
     outside = rest.any(axis=1)
     if outside.any():
@@ -124,17 +136,14 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     if not cU.at_infinity.any():
         raise ValueError("base cycle has no point at infinity to splice at")
     i = int(np.argmax(cU.at_infinity))
-    anchor = infinity(cU.codes[i].tolist())
-
+    base, flags = np.roll(cU.codes, -i, axis=0), np.roll(cU.at_infinity, -i)
     free = [j for j in range(n) if j not in pivots]
-    parts = []
-    for assign in itertools.product(range(F.q), repeat=len(free)):
-        rep = [0] * n
-        for j, val in zip(free, assign):
-            rep[j] = val
-        parts.append(translate(cU, tuple(rep)) if any(rep) else cU)
-    # Translates live in disjoint cosets, hence are transversal by construction.
-    return glue_cycles(parts, anchor, check=False)
+    reps = np.zeros((F.q ** len(free), n), dtype=np.int64)
+    reps[:, free] = np.indices((F.q,) * len(free)).reshape(len(free), -1).T
+    # translates live in disjoint cosets, hence are transversal by construction;
+    # points at infinity are translated by 0
+    codes = add[base, reps[:, None] * ~flags[:, None]]
+    return Cycle._from_arrays(F, codes.reshape(-1, n), np.tile(flags, len(reps)))
 
 
 # Reference directions of the standard plane: (0,1), (1,0) and (1,1).
@@ -146,12 +155,10 @@ _D3 = Direction((1, 1))
 def _kernel_targets(F: Field) -> set:
     """The 9 lines indexed by {0,1,2}: verticals x=c, horizontals y=c, and
     slope-one lines with x-intercept c."""
-    targets = set()
-    for c in (0, 1, 2):
-        targets.add(line_from((c, 0), _D1, F))
-        targets.add(line_from((0, c), _D2, F))
-        targets.add(line_from((c, 0), _D3, F))
-    return targets
+    return {
+        L for c in (0, 1, 2)
+        for L in (line_from((c, 0), _D1, F), line_from((0, c), _D2, F), line_from((c, 0), _D3, F))
+    }
 
 
 def kernel_cycle(F: Field) -> Cycle:
@@ -186,7 +193,8 @@ def kernel_cycle(F: Field) -> Cycle:
 def triple_base_cycle(F: Field) -> Cycle:
     """Universal cycle on the three standard fibers of F_q^2 (3q windows).
 
-    Even q: the field splits into q/2 pairs {u, u+1}; each pair yields a
+    Even q: a GF(2^k) code is a bit vector, so u+1 = u^1 and the field
+    splits into the q/2 pairs {u, u+1} with u even; each pair yields a
     6-window block covering the lines indexed by u and u+1 in all three
     families.  Odd q: a 9-window kernel covers indices {0,1,2} and the
     remaining q-3 elements are paired consecutively into 6-window blocks.
@@ -194,28 +202,12 @@ def triple_base_cycle(F: Field) -> Cycle:
     """
     q = F.q
     i1, i2, i3 = infinity(_D1), infinity(_D2), infinity(_D3)
-    parts: list[Cycle] = []
     if q % 2 == 0:
-        seen: set[int] = set()
-        for u in range(q):
-            if u in seen:
-                continue
-            v = F.add(u, 1)
-            seen.update((u, v))
-            parts.append(
-                Cycle([affine((u, v)), i1, affine((v, 0)), i3, affine((0, u)), i2], F)
-            )
+        parts, blocks = [], [((u, u + 1), (u + 1, 0), (0, u)) for u in range(0, q, 2)]
     else:
-        parts.append(kernel_cycle(F))
-        rest = [c for c in range(q) if c not in (0, 1, 2)]
-        for i in range(0, len(rest), 2):
-            u, v = rest[i], rest[i + 1]
-            parts.append(
-                Cycle(
-                    [affine((u, u)), i1, affine((v, 0)), i3, affine((F.add(u, v), v)), i2],
-                    F,
-                )
-            )
+        parts = [kernel_cycle(F)]
+        blocks = [((u, u), (u + 1, 0), (F.add(u, u + 1), u + 1)) for u in range(3, q, 2)]
+    parts += [Cycle([affine(x), i1, affine(y), i3, affine(z), i2], F) for x, y, z in blocks]
     if len(parts) == 1:
         return parts[0]
     anchor = next(a for a in (i1, i2, i3) if all(a in p.vertices for p in parts))
@@ -232,12 +224,8 @@ def triple_fiber_cycle(
     inverse chart, and the result is lifted from the plane to F_q^n.
     """
     iso = pgl_normalizer(d1, d2, d3, F)
-    base = triple_base_cycle(F)
-    mapped = map_linear(base, iso.matrix)
-    if n == 2:
-        return mapped
-    U = Subspace(rref([iso.w1, iso.w2], F))
-    return lift_cycle(mapped, U, n)
+    mapped = map_linear(triple_base_cycle(F), iso.matrix)
+    return mapped if n == 2 else lift_cycle(mapped, Subspace(rref([iso.w1, iso.w2], F)), n)
 
 
 def plan_fibers(n: int, F: Field) -> FiberPlan:
@@ -247,13 +235,8 @@ def plan_fibers(n: int, F: Field) -> FiberPlan:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     dirs = enumerate_directions(n, F)
-    if len(dirs) % 2 == 0:
-        triplet = None
-        rest = dirs
-    else:
-        triplet = find_coplanar_triplet(dirs, F)
-        chosen = set(triplet)
-        rest = [d for d in dirs if d not in chosen]
+    triplet = None if len(dirs) % 2 == 0 else find_coplanar_triplet(dirs, F)
+    rest = [d for d in dirs if d not in (triplet or ())]
     pairs = tuple((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
     return FiberPlan(triplet, pairs)
 
@@ -261,16 +244,19 @@ def plan_fibers(n: int, F: Field) -> FiberPlan:
 def universal_cycle(n: int, F: Field) -> Cycle:
     """Universal cycle covering every affine line of AG(n,q) exactly once.
 
-    Builds one cycle per planned fiber pair (and one for the triplet when the
-    direction count is odd) and splices them all at the shared origin.
+    The parts cover disjoint fibers and all pass through the origin, where
+    every pair part starts: the triplet part (for an odd direction count),
+    rotated to the origin, and the pairs in plan order are written into one
+    array and checked once.  A lone triplet part is returned as built.
     """
     plan = plan_fibers(n, F)
-    parts: list[Cycle] = []
-    if plan.triplet is not None:
-        parts.append(triple_fiber_cycle(*plan.triplet, n, F))
-    for d1, d2 in plan.pairs:
-        parts.append(two_fiber_cycle(d1, d2, n, F))
-    if len(parts) == 1:
-        return parts[0]
-    # Fibers of distinct directions are disjoint, so the parts are transversal.
-    return glue_cycles(parts, affine((0,) * n), check=False)
+    triple = None if plan.triplet is None else triple_fiber_cycle(*plan.triplet, n, F)
+    if not plan.pairs:
+        return triple
+    u1, u2 = (np.array([p[k].vector for p in plan.pairs], dtype=np.int64) for k in (0, 1))
+    codes, at_infinity = _fiber_pairs(u1, u2, F, 0 if triple is None else len(triple))
+    if triple is not None:
+        r = int(np.argmax(~triple.at_infinity & ~triple.codes.any(axis=1)))
+        codes[: len(triple)] = np.roll(triple.codes, -r, axis=0)
+        at_infinity[: len(triple)] = np.roll(triple.at_infinity, -r)
+    return Cycle._from_arrays(F, codes, at_infinity)

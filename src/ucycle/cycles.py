@@ -35,6 +35,7 @@ from .geometry import (
     DegenerateWindowError,
     ProjVertex,
     decode_window,
+    dots,
     rank,
 )
 
@@ -418,9 +419,7 @@ def translate(c: Cycle, t: Sequence[int]) -> Cycle:
     if len(t) != c.n:
         raise ValueError(f"translation vector has dimension {len(t)}, cycle has {c.n}")
     add = c.field.arrays[0]
-    codes = c.codes.copy()
-    affine = ~c.at_infinity
-    codes[affine] = add[codes[affine], t]
+    codes = add[c.codes, ~c.at_infinity[:, None] * np.array(t)]
     return Cycle._from_arrays(c.field, codes, c.at_infinity)
 
 
@@ -437,11 +436,8 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
         raise ValueError("matrix column count must match the cycle dimension")
     if rank(M, F) != c.n:
         raise ValueError("matrix is singular (not injective)")
-    add, mul, _, inv = F.arrays
-    img = np.zeros((len(c), len(M)), dtype=np.int64)
-    for r, row in enumerate(M):
-        for j, x in enumerate(row):
-            img[:, r] = add[img[:, r], mul[x, c.codes[:, j]]]
+    _, mul, _, inv = F.arrays
+    img = dots(np.array(M), c.codes[:, None], F)
     # an injective image of a nonzero vector is nonzero: scale by its lead inverse
     inf = c.at_infinity
     lead = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]

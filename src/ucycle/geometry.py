@@ -232,15 +232,36 @@ def decode_window(v1: ProjVertex, v2: ProjVertex, F: Field) -> AffineLine:
     return line_through(v1.coords, v2.coords, F)
 
 
+def dots(f: np.ndarray, v: np.ndarray, F: Field) -> np.ndarray:
+    """Dot products f . v over the field tables, broadcast over the leading axes."""
+    add, mul = F.arrays[:2]
+    s = 0
+    for j in range(f.shape[-1]):
+        s = add[s, mul[f[..., j], v[..., j]]]
+    return s
+
+
+def complementary_functionals(u1: np.ndarray, u2: np.ndarray, F: Field) -> np.ndarray:
+    """For every row pair of the (P, n) direction arrays u1 and u2, the first
+    covector in direction scan order nonzero on both; the scan is tested in
+    chunks of doubling size against the pairs still open."""
+    if (u1 == u2).all(axis=1).any():
+        raise ValueError("directions must be distinct")
+    out, pairs = np.empty(u1.shape, dtype=np.int64), np.stack([u1, u2], axis=1)
+    todo, scan, size = np.arange(len(u1)), direction_scan(u1.shape[1], F.q), 8
+    while len(todo):
+        cand = np.array([d.vector for d in itertools.islice(scan, size)])
+        ok = (dots(cand, pairs[todo, :, None], F) != 0).all(axis=1)
+        hit = ok.any(axis=1)
+        out[todo[hit]] = cand[ok[hit].argmax(axis=1)]
+        todo, size = todo[~hit], 2 * size
+    return out
+
+
 def complementary_hyperplane(d1: Direction, d2: Direction, F: Field) -> Hyperplane:
     """First normalized covector (in direction scan order) nonzero on both."""
-    if d1 == d2:
-        raise ValueError("directions must be distinct")
-    n = len(d1.vector)
-    for f in direction_scan(n, F.q):
-        if vdot(f.vector, d1.vector, F) != 0 and vdot(f.vector, d2.vector, F) != 0:
-            return Hyperplane(f.vector)
-    raise RuntimeError("no transversal hyperplane found")  # unreachable for n >= 2
+    f = complementary_functionals(np.array([d1.vector]), np.array([d2.vector]), F)
+    return Hyperplane(tuple(f[0].tolist()))
 
 
 def hyperplane_point_array(W: Hyperplane, F: Field) -> np.ndarray:
@@ -248,24 +269,19 @@ def hyperplane_point_array(W: Hyperplane, F: Field) -> np.ndarray:
     lexicographic (0 first).
 
     The free coordinates run through every assignment; the pivot coordinate
-    is then -f(free part)/f[piv], summed over the field tables in one pass
-    per nonzero coefficient (f vanishes before its pivot), and the rows are
-    sorted once.
+    is then -f(free part)/f[piv], one ``dots`` over the nonzero coefficients
+    after the pivot (f vanishes before it), and the rows are sorted once.
     """
     f = W.functional
     n = len(f)
-    add, mul, neg, inv = F.arrays
+    _, mul, neg, inv = F.arrays
     piv = next(i for i, x in enumerate(f) if x != 0)
     free = [j for j in range(n) if j != piv]
     pts = np.zeros((F.q ** (n - 1), n), dtype=np.int64)
     if free:
-        grid = np.indices((F.q,) * (n - 1)).reshape(n - 1, -1)
-        pts[:, free] = grid.T
-    s = np.zeros(len(pts), dtype=np.int64)
-    for j in range(piv + 1, n):
-        if f[j]:
-            s = add[s, mul[f[j], pts[:, j]]]
-    pts[:, piv] = mul[neg[s], inv[f[piv]]]
+        pts[:, free] = np.indices((F.q,) * (n - 1)).reshape(n - 1, -1).T
+    tail = np.flatnonzero(f)[1:]
+    pts[:, piv] = mul[neg[dots(np.array(f)[tail], pts[:, tail], F)], inv[f[piv]]]
     return pts[np.lexsort(pts.T[::-1])]
 
 
@@ -290,10 +306,11 @@ def find_coplanar_triplet(
 ) -> tuple[Direction, Direction, Direction]:
     """First three directions (in the given order) inside the span of the first two."""
     basis = rref([dirs[0].vector, dirs[1].vector], F)
-    picked = [d for d in dirs if in_span(d.vector, basis, F) is not None]
+    coplanar = (d for d in dirs if in_span(d.vector, basis, F) is not None)
+    picked = tuple(itertools.islice(coplanar, 3))
     if len(picked) < 3:
         raise ValueError("no coplanar triplet available (need q + 1 >= 3)")
-    return picked[0], picked[1], picked[2]
+    return picked
 
 
 class PlaneIso:

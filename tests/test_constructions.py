@@ -1,25 +1,45 @@
 """Fiber-pair cycles, lifting, triple cycles, and the full assembly."""
 
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ucycle.gf import field_from_order, field_make, is_prime
 from ucycle.geometry import (
     Direction,
+    Hyperplane,
     Subspace,
     affine,
+    complementary_functionals,
+    complementary_hyperplane,
     decode_window,
+    direction_scan,
     enumerate_directions,
     fiber,
+    find_coplanar_triplet,
+    hyperplane_point_array,
     infinity,
     line_from,
     line_through,
+    pgl_normalizer,
     rref,
+    vadd,
+    vdot,
+    vscale,
 )
-from ucycle.cycles import Cycle, cycle_to_json_obj, map_linear
+from ucycle.cycles import (
+    Cycle,
+    VertexSequence,
+    cycle_to_json_obj,
+    glue_cycles,
+    map_linear,
+    translate,
+)
 from ucycle.constructions import (
+    _fiber_pairs,
     kernel_cycle,
     lift_cycle,
     plan_fibers,
@@ -28,7 +48,8 @@ from ucycle.constructions import (
     two_fiber_cycle,
     universal_cycle,
 )
-from ucycle.verify import verify_affine, verify_subset
+from ucycle.cli import SIZE_BUDGET_BITS
+from ucycle.verify import affine_line_count, verify_affine, verify_subset
 
 GRID_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -283,8 +304,6 @@ def test_triple_fiber_3d_q2():
 def test_triple_fiber_counts(q, n):
     F = field_from_order(q)
     dirs = enumerate_directions(n, F)
-    from ucycle.geometry import find_coplanar_triplet
-
     t = find_coplanar_triplet(dirs, F)
     c = triple_fiber_cycle(*t, n, F)
     assert len(c.vertices) == 3 * q ** (n - 1)
@@ -352,3 +371,145 @@ def test_universal_deterministic(n, q):
     assert json.dumps(cycle_to_json_obj(a), sort_keys=True) == json.dumps(
         cycle_to_json_obj(b), sort_keys=True
     )
+
+
+# -- the batched builders against per-part references ---------------------------
+#
+# The references are the per-pair and per-coset constructions the batched
+# builders replaced: a covector scan with one dot product per candidate, one
+# fiber-pair cycle per pair, and one translate per coset glued at the anchor.
+
+
+def ref_complementary_hyperplane(d1, d2, F):
+    for f in direction_scan(len(d1.vector), F.q):
+        if vdot(f.vector, d1.vector, F) != 0 and vdot(f.vector, d2.vector, F) != 0:
+            return Hyperplane(f.vector)
+    raise RuntimeError("no transversal hyperplane found")
+
+
+def ref_two_fiber_cycle(d1, d2, n, F):
+    W = ref_complementary_hyperplane(d1, d2, F)
+    pts = hyperplane_point_array(W, F)
+    u1, u2 = d1.vector, d2.vector
+    detour = np.empty((0, n), dtype=np.int64)
+    if F.q % 2:
+        f = W.functional
+        fu1, fu2 = vdot(f, u1, F), vdot(f, u2, F)
+        raw = vadd(vscale(fu2, u1, F), vscale(F.neg(fu1), u2, F), F)
+        s = F.inv(next(x for x in raw if x))
+        a = F.mul(s, fu2)
+        wstar = vscale(s, raw, F)
+        pts = pts[(pts != wstar).any(axis=1)]
+        detour = np.array([vscale(a, u1, F), wstar])
+    rows = np.empty((len(pts), 2, n), dtype=np.int64)
+    rows[:, 0] = pts
+    rows[:, 1] = np.array([u1, u2])[np.arange(len(pts)) % 2]
+    rows = rows.reshape(-1, n)
+    flags = np.tile([False, True], len(pts))
+    codes = np.concatenate([rows[:1], detour, rows[1:]])
+    at_infinity = np.concatenate([flags[:1], np.zeros(len(detour), dtype=bool), flags[1:]])
+    return Cycle._from_arrays(F, codes, at_infinity)
+
+
+def ref_lift_cycle(cU, U, n):
+    F = cU.field
+    pivots = [next(i for i, x in enumerate(row) if x) for row in U.basis]
+    anchor = infinity(cU.codes[int(np.argmax(cU.at_infinity))].tolist())
+    free = [j for j in range(n) if j not in pivots]
+    parts = []
+    for assign in itertools.product(range(F.q), repeat=len(free)):
+        rep = [0] * n
+        for j, val in zip(free, assign):
+            rep[j] = val
+        parts.append(translate(cU, tuple(rep)) if any(rep) else cU)
+    return glue_cycles(parts, anchor, check=False)
+
+
+def assert_same_arrays(got, want):
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.at_infinity, want.at_infinity)
+
+
+def pair_parts(pairs, n, F):
+    """The batched builder's parts, one (2q^(n-1), n) code and mask row each."""
+    u1, u2 = (np.array([p[k].vector for p in pairs]) for k in (0, 1))
+    codes, at_infinity = _fiber_pairs(u1, u2, F)
+    size = 2 * F.q ** (n - 1)
+    return codes.reshape(len(pairs), size, n), at_infinity.reshape(len(pairs), size)
+
+
+# AG(n,q) for n <= 5 and these q, within the CLI's line budget: it refuses
+# AG(5,8), AG(5,9), AG(4,25) and AG(5,25), and every other case has at most
+# 597,780 lines
+PLANNED = [
+    (n, q)
+    for q in (2, 3, 4, 5, 8, 9, 25)
+    for n in range(2, 6)
+    if affine_line_count(n, q) <= 2**SIZE_BUDGET_BITS
+]
+
+
+@pytest.mark.parametrize("n,q", PLANNED)
+def test_planned_pairs_match_reference(n, q):
+    F = field_from_order(q)
+    plan = plan_fibers(n, F)
+    parts = [triple_fiber_cycle(*plan.triplet, n, F)] if plan.triplet else []
+    if not plan.pairs:  # AG(2,2): a lone triplet part, returned unrotated
+        assert_same_arrays(universal_cycle(n, F), parts[0])
+        return
+    codes, at_infinity = pair_parts(plan.pairs, n, F)
+    refs = [ref_two_fiber_cycle(d1, d2, n, F) for d1, d2 in plan.pairs]
+    for i, ref in enumerate(refs):
+        assert np.array_equal(codes[i], ref.codes), plan.pairs[i]
+        assert np.array_equal(at_infinity[i], ref.at_infinity), plan.pairs[i]
+    # gluing by concatenation gives what splicing every part at 0 gives
+    want = glue_cycles(parts + refs, affine((0,) * n), check=False)
+    assert_same_arrays(universal_cycle(n, F), want)
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (2, 3) for q in (2, 3, 4, 5)])
+def test_every_ordered_pair_matches_reference(n, q):
+    F = field_from_order(q)
+    pairs = list(itertools.permutations(enumerate_directions(n, F), 2))
+    codes, at_infinity = pair_parts(pairs, n, F)
+    u1, u2 = (np.array([p[k].vector for p in pairs]) for k in (0, 1))
+    functionals = complementary_functionals(u1, u2, F)
+    for i, (d1, d2) in enumerate(pairs):
+        W = ref_complementary_hyperplane(d1, d2, F)
+        assert tuple(functionals[i].tolist()) == W.functional
+        assert complementary_hyperplane(d1, d2, F) == W
+        ref = ref_two_fiber_cycle(d1, d2, n, F)
+        assert np.array_equal(codes[i], ref.codes) and np.array_equal(at_infinity[i], ref.at_infinity)
+        assert_same_arrays(two_fiber_cycle(d1, d2, n, F), ref)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)])
+def test_lift_matches_per_coset_reference(n, q):
+    F = field_from_order(q)
+    # AG(4,3) has an even direction count, so its plan has no triplet
+    iso = pgl_normalizer(*find_coplanar_triplet(enumerate_directions(n, F), F), F)
+    mapped = map_linear(triple_base_cycle(F), iso.matrix)
+    U = Subspace(rref([iso.w1, iso.w2], F))
+    assert_same_arrays(lift_cycle(mapped, U, n), ref_lift_cycle(mapped, U, n))
+
+
+def test_universal_cycle_validates_once(monkeypatch):
+    # the pair parts and the coset translates are written into arrays and
+    # checked as one cycle, so the number of checks does not grow with the
+    # number of pairs or cosets
+    calls = []
+    check = VertexSequence._set_arrays
+
+    def counted(self, arrays, field):
+        calls.append(len(arrays[0]))
+        return check(self, arrays, field)
+
+    monkeypatch.setattr(VertexSequence, "_set_arrays", counted)
+    counts = {}
+    for n, q in [(6, 2), (9, 2), (3, 3), (5, 3)]:
+        calls.clear()
+        c = universal_cycle(n, field_from_order(q))
+        assert calls[-1] == len(c)  # the finished cycle is checked last
+        counts[n, q] = len(calls)
+    assert counts[6, 2] == counts[9, 2]
+    assert counts[3, 3] == counts[5, 3]

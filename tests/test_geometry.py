@@ -199,6 +199,17 @@ def test_find_coplanar_triplet_rank_two(n, q):
     assert len(rref([d.vector for d in t], F)) == 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_find_coplanar_triplet_matches_full_scan(n, q):
+    # the scan stops at its third hit; the full scan keeps the first three
+    F = field_from_order(q)
+    dirs = enumerate_directions(n, F)
+    basis = rref([dirs[0].vector, dirs[1].vector], F)
+    full = [d for d in dirs if in_span(d.vector, basis, F) is not None]
+    assert find_coplanar_triplet(dirs, F) == tuple(full[:3])
+
+
 def test_pgl_normalizer_gf3_example():
     F = field_make(3)
     d1, d2, d3 = Direction((0, 1)), Direction((1, 0)), Direction((1, 2))
