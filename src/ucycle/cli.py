@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
 from .gf import Field, field_make, field_order
 from .cycles import (
     Cycle,
     cycle_from_json,
     cycle_from_text,
-    cycle_to_json,
-    cycle_to_text,
+    cycle_blocks,
+    file_text,
     occurs_cyclically,
 )
 from .constructions import plan_fibers, universal_cycle
@@ -51,14 +51,14 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(payload: str, out: str | None, summary: str | None = None) -> None:
-    """Write the payload to ``out``, or to stdout when there is none; the
-    summary line then goes to stdout, or to stderr beside the payload."""
+def _emit(payload: Iterable[str], out: str | None, summary: str | None = None) -> None:
+    """Write the payload's pieces to ``out``, or to stdout when there is none;
+    the summary line then goes to stdout, or to stderr beside the payload."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(payload)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
     if summary is not None:
         print(summary, file=sys.stdout if out else sys.stderr)
 
@@ -124,20 +124,21 @@ def cmd_gen(args) -> int:
     summary = (
         f"n={args.n} q={F.q} vertices={len(c)} windows={len(c)} directions={ndirs}"
     )
-    payload = cycle_to_json(c) if args.format == "json" else cycle_to_text(c)
-    _emit(payload, args.out, summary)
+    _emit(cycle_blocks(c, args.format), args.out, summary)
     return 0
 
 
 def _load_cycle(args) -> Cycle:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        c = cycle_from_json(text)
-    else:
-        if args.p is None:
+    with open(args.infile, "rb") as fh:
+        if fh.peek(1)[:1] == b"{":
+            # bound to no name here, so that cycle_from_json can drop the bytes once decoded
+            c = cycle_from_json(fh.read())
+        elif (text := file_text(fh.read())).lstrip().startswith("{"):
+            c = cycle_from_json(text)
+        elif args.p is None:
             raise ValueError("text cycle files need --p (and --k for extensions)")
-        c = cycle_from_text(text, field_make(args.p, args.k))
+        else:
+            c = cycle_from_text(text, field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
     if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):
@@ -186,7 +187,7 @@ def cmd_grassmann(args) -> int:
             if nested_ok is not None:
                 line += f" nesting(U_{mi - 1} in U_{mi})={nested_ok}"
             print(line, file=sys.stderr)
-    _emit('{"levels":[' + ",".join(level_texts) + f'],"q":{F.q}}}\n', args.out)
+    _emit(['{"levels":[' + ",".join(level_texts) + f'],"q":{F.q}}}\n'], args.out)
     return 0 if all_ok else 1
 
 

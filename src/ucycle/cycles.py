@@ -8,24 +8,26 @@ Both, and grassmann.GrassCycle, are immutable VertexSequences: one int64
 code array (plus, for cycles and segments, an at-infinity mask), checked
 once over the arrays, with the vertex tuple and the window multiset built
 lazily and cached.  Gluing, translation and linear maps work on the
-arrays.  ``cycle_to_json`` and ``cycle_to_text`` write straight from the
-arrays.  ``cycle_from_json`` reads the byte form ``gen`` writes directly,
-in one numpy pass checked by encoding it back, and falls back to
-``json.loads`` and the per-vertex loop of ``cycle_from_json_obj``
-otherwise.  ``cycle_from_text`` fills the arrays from the text's tokens in
-one step and falls back to a per-line loop only for input that does not
-convert (odd codes that ``int`` accepts, or a malformed line to name).
+arrays.  One generator, ``encode_blocks``, writes every text form from the
+arrays in blocks of BLOCK_ROWS rows.  ``cycle_from_json`` reads the bytes
+``gen`` writes with one translate and one numpy parse, checked block by
+block by encoding them back; other JSON goes to ``json.loads`` and the
+per-vertex loop of ``cycle_from_json_obj``.  ``cycle_from_text`` fills the
+arrays from the text's tokens in one step and falls back to a per-line loop
+only for input that does not convert (odd codes that ``int`` accepts, or a
+malformed line to name).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import warnings
 from collections import Counter, defaultdict
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -446,44 +448,34 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
 
 
 # -- serialization -----------------------------------------------------------
-#
-# The encoders write straight from a cycle's arrays: every output row is a
-# few strings looked up per code, joined once.
 
 SCHEMA_VERSION = 1
+BLOCK_ROWS = 2**16  # rows per block of the encoders and of verify's window walks
 
 
-def _join_rows(columns: Sequence[np.ndarray]) -> list[str]:
-    """The strings of the columns, row by row, as one flat list."""
-    table = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, col in enumerate(columns):
-        table[:, j] = col
-    return table.ravel().tolist()
+def row_blocks(count: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of BLOCK_ROWS rows out of ``count``."""
+    return ((s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
 
 
-def _json_rows(columns: Sequence[np.ndarray]) -> str:
-    """The rows joined, without the comma that ends the last one."""
-    rows = _join_rows(columns)
-    rows[-1] = rows[-1][:-1]
-    return "".join(rows)
-
-
-def _coord_columns(c: VertexSequence, first: str, sep: str, last: str) -> list[np.ndarray]:
-    """Each coordinate column as strings, one precomputed per field code:
-    ``first`` before the first code, ``sep`` between codes and ``last``
-    after the last one."""
-    n, q = c.n, c.field.q
-    return [
-        np.array(
-            [f"{first if j == 0 else ''}{x}{last if j == n - 1 else sep}" for x in range(q)],
-            dtype=object,
-        )[c.codes[:, j]]
-        for j in range(n)
-    ]
-
-
-def _kind_column(c: Cycle, affine: str, infinity: str) -> np.ndarray:
-    return np.array([affine, infinity], dtype=object)[c.at_infinity.view(np.uint8)]
+def encode_blocks(
+    c: VertexSequence, head: str, first: Sequence[str], sep: str, last: Sequence[str], tail: str
+) -> Iterator[str]:
+    """``head``, then the rows of ``c`` block by block.  A row is its codes
+    joined by ``sep`` between ``first[k]`` and ``last[k]``, for k the row's
+    at-infinity flag when two kinds are given, else 0; ``tail`` replaces the
+    last character of the last row, the separator between rows."""
+    n, q, kinds = c.n, c.field.q, len(first)
+    ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
+            for k in range(kinds) for j in range(n)]
+    table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
+    yield head
+    for start, stop in row_blocks(len(c)):
+        kind = c.at_infinity[start:stop, None] * (n * q) if kinds > 1 else 0
+        tokens = table[c.codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
+        if stop == len(c):
+            tokens[-1] = tokens[-1][:-1] + tail
+        yield "".join(tokens)
 
 
 def cycle_to_json_obj(c: Cycle) -> dict:
@@ -499,15 +491,19 @@ def cycle_to_json_obj(c: Cycle) -> dict:
     }
 
 
+def cycle_blocks(c: Cycle, fmt: str = "json") -> Iterator[str]:
+    """``cycle_to_json(c)``, or ``cycle_to_text(c)`` for fmt "text", in blocks."""
+    if fmt == "text":
+        return encode_blocks(c, "", ("A ", "I "), " ", ("\n", "\n"), "\n")
+    head = f'{{"n":{c.n},"q":{c.field.q},"schema_version":{SCHEMA_VERSION},"vertices":['
+    kinds = ('],"type":"affine"},', '],"type":"infinity"},')
+    return encode_blocks(c, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
+
+
 def cycle_to_json(c: Cycle) -> str:
     """``cycle_to_json_obj(c)`` as compact JSON with sorted keys and a final
     newline, written from the arrays."""
-    rows = _json_rows(
-        _coord_columns(c, '{"coords":[', ",", '],"type":"')
-        + [_kind_column(c, 'affine"},', 'infinity"},')]
-    )
-    head = f'{{"n":{c.n},"q":{c.field.q},"schema_version":{SCHEMA_VERSION},"vertices":['
-    return head + rows + "]}\n"
+    return "".join(cycle_blocks(c))
 
 
 def cycle_from_json_obj(obj: dict) -> Cycle:
@@ -534,44 +530,49 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
 
 
 _JSON_HEAD = re.compile(
-    rf'\{{"n":([0-9]+),"q":([0-9]+),"schema_version":{SCHEMA_VERSION},"vertices":\['
+    rb'\{"n":([0-9]+),"q":([0-9]+),"schema_version":%d,"vertices":\[' % SCHEMA_VERSION
 )
-_JSON_TAIL = "]}\n"
+_TO_NUMBERS = bytes.maketrans(b"ya", b"10"), bytes(set(range(256)) - set(b"0123456789,ya"))
 
 
-def _canonical_cycle(text: str) -> Cycle:
-    """The cycle that ``cycle_to_json`` writes as ``text``.
+def _canonical_cycle(data: bytes | str) -> Cycle:
+    """The cycle that ``cycle_to_json`` writes as ``data``.
 
-    The row strings are cut out and the codes, each followed by its row's
-    kind as 0 or 1, are read in one numpy pass.  Raises ValueError, or the
-    parse's warning, when the text is not such a cycle's bytes.
+    One translate keeps digits and commas, the y of "type" as 1 and the a of
+    "affine" as 0: the head reads n, q, 01 and each row its codes, then 10
+    (affine) or 11 (at infinity), all parsed in one numpy pass.  Raises
+    ValueError, or the parse's warning, when ``data`` is not such a cycle's
+    bytes, at the first block that encodes differently.
     """
-    head = _JSON_HEAD.match(text)
-    if head is None or not text.endswith(_JSON_TAIL):
+    data = data.encode("ascii") if isinstance(data, str) else data
+    head = _JSON_HEAD.match(data)
+    if head is None or not data.endswith(b"]}\n"):
         raise ValueError("not the canonical byte form")
     n, q = int(head[1]), int(head[2])
-    body = (
-        text[head.end() : -len(_JSON_TAIL)]
-        .replace('{"coords":[', "")
-        .replace('],"type":"affine"}', ",0")
-        .replace('],"type":"infinity"}', ",1")
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.fromstring(body, dtype=np.int64, sep=",")
-    # body and rows go before the re-encode, whose strings set the peak:
-    # ~150 B per vertex at AG(4,9) against ~200 B with them held
-    del body
-    rows = rows.reshape(-1, n + 1)
-    c = Cycle._from_arrays(field_from_order(q), rows[:, :n].copy(), rows[:, n] == 1)
+        rows = np.fromstring(data.translate(*_TO_NUMBERS), dtype=np.int64, sep=",")
+    rows = rows[3:].reshape(-1, n + 1)
+    c = Cycle._from_arrays(field_from_order(q), rows[:, :n].copy(), rows[:, n] == 11)
     del rows
-    if cycle_to_json(c) != text:
+    at = 0
+    for block in map(str.encode, cycle_blocks(c)):
+        if not data.startswith(block, at):
+            raise ValueError("not the canonical byte form")
+        at += len(block)
+    if at != len(data):
         raise ValueError("not the canonical byte form")
     return c
 
 
-def cycle_from_json(text: str) -> Cycle:
-    """The inverse of ``cycle_to_json``, for any JSON text of a cycle.
+def file_text(data: bytes) -> str:
+    """``data`` as a UTF-8 text file reads, newlines and errors alike."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def cycle_from_json(text: str | bytes) -> Cycle:
+    """The inverse of ``cycle_to_json``, for any JSON text of a cycle or a
+    file's bytes of one, which are read as ``file_text`` reads them.
 
     The byte form ``gen`` writes is read directly, and accepted only if it
     encodes back to the same bytes: the result is then the one ``json.loads``
@@ -582,6 +583,10 @@ def cycle_from_json(text: str) -> Cycle:
         return _canonical_cycle(text)
     except (ValueError, Warning):
         pass
+    if isinstance(text, bytes):
+        crlf, text = b"\r" in text, file_text(text)
+        if crlf:  # its line ends may be all that differed from gen's bytes
+            return cycle_from_json(text)
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -591,7 +596,7 @@ def cycle_from_json(text: str) -> Cycle:
 
 def cycle_to_text(c: Cycle) -> str:
     """One vertex per line: ``A c1 c2 ...`` or ``I c1 c2 ...`` integer codes."""
-    return "".join(_join_rows([_kind_column(c, "A ", "I ")] + _coord_columns(c, "", " ", "\n")))
+    return "".join(cycle_blocks(c, "text"))
 
 
 def _text_arrays(text: str, q: int) -> tuple[np.ndarray, np.ndarray] | None:

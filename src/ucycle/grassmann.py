@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf import Field, generator_powers, mulmod, smallest_irreducible
 from .geometry import AffineLine, DegenerateWindowError, Vector, rref
-from .cycles import Cycle, VertexSequence, _coord_columns, _json_rows, _row_hits, splice
+from .cycles import Cycle, VertexSequence, _row_hits, encode_blocks, splice
 from .constructions import universal_cycle
 
 
@@ -154,8 +154,8 @@ def grass_to_json_obj(gc: GrassCycle) -> dict:
 def grass_to_json(gc: GrassCycle) -> str:
     """``grass_to_json_obj(gc)`` as compact JSON with sorted keys and a final
     newline, written from the code array."""
-    rows = _json_rows(_coord_columns(gc, "[", ",", "],"))
-    return f'{{"m":{gc.m},"q":{gc.field.q},"vertices":[{rows}]}}\n'
+    head = f'{{"m":{gc.m},"q":{gc.field.q},"vertices":['
+    return "".join(encode_blocks(gc, head, ("[",), ",", ("],",), "]}\n"))
 
 
 def subspace_to_json_obj(s: Subspace2) -> dict:

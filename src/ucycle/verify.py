@@ -5,17 +5,16 @@ produce failing reports.  The targets are enumerated in closed form, with no
 code shared with the constructions: an affine line of AG(n,q) is a
 normalized direction together with the one point of the line whose
 coordinate at the direction's pivot is 0, and a plane of F_q^m is a rank-2
-RREF row pair.  Affine and Grassmann windows are each decoded in one
-vectorized pass to packed integer keys, straight from the cycle's code array
-(and at-infinity mask), so a passing check builds no per-vertex object:
-lines with the same closed form as ``geometry.line_from``, planes with the
-closed-form RREF of two rows.  ``verify_affine`` and ``verify_grassmann``
-decide exact cover on sorted int64 arrays (``_key_report``): the distinct
-window keys with their counts against the ascending target keys.  Only
-``verify_subset``, against an arbitrary target set, walks its windows one by
-one and compares a Counter of them with a set (``_build_report``).  The
-brute-force point-pair oracle lives in the test suite as the independent
-cross-check.
+RREF row pair.  One block walk decodes the windows, ``cycles.BLOCK_ROWS`` at
+a time, from the code array (and at-infinity mask) into one array of packed
+integer keys, so a passing check builds no per-vertex object: lines with the
+closed form of ``geometry.line_from``, planes with the closed-form RREF of two
+rows.  ``verify_affine`` and ``verify_grassmann`` decide exact cover on sorted
+int64 arrays (``_key_report``): the distinct window keys with their counts
+against the ascending target keys.  Only ``verify_subset``, against an
+arbitrary target set, walks its windows one by one and compares a Counter of
+them with a set (``_build_report``).  The brute-force point-pair oracle lives
+in the test suite as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .gf import Field
 from .geometry import AffineLine, Direction, ProjVertex, decode_window
-from .cycles import Cycle, Segment, occurs_cyclically, walk_windows
+from .cycles import Cycle, Segment, occurs_cyclically, row_blocks, walk_windows
 from .grassmann import GrassCycle, Subspace2, subspace_to_json_obj
 
 MAX_REPORT_ITEMS = 32
@@ -226,32 +225,50 @@ def _all_line_keys(n: int, F: Field) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _walk_keys(kind: str, F: Field, arrays: tuple, decode: Callable) -> tuple[np.ndarray, list]:
+    """Packed ``kind`` keys of a cyclic sequence's decodable windows, in
+    window order, and the indices of the degenerate ones.  ``decode`` takes
+    the arrays of a block's first vertices, then of its second ones, and
+    returns the two vectors of each window's key and the degenerate mask."""
+    N, dim = arrays[0].shape
+    radix = key_radix(kind, dim, F.q)
+    weights = F.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(N, dtype=np.int64)
+    degenerate, filled = [], 0
+    for start, stop in row_blocks(N):
+        nxt = np.arange(start + 1, stop + 1) % N
+        u, v, bad = decode(*(x[start:stop] for x in arrays), *(x[nxt] for x in arrays))
+        good = ((u @ weights) * radix + v @ weights)[~bad]
+        del u, v  # before the next block's decode
+        keys[filled : filled + len(good)] = good
+        filled += len(good)
+        degenerate += (np.flatnonzero(bad) + start).tolist()
+    return keys[:filled], degenerate
+
+
 def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
     """Packed line keys of a cycle's decodable windows, and the indices of
     the degenerate ones (two points at infinity, or one affine point twice).
 
-    The same closed form as ``geometry.line_from``, over all windows at
-    once: normalize the direction, then subtract base[piv]·d from the base.
+    The same closed form as ``geometry.line_from``: the direction is the
+    window's vertex at infinity, normalized since ``Cycle`` checks it, or
+    else b - a, normalized; then base[piv]·d is subtracted from the base.
     """
-    F, n = c.field, c.n
-    radix = key_radix("line", n, F.q)
-    ADD, MUL, NEG, INV = F.arrays
-    N = len(c)
-    inf, a = c.at_infinity, c.codes
-    b_inf = np.roll(inf, -1)
-    b = np.roll(a, -1, axis=0)
-    # the direction is the vertex at infinity if there is one, else b - a
-    d = np.where(inf[:, None], a, np.where(b_inf[:, None], b, ADD[b, NEG[a]]))
-    pt = np.where(inf[:, None], b, a)
-    rows = np.arange(N)
-    piv = np.argmax(d != 0, axis=1)
-    lead = d[rows, piv]
-    degenerate = (inf & b_inf) | (lead == 0)
-    d = MUL[d, INV[lead][:, None]]
-    base = ADD[pt, MUL[d, NEG[pt[rows, piv]][:, None]]]
-    weights = F.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = (d @ weights) * radix + base @ weights
-    return keys[~degenerate], np.flatnonzero(degenerate).tolist()
+    ADD, MUL, NEG, INV = c.field.arrays
+
+    def decode(a, a_inf, b, b_inf):
+        d, pt = np.where(a_inf[:, None], a, b), np.where(a_inf[:, None], b, a)
+        two = ~(a_inf | b_inf)
+        diff = ADD[b[two], NEG[a[two]]]
+        lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
+        d[two] = MUL[diff, INV[lead][:, None]]
+        bad = a_inf & b_inf
+        bad[two] = lead == 0
+        piv = np.argmax(d != 0, axis=1)
+        base = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
+        return d, base, bad
+
+    return _walk_keys("line", c.field, (c.codes, c.at_infinity), decode)
 
 
 def _unpack_line_key(key: int, n: int, F: Field) -> AffineLine:
@@ -349,31 +366,28 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     """Packed plane keys of a vector cycle's windows, and the indices of the
     degenerate ones (two proportional vectors, which span no plane).
 
-    The closed-form RREF of two rows, over all windows at once: pivot on the
-    first column where either vector is nonzero, with a row nonzero there
-    first; normalize that row and clear the column from the other, which is
-    then zero iff the window is degenerate.  Otherwise normalize the second
-    row at its own pivot and clear that column from the first.
+    The closed-form RREF of two rows: pivot on the first column where
+    either vector is nonzero, with a row nonzero there first; normalize that
+    row and clear the column from the other, which is then zero iff the
+    window is degenerate.  Otherwise normalize the second row at its own
+    pivot and clear that column from the first.
     """
-    F, m = gc.field, gc.m
-    radix = key_radix("plane", m, F.q)
-    ADD, MUL, NEG, INV = F.arrays
-    a = gc.codes
-    b = np.roll(a, -1, axis=0)
-    rows = np.arange(len(a))
-    p1 = np.argmax((a != 0) | (b != 0), axis=1)
-    swap = (a[rows, p1] == 0)[:, None]
-    r1, r2 = np.where(swap, b, a), np.where(swap, a, b)
-    r1 = MUL[r1, INV[r1[rows, p1]][:, None]]
-    r2 = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
-    p2 = np.argmax(r2 != 0, axis=1)
-    lead = r2[rows, p2]
-    degenerate = lead == 0
-    r2 = MUL[r2, INV[lead][:, None]]
-    r1 = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
-    weights = F.q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    keys = (r1 @ weights) * radix + r2 @ weights
-    return keys[~degenerate], np.flatnonzero(degenerate).tolist()
+    ADD, MUL, NEG, INV = gc.field.arrays
+
+    def decode(a, b):
+        rows = np.arange(len(a))
+        p1 = np.argmax((a != 0) | (b != 0), axis=1)
+        swap = (a[rows, p1] == 0)[:, None]
+        r1, r2 = np.where(swap, b, a), np.where(swap, a, b)
+        r1 = MUL[r1, INV[r1[rows, p1]][:, None]]
+        r2 = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
+        p2 = np.argmax(r2 != 0, axis=1)
+        lead = r2[rows, p2]
+        r2 = MUL[r2, INV[lead][:, None]]
+        r1 = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
+        return r1, r2, lead == 0
+
+    return _walk_keys("plane", gc.field, (gc.codes,), decode)
 
 
 def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace2:

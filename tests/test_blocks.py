@@ -1,0 +1,121 @@
+"""Block boundaries: with the block size patched down to a few rows, the
+encoders, the canonical decoder, the window-key walks and the reports give
+exactly the result of one block, wrap-around window and degenerate windows
+on block edges included."""
+
+import numpy as np
+import pytest
+
+from ucycle import cycles
+from ucycle.cycles import Cycle, cycle_blocks, cycle_from_json, cycle_to_json, cycle_to_text
+from ucycle.constructions import universal_cycle
+from ucycle.gf import field_from_order
+from ucycle.geometry import DegenerateWindowError, decode_window
+from ucycle.grassmann import GrassCycle, grass_to_json, nested_cycles, span2
+from ucycle.verify import (
+    _plane_keys,
+    _unpack_line_key,
+    _unpack_plane_key,
+    _window_keys,
+    all_2subspaces,
+    all_affine_lines,
+    verify_affine,
+    verify_grassmann,
+    verify_subset,
+)
+
+SIZES = [1, 3, 7]
+
+# the acceptance grid's cases with q^n <= 500, as (n, q)
+GRID = [(n, q) for n in (2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9) if q**n <= 500]
+
+
+def affine_outputs(c, n, F):
+    keys, degenerate = _window_keys(c)
+    report = verify_affine(c, n, F).to_json_obj()
+    return cycle_to_json(c), cycle_to_text(c), keys.tolist(), degenerate, report
+
+
+@pytest.mark.parametrize("n,q", GRID)
+def test_affine_blocks_match_one_block(monkeypatch, n, q):
+    F = field_from_order(q)
+    c = universal_cycle(n, F)
+    assert len(c) <= cycles.BLOCK_ROWS
+    whole = affine_outputs(c, n, F)
+    data = whole[0].encode()
+    for size in SIZES:
+        monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+        assert len(list(cycle_blocks(c))) == 1 + -(-len(c) // size)
+        assert affine_outputs(c, n, F) == whole
+        decoded = cycle_from_json(data)
+        assert np.array_equal(decoded.codes, c.codes)
+        assert np.array_equal(decoded.at_infinity, c.at_infinity)
+
+
+def grassmann_outputs(u, m, F):
+    keys, degenerate = _plane_keys(u)
+    return grass_to_json(u), keys.tolist(), degenerate, verify_grassmann(u, m, F).to_json_obj()
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (4, 3), (3, 4), (3, 5)])
+def test_grassmann_blocks_match_one_block(monkeypatch, m, q):
+    F = field_from_order(q)
+    levels = list(enumerate(nested_cycles(m, F), 3))
+    whole = [grassmann_outputs(u, mi, F) for mi, u in levels]
+    for size in SIZES:
+        monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+        assert [grassmann_outputs(u, mi, F) for mi, u in levels] == whole
+
+
+def decoded_windows(vs, decode):
+    """Each window's decoding in order, and the indices that do not decode."""
+    out, degenerate = [], []
+    for i in range(len(vs)):
+        try:
+            out.append(decode(vs[i], vs[(i + 1) % len(vs)]))
+        except DegenerateWindowError:
+            degenerate.append(i)
+    return out, degenerate
+
+
+def with_degenerate_edges(vs, size):
+    """vs with windows size-1 and size (the last of the first block and the
+    first of the second) and the wrap-around window made degenerate: the
+    second vertex of each repeats the first."""
+    vs = list(vs)
+    vs[0] = vs[-1]
+    for i in (size - 1, size):
+        vs[i + 1] = vs[i]
+    return vs
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_degenerate_line_windows_on_block_edges(monkeypatch, size):
+    n, F = 3, field_from_order(3)
+    vs = with_degenerate_edges(universal_cycle(n, F).vertices, size)
+    c = Cycle(vs, F)
+    lines, degenerate = decoded_windows(vs, lambda a, b: decode_window(a, b, F))
+    assert {size - 1, size, len(vs) - 1} <= set(degenerate)
+    reference = verify_subset(c, all_affine_lines(n, F)).to_json_obj()
+    monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+    keys, found = _window_keys(c)
+    assert found == degenerate
+    assert [_unpack_line_key(k, n, F) for k in keys.tolist()] == lines
+    assert verify_affine(c, n, F).to_json_obj() == reference
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_degenerate_plane_windows_on_block_edges(monkeypatch, size):
+    m, F = 4, field_from_order(3)
+    vs = with_degenerate_edges(nested_cycles(m, F)[-1].vertices, size)
+    gc = GrassCycle(vs, F)
+    planes, degenerate = decoded_windows(vs, lambda a, b: span2(a, b, F))
+    assert {size - 1, size, len(vs) - 1} <= set(degenerate)
+    expected = set(all_2subspaces(m, F))
+    monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+    keys, found = _plane_keys(gc)
+    assert found == degenerate
+    assert [_unpack_plane_key(k, m, F) for k in keys.tolist()] == planes
+    report = verify_grassmann(gc, m, F)
+    assert report.degenerate_windows == degenerate[: len(report.degenerate_windows)]
+    assert report.missing_total == len(expected - set(planes))

@@ -1,6 +1,7 @@
 """Command-line interface: round trips, exit codes, determinism."""
 
 import json
+import re
 import time
 
 import pytest
@@ -346,6 +347,47 @@ def test_verify_non_canonical_json_takes_json_loads(tmp_path, capsys, monkeypatc
     assert len(calls) == differs
 
 
+PASS_30 = "PASS 30/30 windows (missing=0 duplicated=0 unexpected=0 degenerate=0)"
+TEXT_FLAGS = ("--n", "2", "--p", "5")
+DECODE_ERROR = "error: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+# the AG(2,5) files of gen, JSON and text, changed so that reading them as a
+# UTF-8 text file matters: the CLI reads bytes, and each case must give the
+# exit code and stderr line that reading the file as text gave
+AS_TEXT = {
+    "utf8-bom": (lambda j, t: b"\xef\xbb\xbf" + j, (), 2,
+                 "error: text cycle files need --p (and --k for extensions)"),
+    "utf8-bom-text": (lambda j, t: b"\xef\xbb\xbf" + t, TEXT_FLAGS, 2,
+                      "error: line 1: expected A or I, got '\\ufeffA'"),
+    "invalid-utf8": (lambda j, t: j[:100] + b"\xff" + j[101:], (), 2, DECODE_ERROR.format(100)),
+    "invalid-utf8-first-byte": (lambda j, t: b"\xff" + j[1:], (), 2, DECODE_ERROR.format(0)),
+    "lone-cr-line-end": (lambda j, t: j[:-1] + b"\r", (), 0, PASS_30),
+    "lone-cr-text": (lambda j, t: t.replace(b"\n", b"\r"), TEXT_FLAGS, 0, PASS_30),
+    "nbsp-before-brace": (lambda j, t: "\u00a0".encode() + j, (), 2,
+                          "error: Expecting value: line 1 column 1 (char 0)"),
+    "text-format": (lambda j, t: t, TEXT_FLAGS, 0, PASS_30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AS_TEXT))
+def test_verify_reads_bytes_as_a_text_file(tmp_path, capsys, case):
+    j, t = tmp_path / "c.json", tmp_path / "c.txt"
+    for path, fmt in ((j, "json"), (t, "text")):
+        assert run(capsys, "gen", "--n", "2", "--p", "5", "--format", fmt, "--out", str(path))[0] == 0
+    change, flags, rc, line = AS_TEXT[case]
+    f = tmp_path / "changed"
+    f.write_bytes(change(j.read_bytes(), t.read_bytes()))
+    try:
+        text = f.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        with pytest.raises(UnicodeDecodeError, match=re.escape(str(e))):
+            cycles.file_text(f.read_bytes())
+    else:
+        assert cycles.file_text(f.read_bytes()) == text
+    got, _, err = run(capsys, "verify", "--in", str(f), *flags)
+    assert (got, err) == (rc, line + "\n")
+
+
 # one byte of the canonical AG(2,5) file changed in each field, or inserted
 ONE_BYTE = {
     "n": ('"n":2', '"n":3'),
@@ -372,3 +414,25 @@ def test_verify_one_byte_changed_matches_json_loads(tmp_path, capsys, monkeypatc
     expected = loads_route(monkeypatch, capsys, "verify", "--in", str(f))
     assert run(capsys, "verify", "--in", str(f)) == expected
     assert expected[0] in (1, 2) and expected[2].count("\n") == 1
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("where", ["last-byte", "first-byte-of-next"])
+@pytest.mark.parametrize("byte", [b" ", b"}"])
+def test_verify_one_byte_changed_at_a_block_edge_matches_json_loads(
+    tmp_path, capsys, monkeypatch, size, where, byte
+):
+    # the last byte of a row block is the "," between rows and the first
+    # byte of the next is the "{" of its first row; the translate keeps the
+    # one and drops the other, so only the blockwise re-encode sees the "{"
+    monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 5)
+    head, first, second = list(cycles.cycle_blocks(cycles.cycle_from_json(text)))[:3]
+    edge = len(head) + len(first) + len(second)
+    at = edge - 1 if where == "last-byte" else edge
+    assert text[at] == ("," if where == "last-byte" else "{")
+    f.write_bytes(text[:at].encode() + byte + text[at + 1 :].encode())
+    expected = loads_route(monkeypatch, capsys, "verify", "--in", str(f))
+    assert run(capsys, "verify", "--in", str(f)) == expected
+    assert expected[0] == 2 and expected[2].count("\n") == 1

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,3 +374,35 @@ def test_report_json_serializable():
     F2 = field_make(2)
     grep = verify_grassmann(singer_cycle(F2), 3, F2)
     json.dumps(grep.to_json_obj())
+
+
+# -- memory guards: bytes per window that the check allocates (tracemalloc) ----
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_affine_memory_per_window():
+    # 62 B/window measured at AG(10,2) (523,776 windows); the one-pass
+    # decode held (N, n) int64 temporaries and peaked at 426 B/window
+    F = field_make(2)
+    c = universal_cycle(10, F)
+    rep, peak = traced_peak(lambda: verify_affine(c, 10, F))
+    assert rep.passed
+    assert peak / len(c) <= 80
+
+
+def test_verify_grassmann_memory_per_window():
+    # 185 B/window measured at the m = 10, q = 2 top level (174,251 planes),
+    # most of it one block's temporaries; the one-pass decode peaked at 442
+    F = field_make(2)
+    top = nested_cycles(10, F)[-1]
+    rep, peak = traced_peak(lambda: verify_grassmann(top, 10, F))
+    assert rep.passed
+    assert peak / len(top) <= 220
