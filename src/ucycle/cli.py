@@ -130,15 +130,16 @@ def cmd_gen(args) -> int:
 
 def _load_cycle(args) -> Cycle:
     with open(args.infile, "rb") as fh:
-        if fh.peek(1)[:1] == b"{":
-            # bound to no name here, so that cycle_from_json can drop the bytes once decoded
-            c = cycle_from_json(fh.read())
-        elif (text := file_text(fh.read())).lstrip().startswith("{"):
-            c = cycle_from_json(text)
-        elif args.p is None:
-            raise ValueError("text cycle files need --p (and --k for extensions)")
-        else:
-            c = cycle_from_text(text, field_make(args.p, args.k))
+        data = fh.read()
+    # gen's files (ASCII, led by "{", "A" or "I") stay bytes; others open as text
+    if not (data.isascii() and data[:1] in b"{AI"):
+        data = file_text(data)
+    if data.lstrip()[:1] in ("{", b"{"):
+        c = cycle_from_json(data)
+    elif args.p is None:
+        raise ValueError("text cycle files need --p (and --k for extensions)")
+    else:
+        c = cycle_from_text(data, field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
     if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):

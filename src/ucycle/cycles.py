@@ -9,13 +9,10 @@ code array (plus, for cycles and segments, an at-infinity mask), checked
 once over the arrays, with the vertex tuple and the window multiset built
 lazily and cached.  Gluing, translation and linear maps work on the
 arrays.  One generator, ``encode_blocks``, writes every text form from the
-arrays in blocks of BLOCK_ROWS rows.  ``cycle_from_json`` reads the bytes
-``gen`` writes with one translate and one numpy parse, checked block by
-block by encoding them back; other JSON goes to ``json.loads`` and the
-per-vertex loop of ``cycle_from_json_obj``.  ``cycle_from_text`` fills the
-arrays from the text's tokens in one step and falls back to a per-line loop
-only for input that does not convert (odd codes that ``int`` accepts, or a
-malformed line to name).
+arrays in blocks of BLOCK_ROWS rows.  ``cycle_from_json`` and
+``cycle_from_text`` read gen's bytes in one translate and one numpy parse,
+checked by encoding them back block by block; any other input is read as a
+UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -420,6 +417,9 @@ def translate(c: Cycle, t: Sequence[int]) -> Cycle:
     t = tuple(t)
     if len(t) != c.n:
         raise ValueError(f"translation vector has dimension {len(t)}, cycle has {c.n}")
+    bad = [x for x in t if not 0 <= x < c.field.q]
+    if bad:
+        raise ValueError(f"translation vector entry {bad[0]} is outside [0, {c.field.q})")
     add = c.field.arrays[0]
     codes = add[c.codes, ~c.at_infinity[:, None] * np.array(t)]
     return Cycle._from_arrays(c.field, codes, c.at_infinity)
@@ -436,6 +436,9 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
     M = tuple(tuple(row) for row in M)
     if any(len(row) != c.n for row in M):
         raise ValueError("matrix column count must match the cycle dimension")
+    bad = [x for row in M for x in row if not 0 <= x < F.q]
+    if bad:
+        raise ValueError(f"matrix entry {bad[0]} is outside [0, {F.q})")
     if rank(M, F) != c.n:
         raise ValueError("matrix is singular (not injective)")
     _, mul, _, inv = F.arrays
@@ -532,31 +535,36 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
 _JSON_HEAD = re.compile(
     rb'\{"n":([0-9]+),"q":([0-9]+),"schema_version":%d,"vertices":\[' % SCHEMA_VERSION
 )
-_TO_NUMBERS = bytes.maketrans(b"ya", b"10"), bytes(set(range(256)) - set(b"0123456789,ya"))
+_TO_NUMBERS = {fmt: (bytes.maketrans(old, new), bytes(set(range(256)) - set(b"0123456789" + old)))
+               for fmt, old, new in (("json", b",ya", b",10"), ("text", b"AI \n", b"01,,"))}
 
 
-def _canonical_cycle(data: bytes | str) -> Cycle:
-    """The cycle that ``cycle_to_json`` writes as ``data``.
-
-    One translate keeps digits and commas, the y of "type" as 1 and the a of
-    "affine" as 0: the head reads n, q, 01 and each row its codes, then 10
-    (affine) or 11 (at infinity), all parsed in one numpy pass.  Raises
-    ValueError, or the parse's warning, when ``data`` is not such a cycle's
-    bytes, at the first block that encodes differently.
-    """
+def _canonical_cycle(data: bytes | str, field: Field | None = None) -> Cycle:
+    """The cycle that ``cycle_to_json``, or given its field ``cycle_to_text``,
+    writes as ``data``.  One translate keeps the digits and turns separators
+    into commas for one numpy pass: a JSON row reads its codes, then 10
+    (affine: the y of "type", the a of "affine") or 11, after the head's n,
+    q and 01; a text row reads 0 (A) or 1 (I), then its codes, n being the
+    spaces on its first line.  Raises ValueError, or the parse's warning, at
+    the first block that encodes differently."""
     data = data.encode("ascii") if isinstance(data, str) else data
-    head = _JSON_HEAD.match(data)
-    if head is None or not data.endswith(b"]}\n"):
-        raise ValueError("not the canonical byte form")
-    n, q = int(head[1]), int(head[2])
+    fmt, skip, kind, inf = ("json", 3, -1, 11) if field is None else ("text", 0, 0, 1)
+    if field is None:
+        head = _JSON_HEAD.match(data)
+        if head is None or not data.endswith(b"]}\n"):
+            raise ValueError("not the canonical byte form")
+        n, field = int(head[1]), field_from_order(int(head[2]))
+    else:
+        n = data.count(b" ", 0, data.find(b"\n"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.fromstring(data.translate(*_TO_NUMBERS), dtype=np.int64, sep=",")
-    rows = rows[3:].reshape(-1, n + 1)
-    c = Cycle._from_arrays(field_from_order(q), rows[:, :n].copy(), rows[:, n] == 11)
-    del rows
+        rows = np.fromstring(data.translate(*_TO_NUMBERS[fmt]), dtype=np.int64, sep=",")
+    rows = rows[skip:].reshape(-1, n + 1)
+    arrays = np.delete(rows, kind, axis=1), rows[:, kind] == inf
+    del rows  # before the checks of _from_arrays and their temporaries
+    c = Cycle._from_arrays(field, *arrays)
     at = 0
-    for block in map(str.encode, cycle_blocks(c)):
+    for block in map(str.encode, cycle_blocks(c, fmt)):
         if not data.startswith(block, at):
             raise ValueError("not the canonical byte form")
         at += len(block)
@@ -570,28 +578,31 @@ def file_text(data: bytes) -> str:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def cycle_from_json(text: str | bytes) -> Cycle:
-    """The inverse of ``cycle_to_json``, for any JSON text of a cycle or a
-    file's bytes of one, which are read as ``file_text`` reads them.
-
-    The byte form ``gen`` writes is read directly, and accepted only if it
-    encodes back to the same bytes: the result is then the one ``json.loads``
-    and ``cycle_from_json_obj`` give.  Any other text, or a refusal, goes
-    that way, which words the error.
-    """
+def _decode(data: bytes | str, field: Field | None) -> Cycle:
+    """The cycle in JSON (no ``field``) or text, or in a file's bytes read as
+    ``file_text`` reads them: gen's bytes by ``_canonical_cycle``, anything
+    else by the format's general route, which words every refusal:
+    ``json.loads`` and ``cycle_from_json_obj``, or ``_cycle_from_lines``."""
     try:
-        return _canonical_cycle(text)
+        return _canonical_cycle(data, field)
     except (ValueError, Warning):
         pass
-    if isinstance(text, bytes):
-        crlf, text = b"\r" in text, file_text(text)
+    if isinstance(data, bytes):
+        crlf, data = b"\r" in data, file_text(data)
         if crlf:  # its line ends may be all that differed from gen's bytes
-            return cycle_from_json(text)
+            return _decode(data, field)
+    if field is not None:
+        return _cycle_from_lines(data, field)
     try:
-        obj = json.loads(text)
+        obj = json.loads(data)
     except RecursionError:
         raise ValueError("cycle JSON is nested too deeply") from None
     return cycle_from_json_obj(obj)
+
+
+def cycle_from_json(text: str | bytes) -> Cycle:
+    """The inverse of ``cycle_to_json``, for JSON text or a file's bytes."""
+    return _decode(text, None)
 
 
 def cycle_to_text(c: Cycle) -> str:
@@ -599,40 +610,13 @@ def cycle_to_text(c: Cycle) -> str:
     return "".join(cycle_blocks(c, "text"))
 
 
-def _text_arrays(text: str, q: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(codes, at_infinity) when the text is ASCII with newline line ends
-    only and every line but comments starts with ``A`` or ``I``, then the
-    same number n >= 1 of codes, each written as ``str`` writes a code below
-    q; else None."""
-    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
-        return None
-    if "#" in text:
-        text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
-    body = "\n" + text.strip()
-    rows = body.count("\n")
-    tokens = body.split()
-    w = len(tokens) // rows
-    # codes are digits, so when each line starts with a kind and every w-th
-    # token is one, each line holds w tokens
-    if w < 2 or len(tokens) != w * rows or body.count("\nA") + body.count("\nI") != rows:
-        return None
-    kinds = tokens[::w]
-    del tokens[::w]
-    code = {str(x): x for x in range(q)}
-    if not {"A", "I"}.issuperset(kinds):
-        return None
-    try:
-        codes = np.array(list(map(code.__getitem__, tokens)), dtype=np.int64)
-    except KeyError:
-        return None
-    return codes.reshape(rows, w - 1), np.fromiter(map("I".__eq__, kinds), dtype=bool, count=rows)
+def cycle_from_text(text: str | bytes, field: Field) -> Cycle:
+    """The inverse of ``cycle_to_text`` over ``field``, for text or a file's bytes."""
+    return _decode(text, field)
 
 
-def cycle_from_text(text: str, field: Field) -> Cycle:
-    arrays = _text_arrays(text, field.q)
-    if arrays is not None:
-        return Cycle._from_arrays(field, *arrays)
-    # anything else: codes that int() accepts, or a line to word the error for
+def _cycle_from_lines(text: str, field: Field) -> Cycle:
+    """One vertex per line; blank lines and ``#`` comments are skipped."""
     verts = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

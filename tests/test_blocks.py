@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ucycle import cycles
-from ucycle.cycles import Cycle, cycle_blocks, cycle_from_json, cycle_to_json, cycle_to_text
+from ucycle.cycles import (
+    Cycle, cycle_blocks, cycle_from_json, cycle_from_text, cycle_to_json, cycle_to_text,
+)
 from ucycle.constructions import universal_cycle
 from ucycle.gf import field_from_order
 from ucycle.geometry import DegenerateWindowError, decode_window
@@ -23,6 +25,7 @@ from ucycle.verify import (
     verify_grassmann,
     verify_subset,
 )
+from test_cycles import decode_outcome, reference_from_text
 
 SIZES = [1, 3, 7]
 
@@ -42,14 +45,23 @@ def test_affine_blocks_match_one_block(monkeypatch, n, q):
     c = universal_cycle(n, F)
     assert len(c) <= cycles.BLOCK_ROWS
     whole = affine_outputs(c, n, F)
-    data = whole[0].encode()
+    data, text = whole[0].encode(), whole[1].encode()
     for size in SIZES:
         monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
         assert len(list(cycle_blocks(c))) == 1 + -(-len(c) // size)
         assert affine_outputs(c, n, F) == whole
-        decoded = cycle_from_json(data)
-        assert np.array_equal(decoded.codes, c.codes)
-        assert np.array_equal(decoded.at_infinity, c.at_infinity)
+        for decoded in (cycle_from_json(data), cycle_from_text(text, F)):
+            assert np.array_equal(decoded.codes, c.codes)
+            assert np.array_equal(decoded.at_infinity, c.at_infinity)
+        # the last byte of the first row block is its "\n", the first byte of
+        # the next the kind of its first row: with either changed, the text
+        # decodes as the line loop reads it
+        edge = len("".join(list(cycle_blocks(c, "text"))[:2]))
+        for at in (edge - 1, edge):
+            for byte in {b" ", b"#", b"A", b"I"} - {text[at : at + 1]}:
+                changed = text[:at] + byte + text[at + 1 :]
+                want = decode_outcome(reference_from_text, changed.decode(), F)
+                assert decode_outcome(cycle_from_text, changed, F) == want
 
 
 def grassmann_outputs(u, m, F):

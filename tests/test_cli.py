@@ -263,7 +263,7 @@ def refuse_loads(text):
     raise LoadsCalled("json.loads reached")
 
 
-def not_canonical(text):
+def not_canonical(data, field=None):
     raise ValueError("not the canonical byte form")
 
 

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from ucycle import cycles
 from ucycle.cli import _dumps
-from ucycle.gf import field_make
+from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import DegenerateWindowError, Direction, ProjVertex, affine, infinity
 from ucycle.cycles import (
     Cycle,
@@ -23,6 +24,7 @@ from ucycle.cycles import (
     cycle_to_json_obj,
     cycle_to_text,
     equal_up_to_rotation,
+    file_text,
     glue_cycles,
     glue_segments,
     is_transversal,
@@ -264,6 +266,23 @@ def test_map_linear_rejects_singular():
         map_linear(c, ((1, 1), (1, 1)))
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1)])
+def test_translate_and_map_linear_refuse_codes_outside_the_field(p, k):
+    # over GF(4), -1 = 1 in characteristic 2, yet a gather would read -1 as
+    # code q - 1; and q itself would index past the tables
+    F = field_make(p, k)
+    c = universal_cycle(2, F)
+    for bad in (-1, F.q, 2**70):
+        with pytest.raises(ValueError, match=rf"^translation vector entry {bad} is outside \[0, {F.q}\)$"):
+            translate(c, (bad, 0))
+        for M in (((1, bad), (0, 1)), ((bad, 0), (0, 1))):
+            with pytest.raises(ValueError, match=rf"^matrix entry {bad} is outside \[0, {F.q}\)$"):
+                map_linear(c, M)
+    # the largest code is still a translation and an entry
+    assert is_valid(translate(c, (F.q - 1, 0)))
+    assert is_valid(map_linear(c, ((1, F.q - 1), (0, 1))))
+
+
 def test_map_linear_random_invertible_preserves_validity():
     F = field_make(3)
     from ucycle.geometry import rank
@@ -386,18 +405,32 @@ def assert_same_arrays(a, b):
 
 def test_canonical_decode_is_linear_in_memory():
     # json.loads plus cycle_from_json_obj peak at ~418 B per line on this
-    # text.  Measured: 136 B per line from the text, which is encoded to
-    # bytes first, and 98 from the file's bytes, as the CLI reads them.
-    text = cycle_to_json(universal_cycle(4, field_make(3, 2)))
-    for source, bound in ((text, 160), (text.encode(), 120)):
+    # text.  Measured: 111 B per line from the text, which is encoded to
+    # bytes first, and 73 from the file's bytes, as the CLI reads them; 73
+    # also from the bytes of the text format.
+    F = field_make(3, 2)
+    c = universal_cycle(4, F)
+    text = cycle_to_json(c)
+    cases = [(cycle_from_json, text, 135), (cycle_from_json, text.encode(), 90),
+             (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 90)]
+    for decode, source, bound in cases:
         tracemalloc.start()
         try:
-            c = cycle_from_json(source)
+            c = decode(source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(c) == 597_780
         assert peak / len(c) <= bound
+
+
+def test_canonical_decode_refuses_bytes_past_the_encoding():
+    # the translate drops these bytes, so only the length check refuses them
+    F = field_make(3)
+    c = universal_cycle(2, F)
+    for data, field in ((cycle_to_json(c) + "x]}\n", None), (cycle_to_text(c) + "x", F)):
+        with pytest.raises(ValueError, match="^not the canonical byte form$"):
+            _canonical_cycle(data.encode(), field)
 
 
 def test_a_parse_warning_takes_the_fallback(monkeypatch):
@@ -508,7 +541,7 @@ def test_decoder_words_the_first_failing_vertex():
         assert str(err.value) == message
 
 
-# -- text decoding: one pass over well-formed files, the line loop otherwise --
+# -- text decoding: one pass over gen's bytes, the line loop otherwise --------
 
 
 def reference_from_text(text, F):
@@ -561,6 +594,7 @@ TEXT_CASES = [
     PLAIN_22.replace("A 1 0\n", "A 1\n0\n"),
     PLAIN_22.replace("A 1 0\n", "A 1 0 0\n"),  # one vertex of another dimension
     PLAIN_22.replace("I 1 1\n", "I 0 0\n"),  # infinity vector not normalized
+    PLAIN_22 + "x",  # a byte past gen's text that the one-pass translate drops
     "A\nI\n",
     "A 0 0\n",
     "",
@@ -572,6 +606,10 @@ TEXT_CASES = [
 def test_text_decoder_matches_the_line_loop(text):
     F = field_make(2)
     assert decode_outcome(cycle_from_text, text, F) == decode_outcome(reference_from_text, text, F)
+    # and from a file's bytes, read as a text file reads them
+    data = text.encode()
+    want = decode_outcome(reference_from_text, file_text(data), F)
+    assert decode_outcome(cycle_from_text, data, F) == want
 
 
 def test_text_decoder_reads_odd_codes_as_int_does():
@@ -590,12 +628,20 @@ def test_text_decoder_matches_the_line_loop_on_grid_cycles(n, p, k):
     assert decode_outcome(cycle_from_text, text, F) == decode_outcome(reference_from_text, text, F)
 
 
-def test_text_one_pass_reads_well_formed_files():
-    from ucycle.cycles import _text_arrays
+def refuse_lines(text, field):
+    raise AssertionError("the per-line loop reached")
 
-    for text in TEXT_CASES[:3] + [PLAIN_22.replace(" ", "\t  ")]:
-        codes, at_infinity = _text_arrays(text, 2)
-        assert codes.tolist() == [[0, 0], [1, 0], [1, 1], [1, 1], [1, 0], [0, 1]]
-        assert at_infinity.tolist() == [False, True] * 3
-    for code in ("+1", "01", "1_0", "١"):
-        assert _text_arrays(PLAIN_22.replace(" 1 1\n", f" {code} 1\n"), 2) is None
+
+def test_gen_text_files_decode_in_one_pass(monkeypatch):
+    # every acceptance-grid case: gen's bytes, and a CRLF copy of them, never
+    # reach the per-line loop
+    monkeypatch.setattr(cycles, "_cycle_from_lines", refuse_lines)
+    for n in (2, 3, 4):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            F = field_from_order(q)
+            c = universal_cycle(n, F)
+            data = cycle_to_text(c).encode()
+            for source in (data, data.replace(b"\n", b"\r\n")):
+                assert_same_arrays(cycle_from_text(source, F), c)
+    with pytest.raises(AssertionError, match="per-line loop"):
+        cycle_from_text(b"# a comment\n" + data, F)
