@@ -9,7 +9,6 @@ output for exact cover against a closed-form enumeration of its targets.
 from .gf import (
     Field,
     FieldElement,
-    FieldMismatchError,
     field_from_order,
     field_make,
     multiplicative_order,

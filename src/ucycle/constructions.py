@@ -223,9 +223,9 @@ def triple_fiber_cycle(
     the three standard directions, the base cycle is carried back through the
     inverse chart, and the result is lifted from the plane to F_q^n.
     """
-    iso = pgl_normalizer(d1, d2, d3, F)
-    mapped = map_linear(triple_base_cycle(F), iso.matrix)
-    return mapped if n == 2 else lift_cycle(mapped, Subspace(rref([iso.w1, iso.w2], F)), n)
+    w1, w2 = pgl_normalizer(d1, d2, d3, F)
+    mapped = map_linear(triple_base_cycle(F), tuple(zip(w1, w2)))
+    return mapped if n == 2 else lift_cycle(mapped, Subspace(rref([w1, w2], F)), n)
 
 
 def plan_fibers(n: int, F: Field) -> FiberPlan:

@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,21 +143,6 @@ def rref(rows: Iterable[Vector], F: Field) -> tuple[Vector, ...]:
 
 def rank(rows: Iterable[Vector], F: Field) -> int:
     return len(rref(rows, F))
-
-
-def in_span(v: Vector, basis: Sequence[Vector], F: Field) -> Optional[tuple[int, ...]]:
-    """Coefficients of v against an RREF basis, or None if outside the span."""
-    res = list(v)
-    coeffs = []
-    for row in basis:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        c = res[piv]
-        coeffs.append(c)
-        if c != 0:
-            res = [F.sub(x, F.mul(c, y)) for x, y in zip(res, row)]
-    if any(res):
-        return None
-    return tuple(coeffs)
 
 
 def solve2(u: Vector, v: Vector, target: Vector, F: Field) -> tuple[int, int]:
@@ -306,42 +291,19 @@ def find_coplanar_triplet(
 ) -> tuple[Direction, Direction, Direction]:
     """First three directions (in the given order) inside the span of the first two."""
     basis = rref([dirs[0].vector, dirs[1].vector], F)
-    coplanar = (d for d in dirs if in_span(d.vector, basis, F) is not None)
+    coplanar = (d for d in dirs if rank(basis + (d.vector,), F) == 2)
     picked = tuple(itertools.islice(coplanar, 3))
     if len(picked) < 3:
         raise ValueError("no coplanar triplet available (need q + 1 >= 3)")
     return picked
 
 
-class PlaneIso:
-    """Coordinate chart on a plane V' = span{d1,d2,d3} of F_q^n.
-
-    Maps the plane onto F_q^2 so that d1, d2, d3 become the directions of
-    (0,1), (1,0), (1,1) respectively.  ``matrix`` is the n x 2 matrix of the
-    inverse chart: (x, y) in the standard plane maps to x*w1 + y*w2 in V'.
-    """
-
-    __slots__ = ("w1", "w2", "field")
-
-    def __init__(self, w1: Vector, w2: Vector, F: Field):
-        self.w1 = w1
-        self.w2 = w2
-        self.field = F
-
-    @property
-    def matrix(self) -> tuple[Vector, ...]:
-        return tuple((a, b) for a, b in zip(self.w1, self.w2))
-
-    def from_plane(self, xy: Vector) -> Vector:
-        F = self.field
-        return vadd(vscale(xy[0], self.w1, F), vscale(xy[1], self.w2, F), F)
-
-    def to_plane(self, v: Vector) -> Vector:
-        return solve2(self.w1, self.w2, v, self.field)
-
-
-def pgl_normalizer(d1: Direction, d2: Direction, d3: Direction, F: Field) -> PlaneIso:
-    """Chart sending d1, d2, d3 to the directions of (0,1), (1,0), (1,1).
+def pgl_normalizer(
+    d1: Direction, d2: Direction, d3: Direction, F: Field
+) -> tuple[Vector, Vector]:
+    """The columns (w1, w2) of the inverse chart of the plane span{d1,d2,d3}
+    of F_q^n: (x, y) in F_q^2 maps to x*w1 + y*w2, so that the directions of
+    (0,1), (1,0), (1,1) map to d1, d2, d3.
 
     Basis construction: take v1 from d2 and v2 from d1 (so they map to (1,0)
     and (0,1)), write d3 = a*v1 + b*v2 and rescale the basis to (a*v1, b*v2).
@@ -354,4 +316,4 @@ def pgl_normalizer(d1: Direction, d2: Direction, d3: Direction, F: Field) -> Pla
     a, b = solve2(v1, v2, d3.vector, F)
     if a == 0 or b == 0:
         raise AssertionError("coplanar triple produced a zero coefficient")
-    return PlaneIso(vscale(a, v1, F), vscale(b, v2, F), F)
+    return vscale(a, v1, F), vscale(b, v2, F)

@@ -23,31 +23,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 DEFAULT_MAX_Q = 512
 MAX_Q_ENV = "UCYCLE_MAX_Q"
-
-
-class FieldMismatchError(ValueError):
-    """Operands belong to two different fields."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -64,8 +45,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
 def _max_q() -> int:
-    return int(os.environ.get(MAX_Q_ENV, DEFAULT_MAX_Q))
+    """The order bound: UCYCLE_MAX_Q when set, a base-10 integer >= 2."""
+    raw = os.environ.get(MAX_Q_ENV)
+    if raw is None:
+        return DEFAULT_MAX_Q
+    try:
+        bound = int(raw)
+    except ValueError:
+        pass
+    else:
+        if bound >= 2:
+            return bound
+    raise ValueError(f"{MAX_Q_ENV} must be an integer >= 2, got {raw!r}")
 
 
 # -- polynomials over a coefficient field K ----------------------------------
@@ -195,8 +191,7 @@ class Field:
     ``arrays`` holds the tables as int64 numpy arrays (add, mul, neg, inv),
     for vectorized callers.  The code-level methods (add, sub, mul, neg,
     inv) read single entries of the same arrays and return plain ints; they
-    are what the geometry layer uses.  ``element`` wraps a code into a
-    FieldElement for operator syntax.
+    are what the geometry layer uses.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "arrays")
@@ -241,12 +236,6 @@ class Field:
             out.append(r)
         return tuple(out)
 
-    def code(self, coeffs) -> int:
-        out = 0
-        for c in reversed(tuple(coeffs)):
-            out = out * self.p + c % self.p
-        return out
-
     # -- code-level arithmetic ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -266,23 +255,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         return self.arrays[3].item(a)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return _power(a, e, self.mul, 1)
-
     # -- elements --------------------------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
-        return FieldElement(self, code)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     def elements(self) -> list["FieldElement"]:
         """All q elements, ordered by integer code (0 first)."""
@@ -304,93 +277,16 @@ class Field:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def to_json_obj(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
+class FieldElement(NamedTuple):
+    """Element of a Field, identified by its integer code."""
 
-class FieldElement:
-    """Immutable element of a Field, stored as its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
+    field: Field
+    code: int
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.field.coeffs(self.code)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixing elements of {self.field!r} and {other.field!r}"
-                )
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return None
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(b, self.code))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, b))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(b)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __int__(self):
-        return self.code
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.code}, {self.field!r})"
 
 
 def field_make(p: int, k: int = 1) -> Field:

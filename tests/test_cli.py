@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from ucycle import cycles
+from ucycle import cli, cycles
 from ucycle.cli import _dumps, main
-from ucycle.gf import Field
+from ucycle.gf import Field, field_make
+from ucycle.grassmann import GrassCycle, nested_cycles
 
 
 def run(capsys, *argv):
@@ -210,6 +211,17 @@ def test_grassmann_command(tmp_path, capsys):
     assert "nesting" in err
 
 
+def test_grassmann_failing_level_exits_1(capsys, monkeypatch):
+    # U_4 over GF(2) with its first vertex deleted no longer covers G(2,4)
+    levels = nested_cycles(4, field_make(2))
+    broken = levels[:-1] + [GrassCycle(levels[-1].vertices[1:], levels[-1].field)]
+    monkeypatch.setattr(cli, "nested_cycles", lambda m, F: broken)
+    rc, out, err = run(capsys, "grassmann", "--m", "4", "--p", "2", "--nested")
+    assert rc == 1
+    assert json.loads(out)["levels"][-1]["verification"]["passed"] is False
+    assert "FAIL" in next(line for line in err.splitlines() if line.startswith("U_4"))
+
+
 def test_grassmann_rejects_small_m(capsys):
     assert run(capsys, "grassmann", "--m", "2", "--p", "2")[0] == 2
 
@@ -234,6 +246,14 @@ def test_order_bound_env_var(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "gen", "--n", "2", "--p", "5")
     assert rc == 2
     assert "bound" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "", "-1", "1"])
+def test_malformed_order_bound_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("UCYCLE_MAX_Q", value)
+    rc, out, err = run(capsys, "gen", "--n", "2", "--p", "2")
+    assert (rc, out) == (2, "")
+    assert err == f"error: UCYCLE_MAX_Q must be an integer >= 2, got {value!r}\n"
 
 
 def test_unknown_command_exits_2(capsys):

@@ -487,9 +487,9 @@ def test_every_ordered_pair_matches_reference(n, q):
 def test_lift_matches_per_coset_reference(n, q):
     F = field_from_order(q)
     # AG(4,3) has an even direction count, so its plan has no triplet
-    iso = pgl_normalizer(*find_coplanar_triplet(enumerate_directions(n, F), F), F)
-    mapped = map_linear(triple_base_cycle(F), iso.matrix)
-    U = Subspace(rref([iso.w1, iso.w2], F))
+    w1, w2 = pgl_normalizer(*find_coplanar_triplet(enumerate_directions(n, F), F), F)
+    mapped = map_linear(triple_base_cycle(F), tuple(zip(w1, w2)))
+    U = Subspace(rref([w1, w2], F))
     assert_same_arrays(lift_cycle(mapped, U, n), ref_lift_cycle(mapped, U, n))
 
 

@@ -19,15 +19,16 @@ from ucycle.geometry import (
     fiber,
     find_coplanar_triplet,
     hyperplane_points,
-    in_span,
     infinity,
     line_from,
     line_points,
     line_through,
     normalize_direction,
     pgl_normalizer,
+    rank,
     rref,
     solve2,
+    vadd,
     vdot,
     vscale,
 )
@@ -205,26 +206,17 @@ def test_find_coplanar_triplet_matches_full_scan(n, q):
     # the scan stops at its third hit; the full scan keeps the first three
     F = field_from_order(q)
     dirs = enumerate_directions(n, F)
-    basis = rref([dirs[0].vector, dirs[1].vector], F)
-    full = [d for d in dirs if in_span(d.vector, basis, F) is not None]
+    full = [d for d in dirs if rank([dirs[0].vector, dirs[1].vector, d.vector], F) == 2]
     assert find_coplanar_triplet(dirs, F) == tuple(full[:3])
 
 
 def test_pgl_normalizer_gf3_example():
     F = field_make(3)
     d1, d2, d3 = Direction((0, 1)), Direction((1, 0)), Direction((1, 2))
-    iso = pgl_normalizer(d1, d2, d3, F)
-    assert normalize_direction(iso.to_plane(d1.vector), F) == Direction((0, 1))
-    assert normalize_direction(iso.to_plane(d2.vector), F) == Direction((1, 0))
-    assert iso.to_plane(d3.vector) == (1, 1)
-
-
-def test_pgl_normalizer_standard_triple_identity_up_to_scale():
-    F = field_from_order(4)
-    d1, d2, d3 = Direction((0, 1)), Direction((1, 0)), Direction((1, 1))
-    iso = pgl_normalizer(d1, d2, d3, F)
-    for xy in itertools.product(range(4), repeat=2):
-        assert iso.to_plane(iso.from_plane(xy)) == xy
+    w1, w2 = pgl_normalizer(d1, d2, d3, F)
+    assert normalize_direction(solve2(w1, w2, d1.vector, F), F) == Direction((0, 1))
+    assert normalize_direction(solve2(w1, w2, d2.vector, F), F) == Direction((1, 0))
+    assert solve2(w1, w2, d3.vector, F) == (1, 1)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 3), (3, 5)])
@@ -234,16 +226,16 @@ def test_pgl_normalizer_random_coplanar_triples(n, q):
     dirs = enumerate_directions(n, F)
     for _ in range(15):
         d1, d2 = rng.sample(dirs, 2)
-        basis = rref([d1.vector, d2.vector], F)
-        plane_dirs = [d for d in dirs if in_span(d.vector, basis, F) is not None]
+        plane_dirs = [d for d in dirs if rank([d1.vector, d2.vector, d.vector], F) == 2]
         d3 = rng.choice([d for d in plane_dirs if d not in (d1, d2)])
-        iso = pgl_normalizer(d1, d2, d3, F)
-        assert normalize_direction(iso.to_plane(d1.vector), F) == Direction((0, 1))
-        assert normalize_direction(iso.to_plane(d2.vector), F) == Direction((1, 0))
-        assert normalize_direction(iso.to_plane(d3.vector), F) == Direction((1, 1))
+        w1, w2 = pgl_normalizer(d1, d2, d3, F)
+        assert normalize_direction(solve2(w1, w2, d1.vector, F), F) == Direction((0, 1))
+        assert normalize_direction(solve2(w1, w2, d2.vector, F), F) == Direction((1, 0))
+        assert normalize_direction(solve2(w1, w2, d3.vector, F), F) == Direction((1, 1))
         # chart and inverse chart compose to the identity on the plane
-        for xy in [(1, 0), (0, 1), (1, 1), (1, q - 1)]:
-            assert iso.to_plane(iso.from_plane(xy)) == xy
+        for x, y in [(1, 0), (0, 1), (1, 1), (1, q - 1)]:
+            v = vadd(vscale(x, w1, F), vscale(y, w2, F), F)
+            assert solve2(w1, w2, v, F) == (x, y)
 
 
 def test_pgl_normalizer_rejects_bad_input():
@@ -259,9 +251,9 @@ def test_solve2_and_in_span():
     F = field_make(3)
     a, b = solve2((1, 0), (0, 1), (1, 2), F)
     assert (a, b) == (1, 2)
-    basis = rref([(1, 0, 1), (0, 1, 1)], F)
-    assert in_span((1, 1, 2), basis, F) is not None
-    assert in_span((0, 0, 1), basis, F) is None
+    basis = [(1, 0, 1), (0, 1, 1)]
+    assert rank(basis + [(1, 1, 2)], F) == 2
+    assert rank(basis + [(0, 0, 1)], F) == 3
 
 
 def test_all_points_lexicographic():
