@@ -37,14 +37,10 @@ from .cycles import (
     Cycle,
     GluingError,
     Segment,
-    equal_up_to_rotation,
     glue_cycles,
     glue_segments,
-    is_transversal,
-    is_valid,
     map_linear,
     rotate,
-    same_windows,
     translate,
 )
 from .constructions import (

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (verification passed where applicable), 1 a
 verification failed, 2 invalid parameters, unreadable/malformed input, more
-than 2^24 lines or planes, or an unwritable output file.
+than 2^24 lines or planes, an unwritable output file, or memory exhausted.
 Output is byte-identical across runs for identical flags.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterable
 
@@ -224,6 +225,14 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's allocation failures subclass it
+        if args.command == "verify":
+            given = f"{args.infile} ({os.path.getsize(args.infile)} bytes)"
+        else:
+            dim = "m" if args.command == "grassmann" else "n"
+            given = f"{dim}={getattr(args, dim)} q={args.p}^{args.k}"
+        print(f"error: {args.command} ran out of memory on {given}", file=sys.stderr)
         return 2
 
 

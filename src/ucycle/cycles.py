@@ -6,13 +6,14 @@ consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints.
 Both, and grassmann.GrassCycle, are immutable VertexSequences: one int64
 code array (plus, for cycles and segments, an at-infinity mask), checked
-once over the arrays, with the vertex tuple and the window multiset built
-lazily and cached.  Gluing, translation and linear maps work on the
-arrays.  One generator, ``encode_blocks``, writes every text form from the
-arrays in blocks of BLOCK_ROWS rows.  ``cycle_from_json`` and
-``cycle_from_text`` read gen's bytes in one translate and one numpy parse,
-checked by encoding them back block by block; any other input is read as a
-UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
+once over the arrays, with the vertex tuple built lazily and cached; their
+windows are decoded by the verifier's key walk (``verify.window_keys``).
+Gluing, translation and linear maps work on the arrays.  One generator,
+``encode_blocks``, writes every text form from the arrays in blocks of
+BLOCK_ROWS rows.  ``cycle_from_json`` and ``cycle_from_text`` read gen's
+bytes in one translate and one numpy parse, checked by encoding them back
+block by block; any other input is read as a UTF-8 text file, by
+``json.loads`` and ``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -24,42 +25,16 @@ import warnings
 from collections import Counter, defaultdict
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gf import Field, field_from_order
-from .geometry import (
-    AffineLine,
-    DegenerateWindowError,
-    ProjVertex,
-    decode_window,
-    dots,
-    rank,
-)
+from .geometry import DegenerateWindowError, ProjVertex, dots, rank
 
 
 class GluingError(ValueError):
     """A gluing precondition (shared vertex, parity, connectivity, transversality) failed."""
-
-
-def walk_windows(
-    vertices: Sequence, decode: Callable, wrap: bool
-) -> tuple[Counter, list[int]]:
-    """Decode every window of a vertex sequence, cyclically if ``wrap``.
-
-    Returns the multiset of decoded keys and the indices of the windows whose
-    decoding raised DegenerateWindowError, in window order.
-    """
-    found: Counter = Counter()
-    degenerate: list[int] = []
-    count = len(vertices) if wrap else max(len(vertices) - 1, 0)
-    for i in range(count):
-        try:
-            found[decode(vertices[i], vertices[(i + 1) % len(vertices)])] += 1
-        except DegenerateWindowError:
-            degenerate.append(i)
-    return found, degenerate
 
 
 def occurs_cyclically(seq: np.ndarray, cycle: np.ndarray) -> bool:
@@ -114,12 +89,11 @@ class VertexSequence:
     None when they do not convert in one step, for instance ragged rows or
     non-integer codes) and back (``_view``).  Every subclass states its
     per-vertex rule ``_coords(i, v)`` (validate vertex i, return its
-    coordinates) and that rule over the arrays (``_rule_fails``), its
-    window decoder ``_decode(a, b)`` and, in ``wrap``, whether the last
-    vertex pairs with the first.
+    coordinates) and that rule over the arrays (``_rule_fails``) and, in
+    ``wrap``, whether the last vertex pairs with the first.
     """
 
-    __slots__ = ("field", "n", "codes", "_vertices", "_windows")
+    __slots__ = ("field", "n", "codes", "_vertices")
     wrap = True
     _array_names: tuple[str, ...] = ("codes",)
 
@@ -148,7 +122,6 @@ class VertexSequence:
             setattr(self, name, a)
         self.field = field
         self.n = self.codes.shape[1]
-        self._windows = None
         q = field.q
         bad = ((self.codes < 0) | (self.codes >= q)).any(axis=1) | self._rule_fails()
         if bad.any():
@@ -194,20 +167,17 @@ class VertexSequence:
     def __len__(self):
         return len(self.codes)
 
-    def walk(self) -> tuple[Counter, list[int]]:
-        """Decoded window multiset and the indices of degenerate windows."""
-        return walk_windows(self.vertices, self._decode, self.wrap)
-
     def windows(self) -> Counter:
         """Multiset of decoded windows; raises DegenerateWindowError with the
-        index of the first window that does not decode."""
-        if self._windows is None:
-            found, degenerate = self.walk()
-            if degenerate:
-                i = degenerate[0]
-                raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
-            self._windows = found
-        return self._windows
+        index of the first window that does not decode, and ValueError when
+        the packed keys would overflow an int64 (``verify.key_radix``)."""
+        from .verify import window_keys  # verify imports this module
+
+        keys, degenerate, unpack = window_keys(self)
+        if degenerate:
+            i = degenerate[0]
+            raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
+        return Counter(map(unpack, keys.tolist()))
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self)} vertices over {self.field!r}, n={self.n})"
@@ -251,9 +221,6 @@ class _ProjectiveSequence(VertexSequence):
             raise ValueError(f"vertex {i}: infinity vector {v.coords} not normalized")
         return v.coords
 
-    def _decode(self, a: ProjVertex, b: ProjVertex) -> AffineLine:
-        return decode_window(a, b, self.field)
-
 
 class Cycle(_ProjectiveSequence):
     """Cyclic double-window vertex sequence."""
@@ -276,51 +243,40 @@ class Segment(_ProjectiveSequence):
         return Segment(tuple(reversed(self.vertices)), self.field)
 
 
-Structure = Union[Cycle, Segment]
-
-
-def is_valid(obj: Structure) -> bool:
-    """True iff all windows decode and the decoded lines are pairwise distinct."""
-    try:
-        w = obj.windows()
-    except DegenerateWindowError:
-        return False
-    return all(c == 1 for c in w.values())
-
-
-def is_transversal(a: Structure, b: Structure) -> bool:
-    """True iff the two structures represent disjoint line sets."""
-    wa, wb = a.windows(), b.windows()
-    small, big = (wa, wb) if len(wa) <= len(wb) else (wb, wa)
-    return not any(k in big for k in small)
-
-
 def rotate(c: Cycle, k: int) -> Cycle:
     k %= len(c.vertices)
     return Cycle(c.vertices[k:] + c.vertices[:k], c.field)
 
 
-def same_windows(a: Structure, b: Structure) -> bool:
-    return a.windows() == b.windows()
+def _check_parts(glued: Cycle, part: np.ndarray, index: np.ndarray) -> None:
+    """Raise what checking the parts one by one, in input order, would: at the
+    first part with a fault, DegenerateWindowError at its window's index in
+    it, or GluingError for its first line an earlier part has, or for a line
+    it repeats.  ``part`` and ``index`` give each vertex of ``glued`` its
+    part's input index and its index there, that of the window it starts: a
+    spliced cycle's windows are its parts', so one key walk decides them."""
+    from .verify import window_keys  # verify imports this module
 
-
-def equal_up_to_rotation(a: Cycle, b: Cycle) -> bool:
-    rows_b, rows_a = (np.column_stack([c.codes, c.at_infinity]) for c in (b, a))
-    return len(a) == len(b) and occurs_cyclically(rows_b, rows_a)
-
-
-def _check_pairwise_transversal(parts: Sequence[Structure]) -> None:
-    # Disjointness of all supports at once: the union count equals the sum
-    # of part sizes iff the parts are pairwise transversal.
-    seen: set[AffineLine] = set()
-    for idx, part in enumerate(parts):
-        w = part.windows()
-        for line in w:
-            if line in seen:
-                raise GluingError(f"part {idx} shares line {line} with an earlier part")
-        if any(cnt != 1 for cnt in w.values()):
-            raise GluingError(f"part {idx} repeats a line and is not a valid structure")
-        seen.update(w)
+    keys, degenerate, unpack = window_keys(glued)
+    good = np.ones(len(glued), dtype=bool)
+    good[degenerate] = False
+    order = np.lexsort((index[good], part[good], keys))
+    k, p, i = keys[order], part[good][order], index[good][order]
+    # a key met before in (key, part, index) order: an earlier part's line, or a repeat
+    again = np.flatnonzero(k[1:] == k[:-1]) + 1
+    bad = np.array(degenerate, dtype=np.int64)
+    faults = np.concatenate([
+        np.column_stack([part[bad], 0 * bad, index[bad], 0 * bad]),
+        np.column_stack([p[again], np.where(p[again] == p[again - 1], 2, 1), i[again], k[again]]),
+    ])
+    if len(faults) == 0:
+        return
+    at, fault, j, key = faults[np.lexsort(faults.T[::-1])[0]].tolist()
+    if fault == 0:
+        raise DegenerateWindowError(f"window {j} does not determine a line", index=j)
+    if fault == 1:
+        raise GluingError(f"part {at} shares line {unpack(key)} with an earlier part")
+    raise GluingError(f"part {at} repeats a line and is not a valid structure")
 
 
 def splice(
@@ -343,16 +299,18 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """Splice transversal cycles sharing the vertex ``at`` into one cycle.
 
     The window multiset of the result is exactly the disjoint union of the
-    inputs'.  ``check`` verifies that the inputs are pairwise transversal;
-    callers whose parts are disjoint by construction pass False.
+    inputs'.  ``check`` verifies that the inputs are valid and transversal
+    (``_check_parts``); callers whose parts are so by construction pass False.
     """
     if not cs:
         raise GluingError("nothing to glue")
     hits = [_row_hits(c.codes, at.coords) & (c.at_infinity == at.at_infinity) for c in cs]
     arrays = splice([(c.codes, c.at_infinity) for c in cs], hits, at)
+    glued = Cycle._from_arrays(cs[0].field, *arrays)
     if check:
-        _check_pairwise_transversal(cs)
-    return Cycle._from_arrays(cs[0].field, *arrays)
+        labels = [(np.full(len(c), i), np.arange(len(c))) for i, c in enumerate(cs)]
+        _check_parts(glued, *splice(labels, hits, at))
+    return glued
 
 
 def glue_segments(ss: Sequence[Segment]) -> Cycle:
@@ -363,7 +321,7 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
     the input order); traversing a segment tail-to-head reverses it.  Raises
     GluingError if some endpoint multiplicity is odd, the endpoint graph is
     disconnected (with even degrees, iff the walk leaves a segment unused),
-    or two segments share a line, in that order.
+    or the segments are not valid and transversal, in that order.
     """
     if not ss:
         raise GluingError("nothing to glue")
@@ -399,17 +357,21 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
             trail.append(stack.pop())
     if not all(used):
         raise GluingError("endpoint-incidence graph is disconnected")
-    _check_pairwise_transversal(ss)
     trail.reverse()
 
     out: list[ProjVertex] = []
+    labels: list[tuple[int, int]] = []
     prev = start
     for v, eid in trail[1:]:
         seg = ss[eid]
-        vs = seg.vertices if seg.vertices[0] == prev else tuple(reversed(seg.vertices))
-        out.extend(vs[:-1])
+        forward = seg.vertices[0] == prev
+        out.extend((seg.vertices if forward else tuple(reversed(seg.vertices)))[:-1])
+        # read from its tail, a segment's window j is its window len - 2 - j
+        labels += [(eid, j if forward else len(seg) - 2 - j) for j in range(len(seg) - 1)]
         prev = v
-    return Cycle(out, ss[0].field)
+    glued = Cycle(out, ss[0].field)
+    _check_parts(glued, *np.array(labels).T)
+    return glued
 
 
 def translate(c: Cycle, t: Sequence[int]) -> Cycle:

@@ -64,9 +64,6 @@ class GrassCycle(VertexSequence):
             raise ValueError(f"vertex {i} is the zero vector")
         return v
 
-    def _decode(self, a: Vector, b: Vector) -> Subspace2:
-        return span2(a, b, self.field)
-
 
 def tau(L: AffineLine, F: Field) -> Subspace2:
     """Outer-shell subspace spanned by the homogenized base point and direction."""

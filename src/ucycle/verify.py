@@ -9,26 +9,24 @@ RREF row pair.  One block walk decodes the windows, ``cycles.BLOCK_ROWS`` at
 a time, from the code array (and at-infinity mask) into one array of packed
 integer keys, so a passing check builds no per-vertex object: lines with the
 closed form of ``geometry.line_from``, planes with the closed-form RREF of two
-rows.  ``verify_affine`` and ``verify_grassmann`` decide exact cover on sorted
-int64 arrays (``_key_report``): the distinct window keys with their counts
-against the ascending target keys.  Only ``verify_subset``, against an
-arbitrary target set, walks its windows one by one and compares a Counter of
-them with a set (``_build_report``).  The brute-force point-pair oracle lives
-in the test suite as the independent cross-check.
+rows.  Every check decides exact cover on sorted int64 arrays
+(``_key_report``): the distinct window keys with their counts against the
+ascending target keys, which ``verify_subset`` packs from any target set.
+The walk (``window_keys``) also serves ``windows()`` and the gluing check.
+The brute-force point-pair oracle and a set-based report stay in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .gf import Field
-from .geometry import AffineLine, Direction, ProjVertex, decode_window
-from .cycles import Cycle, Segment, occurs_cyclically, row_blocks, walk_windows
+from .geometry import AffineLine, Direction
+from .cycles import Cycle, Segment, VertexSequence, occurs_cyclically, row_blocks
 from .grassmann import GrassCycle, Subspace2, subspace_to_json_obj
 
 MAX_REPORT_ITEMS = 32
@@ -94,58 +92,20 @@ class CoverageReport:
         }
 
 
-def _build_report(
-    expected, found: Counter, degenerate: list[int], item: Callable = lambda k: k
-) -> CoverageReport:
-    """Compare found window keys with the expected keys, held as a set and a
-    Counter of any hashable keys.
-
-    It serves ``verify_subset``, whose targets are arbitrary, and is the
-    tests' reference for ``_key_report``.  ``item`` turns a key into its
-    report entry; it runs only on the entries kept after truncation to
-    MAX_REPORT_ITEMS.
-    """
-    missing = sorted(k for k in expected if k not in found)
-    duplicated = sorted((k, c) for k, c in found.items() if c > 1)
-    unexpected = sorted(k for k in found if k not in expected)
-    window_count = sum(found.values()) + len(degenerate)
-    passed = (
-        not missing
-        and not duplicated
-        and not unexpected
-        and not degenerate
-        and window_count == len(expected)
-    )
-    return CoverageReport(
-        expected_count=len(expected),
-        found_count=window_count,
-        missing=[item(k) for k in missing[:MAX_REPORT_ITEMS]],
-        duplicated=[(item(k), c) for k, c in duplicated[:MAX_REPORT_ITEMS]],
-        unexpected=[item(k) for k in unexpected[:MAX_REPORT_ITEMS]],
-        degenerate_windows=degenerate[:MAX_REPORT_ITEMS],
-        missing_total=len(missing),
-        duplicated_total=len(duplicated),
-        unexpected_total=len(unexpected),
-        degenerate_total=len(degenerate),
-        passed=passed,
-    )
-
-
-def _key_report(
-    keys: np.ndarray, degenerate: list[int], expected: np.ndarray, item: Callable
-) -> CoverageReport:
-    """The report of ``_build_report(set(expected), Counter(keys), ...)``,
-    decided on sorted int64 arrays: ``expected`` holds the target keys in
-    ascending order, ``keys`` the packed keys of the decodable windows.
+def _key_report(s: VertexSequence, expected: np.ndarray) -> CoverageReport:
+    """The coverage report of a sequence's windows (``window_keys``) against
+    the target keys, held in ascending order.
 
     ``np.unique`` gives the distinct found keys in ascending order with their
     counts, and one ``searchsorted`` marks the found keys that are targets
     and the targets that are found.  Only the entries kept after truncation
-    leave numpy, as plain ints.
+    leave numpy, as plain ints, and become report entries.
     """
+    keys, degenerate, item = window_keys(s)
     found, counts = np.unique(keys, return_counts=True)
     at = np.searchsorted(expected, found)
-    known = expected.take(at, mode="clip") == found
+    known = at < len(expected)  # none when there are no targets
+    known[known] = expected[at[known]] == found[known]
     present = np.zeros(len(expected), dtype=bool)
     present[at[known]] = True
     missing, unexpected = expected[~present], found[~known]
@@ -225,17 +185,19 @@ def _all_line_keys(n: int, F: Field) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _walk_keys(kind: str, F: Field, arrays: tuple, decode: Callable) -> tuple[np.ndarray, list]:
-    """Packed ``kind`` keys of a cyclic sequence's decodable windows, in
-    window order, and the indices of the degenerate ones.  ``decode`` takes
-    the arrays of a block's first vertices, then of its second ones, and
-    returns the two vectors of each window's key and the degenerate mask."""
+def _walk_keys(kind: str, s: VertexSequence, arrays: tuple, decode: Callable) -> tuple:
+    """Packed ``kind`` keys of the decodable windows of ``s``, cyclic if
+    ``s.wrap``, in window order, and the indices of the degenerate ones.
+    ``decode`` takes the arrays of a block's first vertices, then of its
+    second ones, and returns the two vectors of each window's key and the
+    degenerate mask."""
     N, dim = arrays[0].shape
-    radix = key_radix(kind, dim, F.q)
-    weights = F.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    keys = np.empty(N, dtype=np.int64)
+    count = N if s.wrap else N - 1
+    radix = key_radix(kind, dim, s.field.q)
+    weights = s.field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(count, dtype=np.int64)
     degenerate, filled = [], 0
-    for start, stop in row_blocks(N):
+    for start, stop in row_blocks(count):
         nxt = np.arange(start + 1, stop + 1) % N
         u, v, bad = decode(*(x[start:stop] for x in arrays), *(x[nxt] for x in arrays))
         good = ((u @ weights) * radix + v @ weights)[~bad]
@@ -246,9 +208,10 @@ def _walk_keys(kind: str, F: Field, arrays: tuple, decode: Callable) -> tuple[np
     return keys[:filled], degenerate
 
 
-def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
-    """Packed line keys of a cycle's decodable windows, and the indices of
-    the degenerate ones (two points at infinity, or one affine point twice).
+def _window_keys(c: Cycle | Segment) -> tuple[np.ndarray, list[int]]:
+    """Packed line keys of a cycle's or a segment's decodable windows, and
+    the indices of the degenerate ones (two points at infinity, or one
+    affine point twice).
 
     The same closed form as ``geometry.line_from``: the direction is the
     window's vertex at infinity, normalized since ``Cycle`` checks it, or
@@ -268,7 +231,7 @@ def _window_keys(c: Cycle) -> tuple[np.ndarray, list[int]]:
         base = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
         return d, base, bad
 
-    return _walk_keys("line", c.field, (c.codes, c.at_infinity), decode)
+    return _walk_keys("line", c, (c.codes, c.at_infinity), decode)
 
 
 def _unpack_line_key(key: int, n: int, F: Field) -> AffineLine:
@@ -287,31 +250,25 @@ def verify_affine(c: Cycle, n: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a cycle against all affine lines of AG(n,q)."""
     if c.n != n or c.field != F:
         raise ValueError("cycle does not live in AG(n,q) for the given n, q")
-    keys, degenerate = _window_keys(c)
-    return _key_report(
-        keys, degenerate, _all_line_keys(n, F), lambda k: _unpack_line_key(k, n, F)
-    )
+    return _key_report(c, _all_line_keys(n, F))
 
 
-def verify_subset(
-    c: Cycle | Segment | Sequence[ProjVertex],
-    expected: Iterable[AffineLine],
-    F: Field | None = None,
-) -> CoverageReport:
-    """Exact-coverage report against an arbitrary target line set.
-
-    Accepts a Cycle, a Segment, or a bare vertex sequence (treated
-    cyclically; an empty sequence has no windows, so it passes against an
-    empty target).
+def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> CoverageReport:
+    """Exact-coverage report of a cycle's or a segment's windows against any
+    target line set, a target given twice counting once.  Raises ValueError
+    naming a target whose direction or base is not c.n codes in [0, q).
     """
-    if isinstance(c, (Cycle, Segment)):
-        found, degenerate = c.walk()
-    else:
-        vertices = tuple(c)
-        if vertices and F is None:
-            raise ValueError("a bare vertex sequence needs an explicit field")
-        found, degenerate = walk_windows(vertices, lambda a, b: decode_window(a, b, F), True)
-    return _build_report(set(expected), found, degenerate)
+    n, q = c.n, c.field.q
+    key_radix("line", n, q)  # before any target key is packed
+    rows = []
+    for L in expected:
+        row = tuple(L.dir.vector) + tuple(L.base)
+        if len(L.dir.vector) != n or len(row) != 2 * n or not all(0 <= x < q for x in row):
+            raise ValueError(f"target {L} is not a line of AG({n},{q})")
+        rows.append(row)
+    # direction digits first: the key order is the (direction, base) tuple order
+    weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    return _key_report(c, np.unique(np.array(rows, dtype=np.int64).reshape(-1, 2 * n) @ weights))
 
 
 # -- Grassmannian oracle -------------------------------------------------------
@@ -387,7 +344,7 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
         r1 = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
         return r1, r2, lead == 0
 
-    return _walk_keys("plane", gc.field, (gc.codes,), decode)
+    return _walk_keys("plane", gc, (gc.codes,), decode)
 
 
 def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace2:
@@ -395,13 +352,19 @@ def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace2:
     return Subspace2((_digits(row1, m, F.q), _digits(row2, m, F.q)))
 
 
+def window_keys(s: VertexSequence) -> tuple[np.ndarray, list[int], Callable]:
+    """``_window_keys(s)`` or, for a GrassCycle, ``_plane_keys(s)``, and the
+    unpacking of a key into its AffineLine or Subspace2."""
+    if isinstance(s, GrassCycle):
+        return (*_plane_keys(s), lambda k: _unpack_plane_key(k, s.m, s.field))
+    return (*_window_keys(s), lambda k: _unpack_line_key(k, s.n, s.field))
+
+
 def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    expected = _all_plane_keys(m, F)
-    keys, degenerate = _plane_keys(gc)
-    return _key_report(keys, degenerate, expected, lambda k: _unpack_plane_key(k, m, F))
+    return _key_report(gc, _all_plane_keys(m, F))
 
 
 def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:

@@ -12,7 +12,7 @@ from ucycle.cycles import (
 )
 from ucycle.constructions import universal_cycle
 from ucycle.gf import field_from_order
-from ucycle.geometry import DegenerateWindowError, decode_window
+from ucycle.geometry import decode_window
 from ucycle.grassmann import GrassCycle, grass_to_json, nested_cycles, span2
 from ucycle.verify import (
     _plane_keys,
@@ -23,8 +23,8 @@ from ucycle.verify import (
     all_affine_lines,
     verify_affine,
     verify_grassmann,
-    verify_subset,
 )
+from reference import build_report, decoded_windows
 from test_cycles import decode_outcome, reference_from_text
 
 SIZES = [1, 3, 7]
@@ -79,17 +79,6 @@ def test_grassmann_blocks_match_one_block(monkeypatch, m, q):
         assert [grassmann_outputs(u, mi, F) for mi, u in levels] == whole
 
 
-def decoded_windows(vs, decode):
-    """Each window's decoding in order, and the indices that do not decode."""
-    out, degenerate = [], []
-    for i in range(len(vs)):
-        try:
-            out.append(decode(vs[i], vs[(i + 1) % len(vs)]))
-        except DegenerateWindowError:
-            degenerate.append(i)
-    return out, degenerate
-
-
 def with_degenerate_edges(vs, size):
     """vs with windows size-1 and size (the last of the first block and the
     first of the second) and the wrap-around window made degenerate: the
@@ -108,7 +97,7 @@ def test_degenerate_line_windows_on_block_edges(monkeypatch, size):
     c = Cycle(vs, F)
     lines, degenerate = decoded_windows(vs, lambda a, b: decode_window(a, b, F))
     assert {size - 1, size, len(vs) - 1} <= set(degenerate)
-    reference = verify_subset(c, all_affine_lines(n, F)).to_json_obj()
+    reference = build_report(all_affine_lines(n, F), lines, degenerate).to_json_obj()
     monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
     keys, found = _window_keys(c)
     assert found == degenerate
@@ -123,11 +112,9 @@ def test_degenerate_plane_windows_on_block_edges(monkeypatch, size):
     gc = GrassCycle(vs, F)
     planes, degenerate = decoded_windows(vs, lambda a, b: span2(a, b, F))
     assert {size - 1, size, len(vs) - 1} <= set(degenerate)
-    expected = set(all_2subspaces(m, F))
+    reference = build_report(all_2subspaces(m, F), planes, degenerate).to_json_obj()
     monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
     keys, found = _plane_keys(gc)
     assert found == degenerate
     assert [_unpack_plane_key(k, m, F) for k in keys.tolist()] == planes
-    report = verify_grassmann(gc, m, F)
-    assert report.degenerate_windows == degenerate[: len(report.degenerate_windows)]
-    assert report.missing_total == len(expected - set(planes))
+    assert verify_grassmann(gc, m, F).to_json_obj() == reference

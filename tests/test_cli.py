@@ -1,9 +1,14 @@
 """Command-line interface: round trips, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ucycle import cli, cycles
@@ -254,6 +259,45 @@ def test_malformed_order_bound_exits_2(capsys, monkeypatch, value):
     rc, out, err = run(capsys, "gen", "--n", "2", "--p", "2")
     assert (rc, out) == (2, "")
     assert err == f"error: UCYCLE_MAX_Q must be an integer >= 2, got {value!r}\n"
+
+
+def test_memory_exhausted_exits_2_with_one_line(tmp_path, capsys):
+    # verify of AG(4,9) JSON that is not gen's bytes (a space after each
+    # vertex's comma), so read by json.loads: ~500 MB of address space.  The
+    # interpreter and numpy start in ~120 MB with one BLAS thread, so a 256 MB
+    # cap on the child alone leaves the decode short of memory.
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "c.json"
+    assert run(capsys, "gen", "--n", "4", "--p", "3", "--k", "2", "--out", str(f))[0] == 0
+    f.write_bytes(f.read_bytes().replace(b"},{", b"}, {"))
+    cap = 256 * 2**20
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "ucycle", "verify", "--in", str(f)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    size = f.stat().st_size
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: verify ran out of memory on {f} ({size} bytes)\n"
+
+
+@pytest.mark.parametrize("command,argv,names", [
+    ("gen", ["--n", "3", "--p", "5"], "n=3 q=5^1"),
+    ("stats", ["--n", "2", "--p", "2", "--k", "3"], "n=2 q=2^3"),
+    ("grassmann", ["--m", "4", "--p", "3"], "m=4 q=3^1"),
+])
+def test_memory_error_of_a_build_names_its_size(capsys, monkeypatch, command, argv, names):
+    def exhausted(*args):
+        np.empty(2**62, dtype=np.uint8)  # numpy's MemoryError subclass: past any address space
+
+    for name in ("universal_cycle", "plan_fibers", "nested_cycles"):
+        monkeypatch.setattr(cli, name, exhausted)
+    rc, out, err = run(capsys, command, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {command} ran out of memory on {names}\n"
 
 
 def test_unknown_command_exits_2(capsys):

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from ucycle import cycles
 from ucycle.cli import _dumps
 from ucycle.gf import field_from_order, field_make
-from ucycle.geometry import DegenerateWindowError, Direction, ProjVertex, affine, infinity
+from ucycle.geometry import (
+    DegenerateWindowError, Direction, ProjVertex, affine, decode_window, infinity,
+)
 from ucycle.cycles import (
     Cycle,
     GluingError,
@@ -23,20 +26,29 @@ from ucycle.cycles import (
     cycle_to_json,
     cycle_to_json_obj,
     cycle_to_text,
-    equal_up_to_rotation,
     file_text,
     glue_cycles,
     glue_segments,
-    is_transversal,
-    is_valid,
     map_linear,
+    occurs_cyclically,
     rotate,
-    same_windows,
     translate,
 )
 from ucycle.constructions import plan_fibers, triple_fiber_cycle, two_fiber_cycle, universal_cycle
-from ucycle.grassmann import GrassCycle
+from ucycle.grassmann import GrassCycle, nested_cycles, span2
 from ucycle.verify import all_affine_lines
+from reference import decoded_windows
+
+
+def is_valid(c):
+    """Every window decodes, to pairwise distinct lines."""
+    return set(c.windows().values()) == {1}
+
+
+def is_rotation(a, b):
+    """a's vertices are b's, read from some other start."""
+    rows_a, rows_b = (np.column_stack([c.codes, c.at_infinity]) for c in (a, b))
+    return len(a) == len(b) and occurs_cyclically(rows_a, rows_b)
 
 
 def plane_cycle_22():
@@ -76,6 +88,21 @@ def test_degenerate_segment_rejected():
         Segment([affine((0, 0)), affine((0, 0))], F)
 
 
+def test_windows_match_the_per_window_decode():
+    # a cycle, the segments cut from it (no wrap-around window), and a
+    # Grassmannian level, against each window decoded on its own
+    F = field_make(3)
+    c = universal_cycle(2, F)
+    line = lambda a, b: decode_window(a, b, F)
+    for seq in (c, Segment(c.vertices[:2], F), Segment(c.vertices[3:], F)):
+        lines, degenerate = decoded_windows(seq.vertices, line, seq.wrap)
+        assert not degenerate and seq.windows() == Counter(lines)
+        assert sum(seq.windows().values()) == len(seq) - (not seq.wrap)
+    u = nested_cycles(4, F)[-1]
+    planes, degenerate = decoded_windows(u.vertices, lambda a, b: span2(a, b, F))
+    assert not degenerate and u.windows() == Counter(planes)
+
+
 def test_windows_reports_failing_index():
     F = field_make(3)
     c = Cycle([affine((0, 0)), affine((0, 1)), infinity((1, 0)), infinity((0, 1))], F)
@@ -113,23 +140,23 @@ def test_windows_rotation_invariant():
     c, _ = plane_cycle_22()
     for k in range(len(c.vertices)):
         assert rotate(c, k).windows() == c.windows()
-    assert equal_up_to_rotation(c, rotate(c, 3))
+    assert is_rotation(c, rotate(c, 3))
 
 
 def test_transversality():
     F = field_make(3)
     c1 = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F)
     c2 = two_fiber_cycle(Direction((1, 1)), Direction((1, 2)), 2, F)
-    assert is_transversal(c1, c2)
-    assert not is_transversal(c1, c1)
+    assert not set(c1.windows()) & set(c2.windows())
+    assert set(c1.windows()) & set(c1.windows())
 
 
 def test_glue_single_cycle_is_rotation():
     c, _ = plane_cycle_22()
     g = glue_cycles([c], affine((1, 0)))
     assert g.vertices[0] == affine((1, 0))
-    assert equal_up_to_rotation(g, c)
-    assert same_windows(g, c)
+    assert is_rotation(g, c)
+    assert g.windows() == c.windows()
 
 
 def test_glue_two_triple_blocks_at_shared_infinity():
@@ -180,7 +207,7 @@ def test_glue_two_segments_identical_endpoints():
     s1, s2 = cut_cycle(c, [0, 3])
     assert {s1.vertices[0], s1.vertices[-1]} == {s2.vertices[0], s2.vertices[-1]}
     g = glue_segments([s1, s2])
-    assert same_windows(g, c)
+    assert g.windows() == c.windows()
 
 
 def test_glue_four_segments_cycle_on_endpoints():
@@ -189,7 +216,7 @@ def test_glue_four_segments_cycle_on_endpoints():
     segs = cut_cycle(c, [0, 2, 5, 7])
     assert len(segs) == 4
     g = glue_segments(segs)
-    assert same_windows(g, c)
+    assert g.windows() == c.windows()
 
 
 def test_glue_segments_reversal_needed():
@@ -197,7 +224,7 @@ def test_glue_segments_reversal_needed():
     c = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F)
     s1, s2 = cut_cycle(c, [0, 3])
     g = glue_segments([s1, s2.reversed()])
-    assert same_windows(g, c)
+    assert g.windows() == c.windows()
 
 
 def test_glue_segments_odd_multiplicity_rejected():
@@ -221,6 +248,53 @@ def test_glue_segments_disconnected_rejected():
     assert not set(s.vertices[0] for s in segs1) & set(s.vertices[0] for s in segs2)
     with pytest.raises(GluingError, match="disconnected"):
         glue_segments(segs1 + segs2)
+
+
+def gluing_refusals():
+    """One fault each, named by the case."""
+    F3, F5 = field_make(3), field_make(5)
+    origin = affine((0, 0))
+    c1 = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F3)
+    c2 = two_fiber_cycle(Direction((1, 0)), Direction((1, 1)), 2, F3)
+    repeats = Cycle([origin, infinity((1, 1))], F3)
+    c5 = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F5)
+    degenerate = Cycle([infinity((1, 1)), infinity((1, 2)), affine((1, 3)), origin], F5)
+    s1, s2 = cut_cycle(c1, [0, 3])
+    c3 = two_fiber_cycle(Direction((1, 1)), Direction((1, 2)), 2, F3)
+    apart = cut_cycle(c1, [1, 3]) + cut_cycle(c3, [1, 3])
+    # c2 rotated, so the splice reads it from another start than its own
+    yield "cycles-share", lambda: glue_cycles([c1, rotate(c2, 3)], origin)
+    yield "cycle-repeats", lambda: glue_cycles([c1, repeats], origin)
+    # the degenerate window is the part's window 0 and the glued cycle's 11
+    yield "cycle-degenerate", lambda: glue_cycles([c5, degenerate], origin)
+    yield "segments-odd", lambda: glue_segments([s1])
+    yield "segments-disconnected", lambda: glue_segments(apart)
+    yield "segments-share", lambda: glue_segments([s1, s2, s1.reversed(), s2.reversed()])
+
+
+# each refusal's type and message as checking the parts one by one raises them
+GLUING_REFUSALS = {
+    "cycles-share": (GluingError, "part 1 shares line AffineLine(dir=Direction(vector=(1, 0)),"
+                     " base=(0, 2)) with an earlier part"),
+    "cycle-repeats": (GluingError, "part 1 repeats a line and is not a valid structure"),
+    "cycle-degenerate": (DegenerateWindowError, "window 0 does not determine a line"),
+    "segments-odd": (GluingError, "odd endpoint multiplicity at"
+                     " ProjVertex(at_infinity=False, coords=(0, 0))"),
+    "segments-disconnected": (GluingError, "endpoint-incidence graph is disconnected"),
+    "segments-share": (GluingError, "part 2 shares line AffineLine(dir=Direction(vector=(0, 1)),"
+                       " base=(1, 0)) with an earlier part"),
+}
+
+
+@pytest.mark.parametrize("case", list(GLUING_REFUSALS))
+def test_gluing_refusals_keep_their_messages(case):
+    glue = dict(gluing_refusals())[case]
+    kind, message = GLUING_REFUSALS[case]
+    with pytest.raises(Exception) as err:
+        glue()
+    assert (type(err.value), str(err.value)) == (kind, message)
+    if kind is DegenerateWindowError:
+        assert err.value.index == 0
 
 
 def test_translate_identity_and_conservation():

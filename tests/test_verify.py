@@ -12,7 +12,6 @@ from ucycle import cli, geometry, grassmann
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     AffineLine,
-    DegenerateWindowError,
     Direction,
     ProjVertex,
     affine,
@@ -24,7 +23,7 @@ from ucycle.geometry import (
     vscale,
     vsub,
 )
-from ucycle.cycles import Cycle
+from ucycle.cycles import Cycle, Segment
 from ucycle.constructions import triple_base_cycle, two_fiber_cycle, universal_cycle
 from ucycle.grassmann import GrassCycle, embed_cycle, nested_cycles, singer_cycle, span2
 from ucycle.verify import (
@@ -33,7 +32,6 @@ from ucycle.verify import (
     all_affine_lines,
     _all_line_keys,
     _all_plane_keys,
-    _build_report,
     _plane_keys,
     _unpack_line_key,
     _unpack_plane_key,
@@ -46,6 +44,7 @@ from ucycle.verify import (
     verify_nesting,
     verify_subset,
 )
+from reference import build_report, decoded_windows, line_report
 
 
 def pair_oracle(n, F):
@@ -125,7 +124,7 @@ def test_vectorized_report_matches_pure_report():
     for kind, n, F, vs in _small_grid_variants():
         c = Cycle(vs, F)
         fast = verify_affine(c, n, F)
-        pure = verify_subset(c, pair_oracle(n, F))
+        pure = line_report(c, pair_oracle(n, F))
         assert fast.to_json_obj() == pure.to_json_obj(), (kind, n, F.q)
         assert fast.passed == (kind == "valid"), (kind, n, F.q)
         assert (fast.duplicated_total > 0) >= (kind == "duplicated")
@@ -188,18 +187,60 @@ def test_verify_subset_triple_q5():
     assert rep.passed and rep.expected_count == 15
 
 
-def test_verify_subset_empty_trivially_passes():
-    rep = verify_subset([], [])
-    assert rep.passed
-    assert rep.expected_count == rep.found_count == 0
-
-
 def test_verify_subset_reports_degenerate_windows():
     F = field_make(3)
     vs = [affine((0, 0)), infinity((0, 1)), infinity((1, 0)), affine((1, 0))]
-    rep = verify_subset(vs, [], F)
+    rep = verify_subset(Cycle(vs, F), [])
     assert not rep.passed
     assert rep.degenerate_windows == [1]
+
+
+def test_verify_subset_without_targets_reports_every_window():
+    # the searchsorted against no target keys used to raise IndexError
+    c, F = plane_cycle_22()
+    for targets in ([], set(), iter(())):
+        rep = verify_subset(c, targets)
+        assert rep.to_json_obj() == line_report(c, []).to_json_obj()
+        assert rep.unexpected_total == rep.found_count == 6 and not rep.passed
+
+
+def test_verify_subset_refuses_targets_outside_the_space():
+    c, F = plane_cycle_22()
+    good = all_affine_lines(2, F)
+    for bad in (
+        AffineLine(Direction((0, 0, 1)), (0, 0, 0)),  # a line of AG(3,2)
+        AffineLine(Direction((0, 1)), (0, 0, 0)),  # a base of the wrong length
+        AffineLine(Direction((1, 0)), (0, 2)),  # a code equal to q
+        AffineLine(Direction((2, 1)), (0, 0)),
+        AffineLine(Direction((1, 0)), (0, -1)),
+    ):
+        with pytest.raises(ValueError) as err:
+            verify_subset(c, [*good, bad])
+        assert str(err.value) == f"target {bad} is not a line of AG(2,2)"
+
+
+def test_verify_subset_of_a_segment_has_no_wrap_around_window():
+    F = field_make(3)
+    c = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F)
+    lines = list(c.windows())
+    for stop in (2, 4, len(c)):
+        s = Segment(c.vertices[:stop], F)
+        for targets in (lines, lines[: stop - 1], lines[1:stop]):
+            rep = verify_subset(s, targets)
+            assert rep.to_json_obj() == line_report(s, targets).to_json_obj()
+            assert rep.found_count == stop - 1
+    assert verify_subset(Segment(c.vertices[:5], F), lines[:4]).passed
+
+
+def test_verify_subset_counts_a_repeated_target_once():
+    F = field_make(5)
+    c = triple_base_cycle(F)
+    targets = sorted(c.windows())
+    twice = verify_subset(c, targets + targets[::-1])
+    assert twice.passed and twice.expected_count == 15
+    assert twice.to_json_obj() == verify_subset(c, set(targets)).to_json_obj()
+    short = verify_subset(c, targets[:5] * 3)
+    assert short.to_json_obj() == line_report(c, targets[:5]).to_json_obj()
 
 
 def test_all_2subspaces_counts():
@@ -240,13 +281,7 @@ def random_vector_cycle(m, F, rng, length=120):
 def test_plane_keys_match_span2(m, q):
     F = field_from_order(q)
     gc = random_vector_cycle(m, F, random.Random(q * 10 + m))
-    vs = gc.vertices
-    spans, degenerate = [], []
-    for i in range(len(vs)):
-        try:
-            spans.append(span2(vs[i], vs[(i + 1) % len(vs)], F))
-        except DegenerateWindowError:
-            degenerate.append(i)
+    spans, degenerate = decoded_windows(gc.vertices, lambda a, b: span2(a, b, F))
     keys, deg = _plane_keys(gc)
     assert deg == degenerate and degenerate
     assert [_unpack_plane_key(int(k), m, F) for k in keys] == spans
@@ -283,8 +318,8 @@ def _grassmann_variants():
 def test_grassmann_report_matches_reference():
     for kind, m, F, vs in _grassmann_variants():
         gc = GrassCycle(vs, F)
-        found, degenerate = gc.walk()
-        reference = _build_report(all_2subspaces(m, F), found, degenerate)
+        planes, degenerate = decoded_windows(vs, lambda a, b: span2(a, b, F))
+        reference = build_report(all_2subspaces(m, F), planes, degenerate)
         rep = verify_grassmann(gc, m, F)
         assert rep.to_json_obj() == reference.to_json_obj(), (kind, m, F.q)
         assert rep.passed == (kind == "valid"), (kind, m, F.q)
