@@ -15,16 +15,9 @@ import sys
 from typing import Callable, Iterable
 
 from .gf import Field, field_make, field_order
-from .cycles import (
-    Cycle,
-    cycle_from_json,
-    cycle_from_text,
-    cycle_blocks,
-    file_text,
-    occurs_cyclically,
-)
+from .cycles import Cycle, cycle_blocks, decode_cycle, file_text, occurs_cyclically
 from .constructions import plan_fibers, universal_cycle
-from .grassmann import embed_codes, grass_to_json, nested_cycles
+from .grassmann import embed_codes, grass_blocks, nested_levels
 from .verify import affine_line_count, gaussian_binomial_2, key_radix
 from .verify import verify_affine, verify_grassmann
 
@@ -135,12 +128,12 @@ def _load_cycle(args) -> Cycle:
     # gen's files (ASCII, led by "{", "A" or "I") stay bytes; others open as text
     if not (data.isascii() and data[:1] in b"{AI"):
         data = file_text(data)
-    if data.lstrip()[:1] in ("{", b"{"):
-        c = cycle_from_json(data)
-    elif args.p is None:
+    json_file = data.lstrip()[:1] in ("{", b"{")
+    if not json_file and args.p is None:
         raise ValueError("text cycle files need --p (and --k for extensions)")
-    else:
-        c = cycle_from_text(data, field_make(args.p, args.k))
+    handoff = [data]
+    del data  # the decode holds the only reference, so it drops the bytes once it has the text
+    c = decode_cycle(handoff.pop(), None if json_file else field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
     if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):
@@ -163,34 +156,30 @@ def cmd_grassmann(args) -> int:
     q = _sized_order(args, args.m, gaussian_binomial_2, "the planes of F_{q}^{dim}")
     key_radix("plane", args.m, q)
     F = field_make(args.p, args.k)
-    levels = nested_cycles(args.m, F)
-    all_ok = True
-    level_texts = []
-    for idx, u in enumerate(levels):
-        mi = idx + 3
-        rep = verify_grassmann(u, mi, F)
-        all_ok &= rep.passed
-        nested_ok = None
-        if idx > 0:
+    levels, failed = nested_levels(args.m, F), []
+
+    def payload():  # each level written once checked; only the previous one is kept
+        prev, lead = None, '{"levels":['
+        for mi, u in enumerate(levels, 3):
+            rep = verify_grassmann(u, mi, F)
             # verify_nesting without a validated copy of the padded level
-            nested_ok = occurs_cyclically(embed_codes(levels[idx - 1], mi), u.codes)
-            all_ok &= nested_ok
-        wanted = args.nested or mi == args.m
-        if wanted:
-            obj = {
-                "m": mi,
-                "windows": len(u),
-                "verification": rep.to_json_obj(),
-                "nested_previous": nested_ok,
-            }
-            # "cycle" sorts before the other keys: _dumps of the level with it
-            level_texts.append('{"cycle":' + grass_to_json(u)[:-1] + "," + _dumps(obj)[1:-1])
-            line = f"U_{mi}: windows={len(u)} {rep.summary()}"
-            if nested_ok is not None:
-                line += f" nesting(U_{mi - 1} in U_{mi})={nested_ok}"
-            print(line, file=sys.stderr)
-    _emit(['{"levels":[' + ",".join(level_texts) + f'],"q":{F.q}}}\n'], args.out)
-    return 0 if all_ok else 1
+            nested = None if prev is None else occurs_cyclically(embed_codes(prev, mi), u.codes)
+            failed.append(not rep.passed or nested is False)
+            prev = u
+            if args.nested or mi == args.m:
+                obj = {"m": mi, "windows": len(u), "verification": rep.to_json_obj(),
+                       "nested_previous": nested}
+                # "cycle" sorts before the other keys: _dumps of the level with it
+                yield lead + '{"cycle":'
+                yield from grass_blocks(u, "]},")
+                yield _dumps(obj)[1:-1]
+                lead = ","
+                nesting = "" if nested is None else f" nesting(U_{mi - 1} in U_{mi})={nested}"
+                print(f"U_{mi}: windows={len(u)} {rep.summary()}{nesting}", file=sys.stderr)
+        yield f'],"q":{F.q}}}\n'
+
+    _emit(payload(), args.out)
+    return 1 if any(failed) else 0
 
 
 def cmd_stats(args) -> int:

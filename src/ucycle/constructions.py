@@ -63,7 +63,7 @@ def _fiber_pairs(
     m = F.q ** (n - 1)
     add, mul, neg, inv = F.arrays
     f = complementary_functionals(u1, u2, F)
-    codes = np.empty((lead + P * 2 * m, n), dtype=np.int64)
+    codes = np.empty((lead + P * 2 * m, n), dtype=add.dtype)
     at_infinity = np.zeros(len(codes), dtype=bool)
     parts, flags = codes[lead:].reshape(P, 2 * m, n), at_infinity[lead:].reshape(P, 2 * m)
     odd = F.q % 2
@@ -81,7 +81,7 @@ def _fiber_pairs(
             raise AssertionError("w* decomposition produced a zero coefficient")
         wstar = mul[s[:, None], raw]
         parts[:, 1], flags[:, 1] = mul[a[:, None], u1], False
-    # the pairs grouped by W, keyed by f's digits (below q^n, as the block fits in memory)
+    # the pairs grouped by W, keyed by f's digits (int64, below q^n, as the block fits in memory)
     _, first, group = np.unique(f @ F.q ** np.arange(n), return_index=True, return_inverse=True)
     k = np.arange(m)
     for g, W in enumerate(f[first]):
@@ -138,7 +138,7 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     i = int(np.argmax(cU.at_infinity))
     base, flags = np.roll(cU.codes, -i, axis=0), np.roll(cU.at_infinity, -i)
     free = [j for j in range(n) if j not in pivots]
-    reps = np.zeros((F.q ** len(free), n), dtype=np.int64)
+    reps = np.zeros((F.q ** len(free), n), dtype=add.dtype)
     reps[:, free] = np.indices((F.q,) * len(free)).reshape(len(free), -1).T
     # translates live in disjoint cosets, hence are transversal by construction;
     # points at infinity are translated by 0

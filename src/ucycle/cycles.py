@@ -4,16 +4,16 @@ canonical codec.
 A cycle is a cyclic vertex sequence over the projective closure whose
 consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints.
-Both, and grassmann.GrassCycle, are immutable VertexSequences: one int64
-code array (plus, for cycles and segments, an at-infinity mask), checked
-once over the arrays, with the vertex tuple built lazily and cached; their
-windows are decoded by the verifier's key walk (``verify.window_keys``).
-Gluing, translation and linear maps work on the arrays.  One generator,
-``encode_blocks``, writes every text form from the arrays in blocks of
-BLOCK_ROWS rows.  ``cycle_from_json`` and ``cycle_from_text`` read gen's
-bytes in one translate and one numpy parse, checked by encoding them back
-block by block; any other input is read as a UTF-8 text file, by
-``json.loads`` and ``cycle_from_json_obj`` or by lines.
+Both, and grassmann.GrassCycle, are immutable VertexSequences: one code
+array in the field's dtype (plus, for cycles and segments, an at-infinity
+mask), checked once over the arrays, with the vertex tuple built lazily and
+cached; their windows are decoded by the verifier's key walk
+(``verify.window_keys``).  Gluing, translation and linear maps work on the
+arrays.  One generator, ``encode_blocks``, writes every text form from the
+arrays in blocks of BLOCK_ROWS rows.  ``decode_cycle`` reads gen's bytes
+block by block, each parsed by numpy and checked by encoding it back; any
+other input is read as a UTF-8 text file, by ``json.loads`` and
+``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ class VertexSequence:
     """Vertex sequence over a field: at least 2 vertices, all of one
     dimension n >= 1, every coordinate a code in [0, q).
 
-    The vertices are stored as arrays, ``codes`` first: one int64 (N, n)
-    row of coordinates per vertex.  ``vertices`` is the tuple view, built
-    on first use; a sequence built from vertices keeps them as that view.
-    The checks run once, vectorized over the arrays; the per-vertex rule
-    runs only on the first failing vertex, to word the error.
+    The vertices are stored as arrays, ``codes`` first: one row of
+    coordinates per vertex, in the field's dtype once checked.  ``vertices``
+    is the tuple view, built on first use; a sequence built from vertices
+    keeps them as that view.  The checks run once, vectorized over the
+    arrays; the per-vertex rule runs only on the first failing vertex.
 
     Vertices are coordinate tuples unless a subclass adds arrays
     (``_array_names``) and states how vertices convert to them (``_arrays``:
@@ -120,15 +120,16 @@ class VertexSequence:
     def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
         for name, a in zip(self._array_names, arrays):
             setattr(self, name, a)
-        self.field = field
-        self.n = self.codes.shape[1]
-        q = field.q
-        bad = ((self.codes < 0) | (self.codes >= q)).any(axis=1) | self._rule_fails()
+        self.field, self.n = field, self.codes.shape[1]
+        q, codes, bad = field.q, self.codes, self._rule_fails()
+        if codes.min() < 0 or codes.max() >= q:  # only then are the rows looked for
+            bad |= ((codes < 0) | (codes >= q)).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             v = self._view(i, i + 1)[0] if self._vertices is None else self._vertices[i]
             self._check(i, v, self.n, q, frozenset(range(q)))
             raise AssertionError(f"vertex {i} failed a check that its rule accepts")
+        self.codes = codes.astype(field.arrays[0].dtype, copy=False)
 
     @staticmethod
     def _arrays(vertices: tuple, coerce: bool = False) -> tuple[np.ndarray] | None:
@@ -423,22 +424,23 @@ def row_blocks(count: int) -> Iterator[tuple[int, int]]:
     return ((s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
 
 
-def encode_blocks(
-    c: VertexSequence, head: str, first: Sequence[str], sep: str, last: Sequence[str], tail: str
-) -> Iterator[str]:
-    """``head``, then the rows of ``c`` block by block.  A row is its codes
-    joined by ``sep`` between ``first[k]`` and ``last[k]``, for k the row's
-    at-infinity flag when two kinds are given, else 0; ``tail`` replaces the
-    last character of the last row, the separator between rows."""
-    n, q, kinds = c.n, c.field.q, len(first)
+def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str,
+                  first: Sequence[str], sep: str, last: Sequence[str], tail: str) -> Iterator[str]:
+    """``head``, then the rows of the code array, each block read when it is
+    asked for.  A row is its codes joined by ``sep`` between ``first[k]``
+    and ``last[k]``, for k the row's entry of the mask ``kinds`` when two
+    kinds are given, else 0; ``tail`` replaces the last character of the
+    last row, the separator between rows."""
+    n = codes.shape[1]
     ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
-            for k in range(kinds) for j in range(n)]
+            for k in range(len(first)) for j in range(n)]
     table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
     yield head
-    for start, stop in row_blocks(len(c)):
-        kind = c.at_infinity[start:stop, None] * (n * q) if kinds > 1 else 0
-        tokens = table[c.codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
-        if stop == len(c):
+    for start, stop in row_blocks(len(codes)):
+        kind = kinds[start:stop, None] * (n * q) if len(first) > 1 else 0
+        # the token index leaves the codes' dtype: adding the intp offsets widens it
+        tokens = table[codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
+        if stop == len(codes):
             tokens[-1] = tokens[-1][:-1] + tail
         yield "".join(tokens)
 
@@ -458,11 +460,16 @@ def cycle_to_json_obj(c: Cycle) -> dict:
 
 def cycle_blocks(c: Cycle, fmt: str = "json") -> Iterator[str]:
     """``cycle_to_json(c)``, or ``cycle_to_text(c)`` for fmt "text", in blocks."""
+    return _array_blocks(c.codes, c.at_infinity, c.field.q, fmt)
+
+
+def _array_blocks(codes: np.ndarray, at_infinity: np.ndarray, q: int, fmt: str) -> Iterator[str]:
+    """``cycle_blocks`` of the cycle over GF(q) with these arrays."""
     if fmt == "text":
-        return encode_blocks(c, "", ("A ", "I "), " ", ("\n", "\n"), "\n")
-    head = f'{{"n":{c.n},"q":{c.field.q},"schema_version":{SCHEMA_VERSION},"vertices":['
+        return encode_blocks(codes, at_infinity, q, "", ("A ", "I "), " ", ("\n", "\n"), "\n")
+    head = f'{{"n":{codes.shape[1]},"q":{q},"schema_version":{SCHEMA_VERSION},"vertices":['
     kinds = ('],"type":"affine"},', '],"type":"infinity"},')
-    return encode_blocks(c, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
+    return encode_blocks(codes, at_infinity, q, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
 
 
 def cycle_to_json(c: Cycle) -> str:
@@ -501,38 +508,49 @@ _TO_NUMBERS = {fmt: (bytes.maketrans(old, new), bytes(set(range(256)) - set(b"01
                for fmt, old, new in (("json", b",ya", b",10"), ("text", b"AI \n", b"01,,"))}
 
 
+def _canonical(ok: bool) -> None:
+    if not ok:
+        raise ValueError("not the canonical byte form")
+
+
 def _canonical_cycle(data: bytes | str, field: Field | None = None) -> Cycle:
     """The cycle that ``cycle_to_json``, or given its field ``cycle_to_text``,
-    writes as ``data``.  One translate keeps the digits and turns separators
-    into commas for one numpy pass: a JSON row reads its codes, then 10
-    (affine: the y of "type", the a of "affine") or 11, after the head's n,
-    q and 01; a text row reads 0 (A) or 1 (I), then its codes, n being the
-    spaces on its first line.  Raises ValueError, or the parse's warning, at
-    the first block that encodes differently."""
+    writes as ``data``.  The rows are counted (the ``{`` past the head, or
+    the lines) and read into preallocated arrays a block at a time: a
+    translate keeps the digits and turns separators into commas, and numpy
+    parses the rows.  A JSON row reads its codes, then 10 (affine: the y of
+    "type", the a of "affine") or 11; a text row reads 0 (A) or 1 (I), then
+    its codes, n being the spaces on its first line.  Raises ValueError, or
+    the parse's warning, at the first block that encodes differently."""
     data = data.encode("ascii") if isinstance(data, str) else data
-    fmt, skip, kind, inf = ("json", 3, -1, 11) if field is None else ("text", 0, 0, 1)
+    fmt, kind, inf = ("json", -1, 11) if field is None else ("text", 0, 1)
     if field is None:
-        head = _JSON_HEAD.match(data)
-        if head is None or not data.endswith(b"]}\n"):
-            raise ValueError("not the canonical byte form")
-        n, field = int(head[1]), field_from_order(int(head[2]))
+        nq = _JSON_HEAD.match(data)
+        _canonical(nq is not None)
+        n, field, count = int(nq[1]), field_from_order(int(nq[2])), data.count(b"{") - 1
     else:
-        n = data.count(b" ", 0, data.find(b"\n"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = np.fromstring(data.translate(*_TO_NUMBERS[fmt]), dtype=np.int64, sep=",")
-    rows = rows[skip:].reshape(-1, n + 1)
-    arrays = np.delete(rows, kind, axis=1), rows[:, kind] == inf
-    del rows  # before the checks of _from_arrays and their temporaries
-    c = Cycle._from_arrays(field, *arrays)
-    at = 0
-    for block in map(str.encode, cycle_blocks(c, fmt)):
-        if not data.startswith(block, at):
-            raise ValueError("not the canonical byte form")
+        n, count = data.count(b" ", 0, data.find(b"\n")), data.count(b"\n")
+    q = field.q
+    _canonical(n >= 1 and 2 * n * count <= len(data))  # a code takes a digit and a separator
+    width = n * (len(str(q)) + 1) + 33  # bytes of the longest row, JSON's last
+    cols = slice(1 + kind, n + 1 + kind)  # the codes, beside the kind column
+    codes, at_infinity = np.empty((count, n), field.arrays[0].dtype), np.empty(count, bool)
+    blocks = map(str.encode, _array_blocks(codes, at_infinity, q, fmt))
+    # a head the regex matched but with leading zeros is longer: the rows' compare fails
+    at = len(next(blocks))
+    for start, stop in row_blocks(count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunk = data[at : at + (stop - start) * width].translate(*_TO_NUMBERS[fmt])
+            rows = np.fromstring(chunk, dtype=np.int64, sep=",", count=(stop - start) * (n + 1))
+        rows = rows.reshape(-1, n + 1)
+        _canonical(rows[:, cols].min() >= 0 and rows[:, cols].max() < q)  # before narrowing
+        codes[start:stop], at_infinity[start:stop] = rows[:, cols], rows[:, kind] == inf
+        block = next(blocks)
+        _canonical(data.startswith(block, at))
         at += len(block)
-    if at != len(data):
-        raise ValueError("not the canonical byte form")
-    return c
+    _canonical(at == len(data))
+    return Cycle._from_arrays(field, codes, at_infinity)
 
 
 def file_text(data: bytes) -> str:
@@ -540,7 +558,7 @@ def file_text(data: bytes) -> str:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def _decode(data: bytes | str, field: Field | None) -> Cycle:
+def decode_cycle(data: bytes | str, field: Field | None) -> Cycle:
     """The cycle in JSON (no ``field``) or text, or in a file's bytes read as
     ``file_text`` reads them: gen's bytes by ``_canonical_cycle``, anything
     else by the format's general route, which words every refusal:
@@ -552,7 +570,7 @@ def _decode(data: bytes | str, field: Field | None) -> Cycle:
     if isinstance(data, bytes):
         crlf, data = b"\r" in data, file_text(data)
         if crlf:  # its line ends may be all that differed from gen's bytes
-            return _decode(data, field)
+            return decode_cycle(data, field)
     if field is not None:
         return _cycle_from_lines(data, field)
     try:
@@ -564,7 +582,7 @@ def _decode(data: bytes | str, field: Field | None) -> Cycle:
 
 def cycle_from_json(text: str | bytes) -> Cycle:
     """The inverse of ``cycle_to_json``, for JSON text or a file's bytes."""
-    return _decode(text, None)
+    return decode_cycle(text, None)
 
 
 def cycle_to_text(c: Cycle) -> str:
@@ -574,7 +592,7 @@ def cycle_to_text(c: Cycle) -> str:
 
 def cycle_from_text(text: str | bytes, field: Field) -> Cycle:
     """The inverse of ``cycle_to_text`` over ``field``, for text or a file's bytes."""
-    return _decode(text, field)
+    return decode_cycle(text, field)
 
 
 def _cycle_from_lines(text: str, field: Field) -> Cycle:

@@ -250,8 +250,8 @@ def complementary_hyperplane(d1: Direction, d2: Direction, F: Field) -> Hyperpla
 
 
 def hyperplane_point_array(W: Hyperplane, F: Field) -> np.ndarray:
-    """All q^(n-1) kernel points as one int64 (q^(n-1), n) array, ascending
-    lexicographic (0 first).
+    """All q^(n-1) kernel points as one (q^(n-1), n) array in the field's
+    dtype, ascending lexicographic (0 first).
 
     The free coordinates run through every assignment; the pivot coordinate
     is then -f(free part)/f[piv], one ``dots`` over the nonzero coefficients
@@ -262,7 +262,7 @@ def hyperplane_point_array(W: Hyperplane, F: Field) -> np.ndarray:
     _, mul, neg, inv = F.arrays
     piv = next(i for i, x in enumerate(f) if x != 0)
     free = [j for j in range(n) if j != piv]
-    pts = np.zeros((F.q ** (n - 1), n), dtype=np.int64)
+    pts = np.zeros((F.q ** (n - 1), n), dtype=mul.dtype)
     if free:
         pts[:, free] = np.indices((F.q,) * (n - 1)).reshape(n - 1, -1).T
     tail = np.flatnonzero(f)[1:]

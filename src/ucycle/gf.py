@@ -188,10 +188,10 @@ def field_order(p: int, k: int) -> int:
 class Field:
     """GF(p^k) with precomputed operation tables on integer codes.
 
-    ``arrays`` holds the tables as int64 numpy arrays (add, mul, neg, inv),
-    for vectorized callers.  The code-level methods (add, sub, mul, neg,
-    inv) read single entries of the same arrays and return plain ints; they
-    are what the geometry layer uses.
+    ``arrays`` holds the tables (add, mul, neg, inv) in the narrowest dtype
+    that holds q - 1 (uint8 up to q = 256, uint16 above), for vectorized
+    callers, which widen before a sum can leave [0, q).  The code-level
+    methods (add, sub, mul, neg, inv) read single entries as plain ints.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "arrays")
@@ -224,6 +224,7 @@ class Field:
         add = np.zeros((1, 1), dtype=np.int64)
         for w in weights:
             add = (digit_sum[:, None, :, None] * w + add[:, None, :]).reshape(p * w, p * w)
+        add, mul, inv = (t.astype(np.min_scalar_type(q - 1)) for t in (add, mul, inv))
         self.arrays = (add, mul, mul[p - 1], inv)  # -b is (p - 1)·b
 
     # -- integer codec -------------------------------------------------

@@ -10,15 +10,16 @@ subcycle of the next, attached at the shared vertex e_1.  The multiplicative
 (Singer) cycle takes its finite-field arithmetic, cubic modulus and generator
 from gf.
 
-The chain is built on code arrays: a level is the zero-padded previous level
-and the homogenized affine cycle (one column stack), both rotated to start
-at e_1 and concatenated, and ``grass_to_json`` writes a level's payload
-straight from its array.
+The chain is built on code arrays, one level at a time: a level is the
+zero-padded previous level and the homogenized affine cycle (one column
+stack), both rotated to start at e_1 and concatenated, and ``grass_blocks``
+writes a level's payload straight from its array.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import itertools
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,26 +116,28 @@ def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
     return gc if m == gc.m else GrassCycle._from_arrays(gc.field, codes)
 
 
-def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
-    """Universal cycles U_3 ... U_m with each U_j contiguously inside U_(j+1).
+def _next_level(level: GrassCycle, j: int) -> GrassCycle:
+    """U_j embedded into the hyperplane x_(j+1) = 0, spliced at e_1 with a
+    universal affine-line cycle of AG(j,q) lifted to the outer shell."""
+    shell = _homogenize(universal_cycle(j, level.field))
+    inner = embed_codes(level, j + 1)
+    e1 = (1,) + (0,) * j
+    hits = [_row_hits(inner, e1), _row_hits(shell, e1)]
+    return GrassCycle._from_arrays(level.field, *splice([(inner,), (shell,)], hits, e1))
 
-    Each step embeds U_j into the hyperplane x_(j+1) = 0, lifts a universal
-    affine-line cycle of AG(j,q) to the outer shell of G_q(2,j+1), and
-    splices the two at the shared vertex e_1, where every level starts.  The
-    inner cycle keeps covering the subspaces inside the hyperplane, the shell
-    cycle covers the rest, so window sets stay disjoint and the union is
-    everything.
-    """
+
+def nested_levels(m: int, F: Field) -> Iterator[GrassCycle]:
+    """Universal cycles U_3 ... U_m, each U_j contiguously inside U_(j+1)
+    and built from it alone when asked for (U_3 at once).  The inner cycle
+    covers the subspaces inside the hyperplane, the shell cycle the rest."""
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    levels = [singer_cycle(F)]
-    for j in range(3, m):
-        shell = _homogenize(universal_cycle(j, F))
-        inner = embed_codes(levels[-1], j + 1)
-        e1 = (1,) + (0,) * j
-        hits = [_row_hits(inner, e1), _row_hits(shell, e1)]
-        levels.append(GrassCycle._from_arrays(F, *splice([(inner,), (shell,)], hits, e1)))
-    return levels
+    return itertools.accumulate(range(3, m), _next_level, initial=singer_cycle(F))
+
+
+def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
+    """The list of ``nested_levels(m, F)``."""
+    return list(nested_levels(m, F))
 
 
 # -- serialization -----------------------------------------------------------
@@ -148,11 +151,16 @@ def grass_to_json_obj(gc: GrassCycle) -> dict:
     }
 
 
+def grass_blocks(gc: GrassCycle, tail: str = "]}\n") -> Iterator[str]:
+    """``grass_to_json(gc)`` in blocks, ending in ``tail`` instead of "]}\n"."""
+    head = f'{{"m":{gc.m},"q":{gc.field.q},"vertices":['
+    return encode_blocks(gc.codes, None, gc.field.q, head, ("[",), ",", ("],",), tail)
+
+
 def grass_to_json(gc: GrassCycle) -> str:
     """``grass_to_json_obj(gc)`` as compact JSON with sorted keys and a final
     newline, written from the code array."""
-    head = f'{{"m":{gc.m},"q":{gc.field.q},"vertices":['
-    return "".join(encode_blocks(gc, head, ("[",), ",", ("],",), "]}\n"))
+    return "".join(grass_blocks(gc))
 
 
 def subspace_to_json_obj(s: Subspace2) -> dict:

@@ -6,8 +6,8 @@ code shared with the constructions: an affine line of AG(n,q) is a
 normalized direction together with the one point of the line whose
 coordinate at the direction's pivot is 0, and a plane of F_q^m is a rank-2
 RREF row pair.  One block walk decodes the windows, ``cycles.BLOCK_ROWS`` at
-a time, from the code array (and at-infinity mask) into one array of packed
-integer keys, so a passing check builds no per-vertex object: lines with the
+a time, from the narrow code array (each block widened to intp once) into
+one int64 array of packed keys, with no per-vertex object: lines with the
 closed form of ``geometry.line_from``, planes with the closed-form RREF of two
 rows.  Every check decides exact cover on sorted int64 arrays
 (``_key_report``): the distinct window keys with their counts against the
@@ -18,7 +18,6 @@ The brute-force point-pair oracle and a set-based report stay in the tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable
 
@@ -189,17 +188,18 @@ def _walk_keys(kind: str, s: VertexSequence, arrays: tuple, decode: Callable) ->
     """Packed ``kind`` keys of the decodable windows of ``s``, cyclic if
     ``s.wrap``, in window order, and the indices of the degenerate ones.
     ``decode`` takes the arrays of a block's first vertices, then of its
-    second ones, and returns the two vectors of each window's key and the
-    degenerate mask."""
+    second ones, the codes widened to intp copies of its own, and returns
+    the two vectors of each window's key and the degenerate mask."""
     N, dim = arrays[0].shape
     count = N if s.wrap else N - 1
     radix = key_radix(kind, dim, s.field.q)
     weights = s.field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     keys = np.empty(count, dtype=np.int64)
     degenerate, filled = [], 0
+    rows = lambda at: (arrays[0][at].astype(np.intp), *(x[at] for x in arrays[1:]))
     for start, stop in row_blocks(count):
         nxt = np.arange(start + 1, stop + 1) % N
-        u, v, bad = decode(*(x[start:stop] for x in arrays), *(x[nxt] for x in arrays))
+        u, v, bad = decode(*rows(slice(start, stop)), *rows(nxt))
         good = ((u @ weights) * radix + v @ weights)[~bad]
         del u, v  # before the next block's decode
         keys[filled : filled + len(good)] = good
@@ -217,19 +217,20 @@ def _window_keys(c: Cycle | Segment) -> tuple[np.ndarray, list[int]]:
     window's vertex at infinity, normalized since ``Cycle`` checks it, or
     else b - a, normalized; then base[piv]·d is subtracted from the base.
     """
-    ADD, MUL, NEG, INV = c.field.arrays
+    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in c.field.arrays)  # intp, as the rows
 
-    def decode(a, a_inf, b, b_inf):
-        d, pt = np.where(a_inf[:, None], a, b), np.where(a_inf[:, None], b, a)
+    def decode(d, a_inf, pt, b_inf):
+        # the widened rows are the block's own, so they become direction and point in place
+        d[~a_inf], pt[~a_inf] = pt[~a_inf], d[~a_inf]
         two = ~(a_inf | b_inf)
-        diff = ADD[b[two], NEG[a[two]]]
+        diff = ADD[d[two], NEG[pt[two]]]
         lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
         d[two] = MUL[diff, INV[lead][:, None]]
         bad = a_inf & b_inf
         bad[two] = lead == 0
         piv = np.argmax(d != 0, axis=1)
-        base = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
-        return d, base, bad
+        pt[:] = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
+        return d, pt, bad
 
     return _walk_keys("line", c, (c.codes, c.at_infinity), decode)
 
@@ -274,34 +275,15 @@ def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> Coverag
 # -- Grassmannian oracle -------------------------------------------------------
 
 def all_2subspaces(m: int, F: Field) -> set[Subspace2]:
-    """All rank-2 RREF row pairs: pivots i < j, free entries enumerated."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    q = F.q
-    out: set[Subspace2] = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            free1 = [c for c in range(i + 1, m) if c != j]
-            free2 = list(range(j + 1, m))
-            for vals1 in itertools.product(range(q), repeat=len(free1)):
-                row1 = [0] * m
-                row1[i] = 1
-                for col, v in zip(free1, vals1):
-                    row1[col] = v
-                for vals2 in itertools.product(range(q), repeat=len(free2)):
-                    row2 = [0] * m
-                    row2[j] = 1
-                    for col, v in zip(free2, vals2):
-                        row2[col] = v
-                    out.add(Subspace2((tuple(row1), tuple(row2))))
-    return out
+    """Every 2-subspace of F_q^m, enumerated in closed form."""
+    return {_unpack_plane_key(k, m, F) for k in _all_plane_keys(m, F).tolist()}
 
 
 def _all_plane_keys(m: int, F: Field) -> np.ndarray:
     """Packed keys of every 2-subspace of F_q^m, ascending.
 
     For pivots i < j, row 1 is e_i plus any entries right of i except at j,
-    and row 2 is e_j plus any entries right of j, as in ``all_2subspaces``.
+    and row 2 is e_j plus any entries right of j.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -329,19 +311,20 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     window is degenerate.  Otherwise normalize the second row at its own
     pivot and clear that column from the first.
     """
-    ADD, MUL, NEG, INV = gc.field.arrays
+    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in gc.field.arrays)  # intp, as the rows
 
-    def decode(a, b):
-        rows = np.arange(len(a))
-        p1 = np.argmax((a != 0) | (b != 0), axis=1)
-        swap = (a[rows, p1] == 0)[:, None]
-        r1, r2 = np.where(swap, b, a), np.where(swap, a, b)
-        r1 = MUL[r1, INV[r1[rows, p1]][:, None]]
-        r2 = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
+    def decode(r1, r2):
+        # the widened rows are the block's own, so every step writes them in place
+        rows = np.arange(len(r1))
+        p1 = np.argmax((r1 != 0) | (r2 != 0), axis=1)
+        swap = r1[rows, p1] == 0
+        r1[swap], r2[swap] = r2[swap], r1[swap]
+        r1[:] = MUL[r1, INV[r1[rows, p1]][:, None]]
+        r2[:] = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
         p2 = np.argmax(r2 != 0, axis=1)
         lead = r2[rows, p2]
-        r2 = MUL[r2, INV[lead][:, None]]
-        r1 = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
+        r2[:] = MUL[r2, INV[lead][:, None]]
+        r1[:] = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
         return r1, r2, lead == 0
 
     return _walk_keys("plane", gc, (gc.codes,), decode)

@@ -6,10 +6,34 @@ windows and a set of targets.  None of it shares code with the packed-key
 walk or with ``verify._key_report``, which the tests compare against it.
 """
 
+import itertools
 from collections import Counter
 
 from ucycle.geometry import DegenerateWindowError, decode_window
+from ucycle.grassmann import Subspace2
 from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport
+
+
+def rref_plane_pairs(m, F):
+    """All rank-2 RREF row pairs of F_q^m, built row by row: pivots i < j,
+    free entries enumerated; independent of the packed plane keys."""
+    q, out = F.q, set()
+    for i in range(m):
+        for j in range(i + 1, m):
+            free1 = [c for c in range(i + 1, m) if c != j]
+            free2 = list(range(j + 1, m))
+            for vals1 in itertools.product(range(q), repeat=len(free1)):
+                row1 = [0] * m
+                row1[i] = 1
+                for col, v in zip(free1, vals1):
+                    row1[col] = v
+                for vals2 in itertools.product(range(q), repeat=len(free2)):
+                    row2 = [0] * m
+                    row2[j] = 1
+                    for col, v in zip(free2, vals2):
+                        row2[col] = v
+                    out.add(Subspace2((tuple(row1), tuple(row2))))
+    return out
 
 
 def decoded_windows(vs, decode, wrap=True):

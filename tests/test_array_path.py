@@ -50,7 +50,7 @@ def test_hyperplane_points_match_brute_force(n, q):
         W = Hyperplane(f.vector)
         want = [x for x in points if vdot(f.vector, x, F) == 0]
         a = hyperplane_point_array(W, F)
-        assert a.dtype == np.int64 and a.shape == (q ** (n - 1), n)
+        assert a.dtype == np.min_scalar_type(q - 1) and a.shape == (q ** (n - 1), n)
         assert a.tolist() == [list(x) for x in want]
         assert hyperplane_points(W, F) == want
 

@@ -220,7 +220,7 @@ def test_grassmann_failing_level_exits_1(capsys, monkeypatch):
     # U_4 over GF(2) with its first vertex deleted no longer covers G(2,4)
     levels = nested_cycles(4, field_make(2))
     broken = levels[:-1] + [GrassCycle(levels[-1].vertices[1:], levels[-1].field)]
-    monkeypatch.setattr(cli, "nested_cycles", lambda m, F: broken)
+    monkeypatch.setattr(cli, "nested_levels", lambda m, F: iter(broken))
     rc, out, err = run(capsys, "grassmann", "--m", "4", "--p", "2", "--nested")
     assert rc == 1
     assert json.loads(out)["levels"][-1]["verification"]["passed"] is False
@@ -293,7 +293,7 @@ def test_memory_error_of_a_build_names_its_size(capsys, monkeypatch, command, ar
     def exhausted(*args):
         np.empty(2**62, dtype=np.uint8)  # numpy's MemoryError subclass: past any address space
 
-    for name in ("universal_cycle", "plan_fibers", "nested_cycles"):
+    for name in ("universal_cycle", "plan_fibers", "nested_levels"):
         monkeypatch.setattr(cli, name, exhausted)
     rc, out, err = run(capsys, command, *argv)
     assert (rc, out) == (2, "")

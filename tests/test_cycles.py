@@ -472,21 +472,22 @@ def test_encoders_match_reference_on_drawn_cycles():
 
 def assert_same_arrays(a, b):
     assert a.field == b.field
-    assert a.codes.dtype == b.codes.dtype == np.int64
+    assert a.codes.dtype == b.codes.dtype == np.min_scalar_type(a.field.q - 1)
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.at_infinity, b.at_infinity)
 
 
 def test_canonical_decode_is_linear_in_memory():
     # json.loads plus cycle_from_json_obj peak at ~418 B per line on this
-    # text.  Measured: 111 B per line from the text, which is encoded to
-    # bytes first, and 73 from the file's bytes, as the CLI reads them; 73
-    # also from the bytes of the text format.
+    # text.  Measured, block by block into uint8 codes: 66 B per line from
+    # the text, which is encoded to bytes first, and 28 from the file's
+    # bytes, as the CLI reads them; 28 also from the bytes of the text
+    # format (111, 73 and 73 when the whole file was parsed at once).
     F = field_make(3, 2)
     c = universal_cycle(4, F)
     text = cycle_to_json(c)
-    cases = [(cycle_from_json, text, 135), (cycle_from_json, text.encode(), 90),
-             (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 90)]
+    cases = [(cycle_from_json, text, 80), (cycle_from_json, text.encode(), 35),
+             (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 35)]
     for decode, source, bound in cases:
         tracemalloc.start()
         try:
@@ -507,6 +508,23 @@ def test_canonical_decode_refuses_bytes_past_the_encoding():
             _canonical_cycle(data.encode(), field)
 
 
+HEAD = b'{"n":%b,"q":5,"schema_version":1,"vertices":['
+
+
+@pytest.mark.parametrize("data,p", [
+    (HEAD % b"0" + b'{"coords":[],"type":"affine"},{"coords":[],"type":"affine"}]}\n', None),
+    (HEAD % b"10000000000" + b'{"coords":[0],"type":"affine"},{"coords":[1],"type":"affine"}]}\n', None),
+    (b"A\nA\n", 5),
+    (HEAD % b"02" + b'{"coords":[0,0],"type":"affine"},{"coords":[1,0],"type":"affine"}]}\n', None),
+    (cycle_to_json(universal_cycle(2, field_make(5))).replace('"q":5', '"q":05', 1).encode(), None),
+], ids=["n=0", "huge-n", "text-n=0", "n=02", "q=05"])
+def test_canonical_decode_refuses_heads_before_the_rows(data, p):
+    # no code per row, more codes than bytes, or a head that json.loads refuses:
+    # refused before the arrays are allocated or any row is read
+    with pytest.raises(ValueError, match="^not the canonical byte form$"):
+        _canonical_cycle(data, None if p is None else field_make(p))
+
+
 def test_a_parse_warning_takes_the_fallback(monkeypatch):
     # numpy < 2.3 warns, instead of raising, when it stops before the end
     text = cycle_to_json(universal_cycle(2, field_make(3)))
@@ -514,9 +532,9 @@ def test_a_parse_warning_takes_the_fallback(monkeypatch):
     fromstring, loads = np.fromstring, json.loads
     calls = []
 
-    def partial(s, dtype, sep):
+    def partial(s, dtype, sep, count=-1):
         warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return fromstring(s, dtype=dtype, sep=sep)[:-1]
+        return fromstring(s, dtype=dtype, sep=sep, count=count)[:-1]
 
     def counted(s):
         calls.append(len(s))
@@ -578,6 +596,9 @@ GOOD_22 = [
     (2, {"type": "affine", "coords": [2**70, 0]}, "vertex 2 has codes outside [0, 2)"),
     (2, {"type": "affine", "coords": [-(2**70), 0]}, "vertex 2 has codes outside [0, 2)"),
     (2, {"type": "affine", "coords": [2**63, 0]}, "vertex 2 has codes outside [0, 2)"),
+    # 1 once narrowed to the uint8 codes, or to uint16: checked before
+    (2, {"type": "affine", "coords": [257, 0]}, "vertex 2 has codes outside [0, 2)"),
+    (2, {"type": "affine", "coords": [0, 65537]}, "vertex 2 has codes outside [0, 2)"),
     (2, {"type": "affine", "coords": [0]},
      "malformed vertex 2: {'type': 'affine', 'coords': [0]}"),
     (2, {"type": "affine", "coords": [0, 0, 0]},
@@ -586,8 +607,8 @@ GOOD_22 = [
     (3, {"type": "infinity", "coords": [0, 0]}, "vertex 3: infinity vector (0, 0) not normalized"),
     (1, {"type": "inf", "coords": [1, 0]},
      "malformed vertex 1: {'type': 'inf', 'coords': [1, 0]}"),
-], ids=["negative", "2^70", "-2^70", "2^63", "short", "long", "out-of-range",
-        "unnormalized", "bad-type"])
+], ids=["negative", "2^70", "-2^70", "2^63", "wraps-uint8", "wraps-uint16", "short", "long",
+        "out-of-range", "unnormalized", "bad-type"])
 def test_decoder_refusals_keep_their_messages(index, vertex, message):
     vertices = [dict(v) for v in GOOD_22]
     vertices[index] = vertex

@@ -214,6 +214,35 @@ def test_add_table_matches_digitwise_sum(q):
             assert F.coeffs(F.add(a, b)) == tuple((x + y) % F.p for x, y in zip(ca, F.coeffs(b)))
 
 
+def int64_tables(F):
+    """add, mul, neg and inv of GF(q), for q prime or a power of 2, built in
+    int64 without the field's tables: residues mod q, or bit vectors with
+    carry-less products reduced by the field's modulus."""
+    a = np.arange(F.q, dtype=np.int64)
+    if F.k == 1:
+        add, mul, neg = (a[:, None] + a) % F.q, (a[:, None] * a) % F.q, -a % F.q
+    else:
+        assert F.p == 2
+        modulus = sum(c << i for i, c in enumerate(F.modulus))  # x^k included
+        add, mul, neg, x = a[:, None] ^ a, np.zeros((F.q, F.q), dtype=np.int64), a, a[:, None]
+        for bit in range(F.k):
+            mul = mul ^ np.where((a >> bit) & 1, x, 0)
+            x = x << 1
+            x = np.where(x & F.q, x ^ modulus, x)  # x^k reduced
+    inv = np.argmax(mul == 1, axis=1)  # 0 for 0, whose row has no 1
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", [2, 256, 257, 512])
+def test_tables_are_narrow_and_equal_the_int64_build(q):
+    # the dtype edges: uint8 holds the codes of GF(256), uint16 those of
+    # GF(257) and GF(512); under numpy 2 a uint8 sum with a Python int wraps
+    F = field_from_order(q)
+    for table, want in zip(F.arrays, int64_tables(F)):
+        assert table.dtype == np.min_scalar_type(q - 1)
+        assert np.array_equal(table.astype(np.int64), want)
+
+
 def test_gf2048_tables_build_fast(monkeypatch):
     # the tables come from the q - 1 powers of the generator: O(q)
     # polynomial products, then numpy indexing

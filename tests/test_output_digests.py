@@ -55,6 +55,18 @@ PINNED = {
         "0b7d436b463750516ebafb9896ff7ecfb610844c15977a3de94241a8059382a2",
 }
 
+# the dtype edges of the code arrays, taken before the field tables and the
+# codes narrowed to uint8 (q <= 256) and uint16: gen at AG(2,256), AG(2,257)
+# and AG(2,512), each as JSON and as text
+EDGES = {
+    ("2", "8"): ("ca1c2792663bd156cdf08501ada6ae291fbb48570703df2e71a913912d9a6980",
+                 "e90333e414868ef0cd2e744c98ff8c389b239e102bf9100f15f7a4fc78286dd6"),
+    ("257", "1"): ("9083b779e51643172dacd1679d43f78d19310fe77943615a021fa02083c62e3c",
+                   "385525ac09eca3128288081b4d9cf3461845b32d16eb237f39c20a629f507cff"),
+    ("2", "9"): ("a882e47a73cf181567ce537bff9b4e14bd58fa35b8c57038305e16f527d81405",
+                 "a6bede99e6093460c3b90e4aedc2f2f561c208dad5d70ede2737adbc638df0f4"),
+}
+
 # verify report of AG(3,3)'s cycle with its first vertex deleted
 PINNED_FAILING_REPORT = "7e0c9751f8cb4576328224f36f67be081bed9f7ad8895ecf23bf39955a9417bf"
 
@@ -71,6 +83,18 @@ def sha256(text):
 def test_cli_payload_digest(capsys, argv):
     assert main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == PINNED[argv]
+
+
+@pytest.mark.parametrize("p,k", list(EDGES), ids=["q256", "q257", "q512"])
+def test_dtype_edge_payloads_are_pinned_and_verify(tmp_path, capsys, p, k):
+    flags = ["--n", "2", "--p", p, "--k", k]
+    for fmt, digest in zip(("json", "text"), EDGES[p, k]):
+        f = tmp_path / f"c.{fmt}"
+        assert main(["gen", *flags, "--format", fmt, "--out", str(f)]) == 0
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == digest
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f), *(flags if fmt == "text" else [])]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_failing_verify_report_digest(tmp_path, capsys):

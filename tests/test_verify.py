@@ -44,7 +44,7 @@ from ucycle.verify import (
     verify_nesting,
     verify_subset,
 )
-from reference import build_report, decoded_windows, line_report
+from reference import build_report, decoded_windows, line_report, rref_plane_pairs
 
 
 def pair_oracle(n, F):
@@ -294,7 +294,8 @@ def test_all_plane_keys_unpack_to_all_2subspaces(m, q):
     keys = _all_plane_keys(m, F).tolist()
     assert keys == sorted(set(keys))
     planes = [_unpack_plane_key(k, m, F) for k in keys]
-    assert planes == sorted(all_2subspaces(m, F))
+    assert planes == sorted(rref_plane_pairs(m, F))
+    assert all_2subspaces(m, F) == rref_plane_pairs(m, F)
     assert len(planes) == gaussian_binomial_2(m, q)
 
 
@@ -424,20 +425,32 @@ def traced_peak(f):
 
 
 def test_verify_affine_memory_per_window():
-    # 62 B/window measured at AG(10,2) (523,776 windows); the one-pass
-    # decode held (N, n) int64 temporaries and peaked at 426 B/window
+    # 60 B/window measured at AG(10,2) (523,776 windows), each block's rows
+    # widened once and turned into direction and point in place (70 with
+    # np.where copies beside them); the one-pass decode held (N, n) int64
+    # temporaries and peaked at 426 B/window
     F = field_make(2)
     c = universal_cycle(10, F)
     rep, peak = traced_peak(lambda: verify_affine(c, 10, F))
     assert rep.passed
-    assert peak / len(c) <= 80
+    assert peak / len(c) <= 72
 
 
 def test_verify_grassmann_memory_per_window():
-    # 185 B/window measured at the m = 10, q = 2 top level (174,251 planes),
-    # most of it one block's temporaries; the one-pass decode peaked at 442
+    # 155 B/window measured at the m = 10, q = 2 top level (174,251 planes),
+    # most of it one block's temporaries, written in place (185 when each
+    # step made a new array); the one-pass decode peaked at 442
     F = field_make(2)
     top = nested_cycles(10, F)[-1]
     rep, peak = traced_peak(lambda: verify_grassmann(top, 10, F))
     assert rep.passed
-    assert peak / len(top) <= 220
+    assert peak / len(top) <= 190
+
+
+def test_universal_cycle_memory_per_window():
+    # 38 B/window measured at AG(10,2): the uint8 codes (10 B/window) and the
+    # checks' temporaries; 109 with int64 codes
+    F = field_make(2)
+    c, peak = traced_peak(lambda: universal_cycle(10, F))
+    assert len(c) == 523_776 and c.codes.dtype == np.uint8
+    assert peak / len(c) <= 47
