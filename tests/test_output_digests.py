@@ -53,6 +53,20 @@ PINNED = {
         "cc2892d4fd4f9c7726e42c62c4921ee70358530169ed1fe7a97b0f03d1216ced",
     ("gen", "--n", "3", "--p", "5", "--k", "2"):
         "0b7d436b463750516ebafb9896ff7ecfb610844c15977a3de94241a8059382a2",
+    # taken before the encoder's tokens grew from one code to a group of
+    # codes: whole-row tokens at AG(10,2) (JSON and text), AG(5,5) and the
+    # upper levels of the m = 9 chain, rows cut into uneven groups at its
+    # m = 5 level, and one code per token over GF(509)
+    ("gen", "--n", "10", "--p", "2"):
+        "b94e4d3606444a30346d93ffa31b336661e39cadabba9b63b67b8c21474c9798",
+    ("gen", "--n", "10", "--p", "2", "--format", "text"):
+        "9be1c833c3d9df1d76309ef23af6bbccfcd389d93638f3e15b6ff5e7c7db72b1",
+    ("gen", "--n", "5", "--p", "5"):
+        "1a70b00643b359c3c3522b65830b7444f5602744de2a4cb798fa3129f5393b80",
+    ("grassmann", "--m", "9", "--p", "2", "--nested"):
+        "2b2496dc2ef29b01a59af41f537fd0616ad50c09be489dbb9b281979bec83b30",
+    ("grassmann", "--m", "3", "--p", "509"):
+        "a5339c40234da04a4e9c0f78a33cdf7c30de846d67e28664a3b12e7b14699cff",
 }
 
 # the dtype edges of the code arrays, taken before the field tables and the
