@@ -10,10 +10,11 @@ mask), checked once over the arrays, with the vertex tuple built lazily and
 cached; their windows are decoded by the verifier's key walk
 (``verify.window_keys``).  Gluing, translation and linear maps work on the
 arrays.  One generator, ``encode_blocks``, writes every text form from the
-arrays in blocks of BLOCK_ROWS rows.  ``decode_cycle`` reads gen's bytes
-block by block, each parsed by numpy and checked by encoding it back; any
-other input is read as a UTF-8 text file, by ``json.loads`` and
-``cycle_from_json_obj`` or by lines.
+arrays in blocks of BLOCK_ROWS rows, a token of precomputed text for each
+row or group of codes.  ``decode_cycle`` reads gen's bytes block by block,
+each parsed by numpy and checked by encoding it back; any other input is
+read as a UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or
+by lines.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import re
 import warnings
 from collections import Counter, defaultdict
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -211,9 +212,13 @@ class _ProjectiveSequence(VertexSequence):
         )
 
     def _rule_fails(self) -> np.ndarray:
-        # a vector at infinity must have 1 as its first nonzero code
-        lead = self.codes[np.arange(len(self)), np.argmax(self.codes != 0, axis=1)]
-        return self.at_infinity & (lead != 1)
+        # a vector at infinity must have 1 as its first nonzero code, checked a block at a time
+        bad = np.empty(len(self), dtype=bool)
+        for start, stop in row_blocks(len(self)):
+            rows = self.codes[start:stop]
+            lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], axis=1)
+            bad[start:stop] = self.at_infinity[start:stop] & (lead[:, 0] != 1)
+        return bad
 
     def _coords(self, i: int, v) -> tuple:
         if not isinstance(v, ProjVertex):
@@ -416,31 +421,68 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
 # -- serialization -----------------------------------------------------------
 
 SCHEMA_VERSION = 1
-BLOCK_ROWS = 2**16  # rows per block of the encoders and of verify's window walks
+BLOCK_ROWS = 2**16  # rows per block of the codec, codes per block of verify's window walks
 
 
-def row_blocks(count: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of BLOCK_ROWS rows out of ``count``."""
-    return ((s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
+def row_blocks(count: int, width: int = 1) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block out of ``count`` rows of ``width`` codes:
+    BLOCK_ROWS codes a block, or one row when a row is wider."""
+    size = max(1, BLOCK_ROWS // width)
+    return ((s, min(s + size, count)) for s in range(0, count, size))
+
+
+def _token_table(q: int, width: int, pre: str, sep: str, post: str) -> list[str]:
+    """``pre``, the codes of a vector of ``width`` codes in [0, q) joined by
+    ``sep``, then ``post``: one string for every vector, in the order of its
+    base-q value, the first code most significant.  Each string is formatted
+    whole, with no partial string beside it, so the table's memory is freed
+    whole."""
+    template = sep.replace("%", "%%").join(["%s"] * width)
+    template = pre.replace("%", "%%") + template + post.replace("%", "%%")
+    return [template % v for v in product(list(map(str, range(q))), repeat=width)]
+
+
+def _token_width(count: int, n: int, q: int) -> int:
+    """The codes in a token of ``encode_blocks`` for ``count`` rows of n codes
+    in [0, q): the largest g <= n with q^g <= count/8 and q^g <= 2^16, or 1."""
+    g = 1
+    while g < n and 8 * q ** (g + 1) <= count and q ** (g + 1) <= 2**16:
+        g += 1
+    return g
 
 
 def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str,
                   first: Sequence[str], sep: str, last: Sequence[str], tail: str) -> Iterator[str]:
-    """``head``, then the rows of the code array, each block read when it is
-    asked for.  A row is its codes joined by ``sep`` between ``first[k]``
-    and ``last[k]``, for k the row's entry of the mask ``kinds`` when two
-    kinds are given, else 0; ``tail`` replaces the last character of the
-    last row, the separator between rows."""
-    n = codes.shape[1]
-    ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
-            for k in range(len(first)) for j in range(n)]
-    table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
+    """``head``, then the rows of the code array, each block of BLOCK_ROWS
+    rows read when it is asked for.  A row is its codes joined by ``sep``
+    between ``first[k]`` and ``last[k]``, for k the row's entry of the mask
+    ``kinds`` when two kinds are given, else 0; ``tail`` replaces the last
+    character of the last row, the separator between rows.
+
+    A row is written as tokens of g codes each (``_token_width``), the last
+    group of a row taking what is left, whole rows when g reaches n.  Each
+    token is a precomputed string that holds its codes and whatever of the
+    row's ends and separators lies beside them, one table of q^g strings or
+    fewer for each kind and group: at most N/8 and 2^16, so the table costs
+    a fraction of the encode."""
+    N, n = codes.shape
+    g = _token_width(N, n, q)
+    groups = [(a, min(a + g, n)) for a in range(0, n, g)]
+    table = np.array([x for pre, post in zip(first, last) for a, b in groups
+                      for x in _token_table(q, b - a, pre if a == 0 else "", sep,
+                                            post if b == n else sep)], dtype=object)
+    # a token's number in the table: its kind's and group's offset plus the
+    # group's base-q value, codes @ value, the first code most significant
+    value = np.zeros((n, len(groups)), dtype=np.uint32)
+    for k, (a, b) in enumerate(groups):
+        value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)
+    sizes = [q ** (b - a) for a, b in groups]
+    offset, per_kind = np.cumsum([0] + sizes[:-1]), sum(sizes)
     yield head
-    for start, stop in row_blocks(len(codes)):
-        kind = kinds[start:stop, None] * (n * q) if len(first) > 1 else 0
-        # the token index leaves the codes' dtype: adding the intp offsets widens it
-        tokens = table[codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
-        if stop == len(codes):
+    for start, stop in row_blocks(N):
+        kind = kinds[start:stop, None] * per_kind if len(first) > 1 else 0
+        tokens = table.take(codes[start:stop] @ value + (offset + kind)).ravel().tolist()
+        if stop == N:
             tokens[-1] = tokens[-1][:-1] + tail
         yield "".join(tokens)
 
@@ -546,9 +588,11 @@ def _canonical_cycle(data: bytes | str, field: Field | None = None) -> Cycle:
         rows = rows.reshape(-1, n + 1)
         _canonical(rows[:, cols].min() >= 0 and rows[:, cols].max() < q)  # before narrowing
         codes[start:stop], at_infinity[start:stop] = rows[:, cols], rows[:, kind] == inf
+        del chunk, rows  # each block's temporaries go before the next block's come
         block = next(blocks)
         _canonical(data.startswith(block, at))
         at += len(block)
+        del block
     _canonical(at == len(data))
     return Cycle._from_arrays(field, codes, at_infinity)
 

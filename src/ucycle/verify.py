@@ -5,11 +5,13 @@ produce failing reports.  The targets are enumerated in closed form, with no
 code shared with the constructions: an affine line of AG(n,q) is a
 normalized direction together with the one point of the line whose
 coordinate at the direction's pivot is 0, and a plane of F_q^m is a rank-2
-RREF row pair.  One block walk decodes the windows, ``cycles.BLOCK_ROWS`` at
-a time, from the narrow code array (each block widened to intp once) into
-one int64 array of packed keys, with no per-vertex object: lines with the
-closed form of ``geometry.line_from``, planes with the closed-form RREF of two
-rows.  Every check decides exact cover on sorted int64 arrays
+RREF row pair.  One block walk decodes the windows, about
+``cycles.BLOCK_ROWS`` codes at a time, from the narrow code array into one
+int64 array of packed keys, with no per-vertex object: lines with the closed
+form of ``geometry.line_from``, planes with the closed-form RREF of two rows.
+Each field operation is one 1-D gather from a flattened table, its first
+operand pre-scaled by q, and each window's rows are put in order by one row
+gather.  Every check decides exact cover on sorted int64 arrays
 (``_key_report``): the distinct window keys with their counts against the
 ascending target keys, which ``verify_subset`` packs from any target set.
 The walk (``window_keys``) also serves ``windows()`` and the gluing check.
@@ -101,7 +103,9 @@ def _key_report(s: VertexSequence, expected: np.ndarray) -> CoverageReport:
     leave numpy, as plain ints, and become report entries.
     """
     keys, degenerate, item = window_keys(s)
+    found_count = len(keys) + len(degenerate)
     found, counts = np.unique(keys, return_counts=True)
+    del keys  # the distinct keys stand for them from here on
     at = np.searchsorted(expected, found)
     known = at < len(expected)  # none when there are no targets
     known[known] = expected[at[known]] == found[known]
@@ -113,7 +117,7 @@ def _key_report(s: VertexSequence, expected: np.ndarray) -> CoverageReport:
     head = lambda a: a[:MAX_REPORT_ITEMS].tolist()
     return CoverageReport(
         expected_count=len(expected),
-        found_count=len(keys) + len(degenerate),
+        found_count=found_count,
         missing=[item(k) for k in head(missing)],
         duplicated=[(item(k), c) for k, c in zip(head(found[twice]), head(counts[twice]))],
         unexpected=[item(k) for k in head(unexpected)],
@@ -184,28 +188,49 @@ def _all_line_keys(n: int, F: Field) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _flat_tables(F: Field) -> tuple:
+    """The field tables for 1-D gathers: add and mul flattened, in the
+    field's dtype, so ``ADD.take(x * q + y)`` is x + y; and mul, neg and inv
+    as intp with every entry pre-scaled by q, so that what they return is
+    ready to be the first operand of the next gather."""
+    add, mul, neg, inv = F.arrays
+    q = F.q
+    scaled = np.multiply(np.concatenate([mul.ravel(), neg, inv]), q, dtype=np.intp)
+    return add.ravel(), mul.ravel(), scaled[: q * q], scaled[q * q : -q], scaled[-q:]
+
+
 def _walk_keys(kind: str, s: VertexSequence, arrays: tuple, decode: Callable) -> tuple:
     """Packed ``kind`` keys of the decodable windows of ``s``, cyclic if
     ``s.wrap``, in window order, and the indices of the degenerate ones.
-    ``decode`` takes the arrays of a block's first vertices, then of its
-    second ones, the codes widened to intp copies of its own, and returns
-    the two vectors of each window's key and the degenerate mask."""
+
+    The windows are walked in blocks of ``row_blocks(count, dim)``, about
+    BLOCK_ROWS codes each, so the temporaries stay cache-sized.  ``decode``
+    takes a block's rows of ``arrays``, in their own dtypes, and the row
+    after its last window (row 0 for the wrap window); it returns the two
+    vectors of each window's key and the degenerate mask."""
     N, dim = arrays[0].shape
     count = N if s.wrap else N - 1
     radix = key_radix(kind, dim, s.field.q)
     weights = s.field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     keys = np.empty(count, dtype=np.int64)
     degenerate, filled = [], 0
-    rows = lambda at: (arrays[0][at].astype(np.intp), *(x[at] for x in arrays[1:]))
-    for start, stop in row_blocks(count):
-        nxt = np.arange(start + 1, stop + 1) % N
-        u, v, bad = decode(*rows(slice(start, stop)), *rows(nxt))
-        good = ((u @ weights) * radix + v @ weights)[~bad]
-        del u, v  # before the next block's decode
-        keys[filled : filled + len(good)] = good
-        filled += len(good)
-        degenerate += (np.flatnonzero(bad) + start).tolist()
+    for start, stop in row_blocks(count, dim):
+        # the next rows are a slice; only the wrap window's is row 0
+        rows = [x[start : stop + 1] if stop < N else np.concatenate([x[start:], x[:1]])
+                for x in arrays]
+        u, v, bad = decode(*rows)
+        packed = u @ (weights * radix) + v @ weights
+        if bad.any():
+            degenerate += (np.flatnonzero(bad) + start).tolist()
+            packed = packed[~bad]
+        keys[filled : filled + len(packed)] = packed
+        filled += len(packed)
     return keys[:filled], degenerate
+
+
+def _pick(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows[k, cols[k]] for every row k of cols, as one gather from the flat rows."""
+    return rows.ravel().take(np.arange(0, len(cols) * rows.shape[1], rows.shape[1]) + cols)
 
 
 def _window_keys(c: Cycle | Segment) -> tuple[np.ndarray, list[int]]:
@@ -217,20 +242,21 @@ def _window_keys(c: Cycle | Segment) -> tuple[np.ndarray, list[int]]:
     window's vertex at infinity, normalized since ``Cycle`` checks it, or
     else b - a, normalized; then base[piv]·d is subtracted from the base.
     """
-    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in c.field.arrays)  # intp, as the rows
+    ADD, MUL, MULQ, NEGQ, INVQ = _flat_tables(c.field)
 
-    def decode(d, a_inf, pt, b_inf):
-        # the widened rows are the block's own, so they become direction and point in place
-        d[~a_inf], pt[~a_inf] = pt[~a_inf], d[~a_inf]
-        two = ~(a_inf | b_inf)
-        diff = ADD[d[two], NEG[pt[two]]]
-        lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
-        d[two] = MUL[diff, INV[lead][:, None]]
+    def decode(rows, inf):
+        i, a_inf, b_inf = np.arange(len(rows) - 1), inf[:-1], inf[1:]
+        # a window at an affine a reads its direction from b, and its point from a
+        d, pt = rows.take(i + ~a_inf, axis=0), rows.take(i + a_inf, axis=0)
         bad = a_inf & b_inf
-        bad[two] = lead == 0
-        piv = np.argmax(d != 0, axis=1)
-        pt[:] = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
-        return d, pt, bad
+        two = np.flatnonzero(~(a_inf | b_inf))
+        if len(two):  # rare: most windows pair a point with a direction
+            diff = ADD.take(NEGQ.take(pt[two]) + d[two])
+            lead = _pick(diff, np.argmax(diff != 0, axis=1))
+            d[two] = MUL.take(INVQ.take(lead)[:, None] + diff)
+            bad[two] = lead == 0
+        at = _pick(pt, np.argmax(d != 0, axis=1))
+        return d, ADD.take(MULQ.take(NEGQ.take(at)[:, None] + d) + pt), bad
 
     return _walk_keys("line", c, (c.codes, c.at_infinity), decode)
 
@@ -311,20 +337,20 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     window is degenerate.  Otherwise normalize the second row at its own
     pivot and clear that column from the first.
     """
-    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in gc.field.arrays)  # intp, as the rows
+    ADD, MUL, MULQ, NEGQ, INVQ = _flat_tables(gc.field)
 
-    def decode(r1, r2):
-        # the widened rows are the block's own, so every step writes them in place
-        rows = np.arange(len(r1))
-        p1 = np.argmax((r1 != 0) | (r2 != 0), axis=1)
-        swap = r1[rows, p1] == 0
-        r1[swap], r2[swap] = r2[swap], r1[swap]
-        r1[:] = MUL[r1, INV[r1[rows, p1]][:, None]]
-        r2[:] = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
+    def decode(rows):
+        i = np.arange(len(rows) - 1)
+        p1 = np.argmax((rows[:-1] | rows[1:]) != 0, axis=1)
+        # order each window's rows so that the first is nonzero at p1
+        swap = _pick(rows, p1) == 0
+        r1, r2 = rows.take(i + swap, axis=0), rows.take(i + ~swap, axis=0)
+        r1 = MUL.take(INVQ.take(_pick(r1, p1))[:, None] + r1)
+        r2 = ADD.take(MULQ.take(NEGQ.take(_pick(r2, p1))[:, None] + r1) + r2)
         p2 = np.argmax(r2 != 0, axis=1)
-        lead = r2[rows, p2]
-        r2[:] = MUL[r2, INV[lead][:, None]]
-        r1[:] = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
+        lead = _pick(r2, p2)
+        r2 = MUL.take(INVQ.take(lead)[:, None] + r2)
+        r1 = ADD.take(MULQ.take(NEGQ.take(_pick(r1, p2))[:, None] + r2) + r1)
         return r1, r2, lead == 0
 
     return _walk_keys("plane", gc, (gc.codes,), decode)

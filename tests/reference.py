@@ -1,17 +1,26 @@
-"""Per-window references for the key walk and its report.
+"""References for the key walk, its report and the block encoder.
 
 Each window is decoded on its own, by ``geometry.decode_window`` or
 ``grassmann.span2``, and the report is built from a Counter of the decoded
 windows and a set of targets.  None of it shares code with the packed-key
 walk or with ``verify._key_report``, which the tests compare against it.
+
+The kernels that the flat-table walk and the grouped-token encoder replaced
+stay here too, unchanged but for their block loops: the key walk that
+decodes BLOCK_ROWS windows a block with 2-D table gathers on intp copies of
+the rows (``line_keys_2d``, ``plane_keys_2d``), and the encoder that writes
+one token per code (``encode_by_code``).
 """
 
 import itertools
 from collections import Counter
 
+import numpy as np
+
+from ucycle import cycles
 from ucycle.geometry import DegenerateWindowError, decode_window
 from ucycle.grassmann import Subspace2
-from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport
+from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, key_radix
 
 
 def rref_plane_pairs(m, F):
@@ -86,3 +95,89 @@ def line_report(c, expected) -> CoverageReport:
         c.vertices, lambda a, b: decode_window(a, b, c.field), c.wrap
     )
     return build_report(expected, lines, degenerate)
+
+
+# -- the replaced kernels ---------------------------------------------------------
+
+
+def _blocks(count):
+    size = cycles.BLOCK_ROWS
+    return ((s, min(s + size, count)) for s in range(0, count, size))
+
+
+def walk_keys_2d(kind, s, arrays, decode):
+    """Packed keys of the decodable windows of ``s`` and the indices of the
+    degenerate ones, BLOCK_ROWS windows a block: a block's rows and its next
+    rows (gathered, ``% N`` for the wrap window) widened to intp copies that
+    ``decode`` may write."""
+    N, dim = arrays[0].shape
+    count = N if s.wrap else N - 1
+    radix = key_radix(kind, dim, s.field.q)
+    weights = s.field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(count, dtype=np.int64)
+    degenerate, filled = [], 0
+    rows = lambda at: (arrays[0][at].astype(np.intp), *(x[at] for x in arrays[1:]))
+    for start, stop in _blocks(count):
+        nxt = np.arange(start + 1, stop + 1) % N
+        u, v, bad = decode(*rows(slice(start, stop)), *rows(nxt))
+        good = ((u @ weights) * radix + v @ weights)[~bad]
+        keys[filled : filled + len(good)] = good
+        filled += len(good)
+        degenerate += (np.flatnonzero(bad) + start).tolist()
+    return keys[:filled], degenerate
+
+
+def line_keys_2d(c):
+    """``verify._window_keys(c)``, each window decoded with 2-D gathers."""
+    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in c.field.arrays)
+
+    def decode(d, a_inf, pt, b_inf):
+        d[~a_inf], pt[~a_inf] = pt[~a_inf], d[~a_inf]
+        two = ~(a_inf | b_inf)
+        diff = ADD[d[two], NEG[pt[two]]]
+        lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
+        d[two] = MUL[diff, INV[lead][:, None]]
+        bad = a_inf & b_inf
+        bad[two] = lead == 0
+        piv = np.argmax(d != 0, axis=1)
+        pt[:] = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
+        return d, pt, bad
+
+    return walk_keys_2d("line", c, (c.codes, c.at_infinity), decode)
+
+
+def plane_keys_2d(gc):
+    """``verify._plane_keys(gc)``, each window decoded with 2-D gathers."""
+    ADD, MUL, NEG, INV = (t.astype(np.intp) for t in gc.field.arrays)
+
+    def decode(r1, r2):
+        rows = np.arange(len(r1))
+        p1 = np.argmax((r1 != 0) | (r2 != 0), axis=1)
+        swap = r1[rows, p1] == 0
+        r1[swap], r2[swap] = r2[swap], r1[swap]
+        r1[:] = MUL[r1, INV[r1[rows, p1]][:, None]]
+        r2[:] = ADD[r2, MUL[r1, NEG[r2[rows, p1]][:, None]]]
+        p2 = np.argmax(r2 != 0, axis=1)
+        lead = r2[rows, p2]
+        r2[:] = MUL[r2, INV[lead][:, None]]
+        r1[:] = ADD[r1, MUL[r2, NEG[r1[rows, p2]][:, None]]]
+        return r1, r2, lead == 0
+
+    return walk_keys_2d("plane", gc, (gc.codes,), decode)
+
+
+def encode_by_code(codes, kinds, q, head, first, sep, last, tail):
+    """``cycles.encode_blocks`` with one precomputed token per code: the
+    code with the row's prefix before it, or the separator or the row's
+    suffix after it."""
+    n = codes.shape[1]
+    ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
+            for k in range(len(first)) for j in range(n)]
+    table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
+    yield head
+    for start, stop in _blocks(len(codes)):
+        kind = kinds[start:stop, None] * (n * q) if len(first) > 1 else 0
+        tokens = table[codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
+        if stop == len(codes):
+            tokens[-1] = tokens[-1][:-1] + tail
+        yield "".join(tokens)

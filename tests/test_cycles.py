@@ -499,6 +499,22 @@ def test_canonical_decode_is_linear_in_memory():
         assert peak / len(c) <= bound
 
 
+def test_cycle_checks_are_linear_in_memory():
+    # 3.4 B per row measured at AG(10,2): the rule check's mask, and one
+    # block's temporaries; 26 when the lead search ran over the whole cycle
+    F = field_make(2)
+    c = universal_cycle(10, F)
+    codes, at_infinity = c.codes.copy(), c.at_infinity.copy()
+    tracemalloc.start()
+    try:
+        Cycle._from_arrays(F, codes, at_infinity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 523_776
+    assert peak / len(c) <= 5
+
+
 def test_canonical_decode_refuses_bytes_past_the_encoding():
     # the translate drops these bytes, so only the length check refuses them
     F = field_make(3)

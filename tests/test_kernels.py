@@ -1,0 +1,150 @@
+"""The flat-table key walk and the grouped-token block encoder against the
+kernels they replaced (``reference.line_keys_2d``, ``plane_keys_2d`` and
+``encode_by_code``): the same keys and degenerate windows at every block
+size, with the wrap window alone in its block among them, and the same
+blocks of bytes in every format, with each row one token, cut into groups,
+evenly or not, or one code a token."""
+
+import numpy as np
+import pytest
+
+from ucycle import cycles, grassmann
+from ucycle.constructions import universal_cycle
+from ucycle.cycles import Cycle, Segment, _array_blocks, row_blocks, _token_width
+from ucycle.gf import field_from_order
+from ucycle.grassmann import GrassCycle, grass_blocks, nested_cycles
+from ucycle.verify import _plane_keys, _window_keys
+from reference import encode_by_code, line_keys_2d, plane_keys_2d
+
+
+def projective_arrays(rng, count, n, F):
+    """Random codes and at-infinity flags over F, each vector at infinity
+    led by 1, with an affine point repeated and two vectors at infinity in a
+    row: both windows degenerate."""
+    codes = rng.integers(0, F.q, (count, n))
+    inf = rng.random(count) < 0.5
+    codes[3], inf[2:4] = codes[2], False
+    inf[5:7] = True
+    codes[~codes.any(axis=1), 0] = 1
+    rows = np.flatnonzero(inf)
+    codes[rows, np.argmax(codes[rows] != 0, axis=1)] = 1
+    return codes.astype(F.arrays[0].dtype), inf
+
+
+def vector_codes(rng, count, n, F):
+    """Random nonzero vectors over F, the fourth a multiple of the third and
+    the last equal to the first: windows 2 and the wrap window span no
+    plane."""
+    codes = rng.integers(0, F.q, (count, n))
+    codes[~codes.any(axis=1), -1] = 1
+    codes[3] = F.arrays[1][F.q - 1][codes[2]]
+    codes[-1] = codes[0]
+    return codes.astype(F.arrays[0].dtype)
+
+
+def walk_sizes(count, dim):
+    """BLOCK_ROWS values for a walk of ``count`` windows of ``dim`` codes,
+    the last making the wrap window the only one of its block."""
+    rows = next(r for r in range(2, count) if count % r == 1)
+    return [1, 2, 3, dim, dim + 1, 2**16, rows * dim]
+
+
+def assert_walks_agree(monkeypatch, s, keys, reference):
+    count = len(s) if s.wrap else len(s) - 1
+    for size in walk_sizes(count, s.n):
+        monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+        found, degenerate = keys(s)
+        want, want_degenerate = reference(s)
+        assert found.tolist() == want.tolist() and degenerate == want_degenerate
+    # at the last size, the last block holds the wrap window alone
+    assert list(row_blocks(count, s.n))[-1] == (count - 1, count)
+    return degenerate
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 5), (3, 4), (3, 9), (2, 256), (2, 257), (2, 512)])
+def test_line_walk_matches_the_2d_gathers(monkeypatch, n, q):
+    F = field_from_order(q)
+    rng = np.random.default_rng(q * 10 + n)
+    codes, inf = projective_arrays(rng, 61, n, F)
+    c = Cycle._from_arrays(F, codes, inf)
+    two = ~(inf | np.roll(inf, -1))
+    assert two.sum() > 2 and (inf & np.roll(inf, -1)).any()
+    degenerate = assert_walks_agree(monkeypatch, c, _window_keys, line_keys_2d)
+    assert {2, 5} <= set(degenerate)
+    # the open sequence: no wrap window
+    s = Segment._from_arrays(F, codes[:-1], inf[:-1])
+    assert_walks_agree(monkeypatch, s, _window_keys, line_keys_2d)
+
+
+@pytest.mark.parametrize("n,q", [(3, 5), (4, 3), (2, 9)])
+def test_line_walk_matches_the_2d_gathers_on_universal_cycles(monkeypatch, n, q):
+    c = universal_cycle(n, field_from_order(q))
+    assert (~(c.at_infinity | np.roll(c.at_infinity, -1))).any()  # two-affine windows
+    assert assert_walks_agree(monkeypatch, c, _window_keys, line_keys_2d) == []
+
+
+@pytest.mark.parametrize("m,q", [(3, 2), (4, 3), (3, 4), (5, 2), (3, 257), (3, 512)])
+def test_plane_walk_matches_the_2d_gathers(monkeypatch, m, q):
+    F = field_from_order(q)
+    gc = GrassCycle._from_arrays(F, vector_codes(np.random.default_rng(q * 10 + m), 53, m, F))
+    degenerate = assert_walks_agree(monkeypatch, gc, _plane_keys, plane_keys_2d)
+    assert {2, 52} <= set(degenerate)
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (4, 3)])
+def test_plane_walk_matches_the_2d_gathers_on_nested_cycles(monkeypatch, m, q):
+    for u in nested_cycles(m, field_from_order(q)):
+        assert assert_walks_agree(monkeypatch, u, _plane_keys, plane_keys_2d) == []
+
+
+# (n, q, rows, g): g codes a token, whole rows when g = n
+ENCODED = [
+    (5, 2, 40, 2),  # groups of 2, 2 and 1 codes
+    (5, 2, 200, 4),  # 4 and 1
+    (5, 2, 300, 5),
+    (4, 3, 100, 2),  # 2 and 2
+    (4, 3, 300, 3),  # 3 and 1
+    (4, 3, 700, 4),
+    (3, 4, 200, 2),  # 2 and 1
+    (3, 4, 600, 3),
+    (3, 9, 700, 2),  # 2 and 1
+    (3, 9, 6000, 3),
+    (1, 9, 100, 1),
+    (2, 256, 1000, 1),
+    (2, 257, 1000, 1),  # 257^2 > 2^16 at any size
+    (2, 509, 1000, 1),
+    (2, 512, 1000, 1),
+]
+
+
+def encoded(monkeypatch, codes, inf, F, kernel):
+    monkeypatch.setattr(cycles, "encode_blocks", kernel)
+    monkeypatch.setattr(grassmann, "encode_blocks", kernel)
+    gc = GrassCycle._from_arrays(F, np.where(codes.any(axis=1, keepdims=True), codes, 1))
+    blocks = [list(_array_blocks(codes, inf, F.q, fmt)) for fmt in ("json", "text")]
+    return blocks + [list(grass_blocks(gc))]
+
+
+@pytest.mark.parametrize("n,q,count,g", ENCODED)
+def test_encoder_matches_one_code_per_token(monkeypatch, n, q, count, g):
+    F = field_from_order(q)
+    codes, inf = projective_arrays(np.random.default_rng(count + q), count, n, F)
+    assert _token_width(count, n, q) == g
+    new = cycles.encode_blocks
+    # at count - 1 rows a block, the last block is one row, which takes the tail
+    for size in (2**16, 7, count - 1):
+        monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+        blocks = encoded(monkeypatch, codes, inf, F, new)
+        assert blocks == encoded(monkeypatch, codes, inf, F, encode_by_code)
+        assert all(len(b) == 1 + -(-count // size) for b in blocks)
+
+
+def test_encoder_matches_one_code_per_token_at_the_table_bound(monkeypatch):
+    # q^2 = 2^16 strings a kind, the largest table: whole rows at q = 256
+    F = field_from_order(256)
+    count = 8 * 2**16
+    codes, inf = projective_arrays(np.random.default_rng(256), count, 2, F)
+    assert _token_width(count, 2, 256) == 2 and _token_width(count - 1, 2, 256) == 1
+    new = list(_array_blocks(codes, inf, 256, "json"))
+    monkeypatch.setattr(cycles, "encode_blocks", encode_by_code)
+    assert new == list(_array_blocks(codes, inf, 256, "json"))
