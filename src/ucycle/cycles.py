@@ -431,17 +431,6 @@ def row_blocks(count: int, width: int = 1) -> Iterator[tuple[int, int]]:
     return ((s, min(s + size, count)) for s in range(0, count, size))
 
 
-def _token_table(q: int, width: int, pre: str, sep: str, post: str) -> list[str]:
-    """``pre``, the codes of a vector of ``width`` codes in [0, q) joined by
-    ``sep``, then ``post``: one string for every vector, in the order of its
-    base-q value, the first code most significant.  Each string is formatted
-    whole, with no partial string beside it, so the table's memory is freed
-    whole."""
-    template = sep.replace("%", "%%").join(["%s"] * width)
-    template = pre.replace("%", "%%") + template + post.replace("%", "%%")
-    return [template % v for v in product(list(map(str, range(q))), repeat=width)]
-
-
 def _token_width(count: int, n: int, q: int) -> int:
     """The codes in a token of ``encode_blocks`` for ``count`` rows of n codes
     in [0, q): the largest g <= n with q^g <= count/8 and q^g <= 2^16, or 1."""
@@ -468,11 +457,14 @@ def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str
     N, n = codes.shape
     g = _token_width(N, n, q)
     groups = [(a, min(a + g, n)) for a in range(0, n, g)]
-    table = np.array([x for pre, post in zip(first, last) for a, b in groups
-                      for x in _token_table(q, b - a, pre if a == 0 else "", sep,
-                                            post if b == n else sep)], dtype=object)
-    # a token's number in the table: its kind's and group's offset plus the
-    # group's base-q value, codes @ value, the first code most significant
+    # each kind's and group's strings in the order of the group's base-q
+    # value, the first code most significant, made one at a time (no list of
+    # partial strings lives beside them, so their memory is freed whole)
+    digits = list(map(str, range(q)))
+    table = np.array([(pre if a == 0 else "") + sep.join(v) + (post if b == n else sep)
+                      for pre, post in zip(first, last) for a, b in groups
+                      for v in product(digits, repeat=b - a)], dtype=object)
+    # a token's number in the table: its kind's and group's offset plus codes @ value
     value = np.zeros((n, len(groups)), dtype=np.uint32)
     for k, (a, b) in enumerate(groups):
         value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)

@@ -6,10 +6,10 @@ windows and a set of targets.  None of it shares code with the packed-key
 walk or with ``verify._key_report``, which the tests compare against it.
 
 The kernels that the flat-table walk and the grouped-token encoder replaced
-stay here too, unchanged but for their block loops: the key walk that
-decodes BLOCK_ROWS windows a block with 2-D table gathers on intp copies of
-the rows (``line_keys_2d``, ``plane_keys_2d``), and the encoder that writes
-one token per code (``encode_by_code``).
+stay here too, unchanged: the key walk that decodes BLOCK_ROWS windows a
+block with 2-D table gathers on intp copies of the rows (``line_keys_2d``,
+``plane_keys_2d``), and the encoder that writes one token per code
+(``encode_by_code``).
 """
 
 import itertools
@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from ucycle import cycles
+from ucycle.cycles import row_blocks
 from ucycle.geometry import DegenerateWindowError, decode_window
 from ucycle.grassmann import Subspace2
 from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, key_radix
@@ -100,11 +100,6 @@ def line_report(c, expected) -> CoverageReport:
 # -- the replaced kernels ---------------------------------------------------------
 
 
-def _blocks(count):
-    size = cycles.BLOCK_ROWS
-    return ((s, min(s + size, count)) for s in range(0, count, size))
-
-
 def walk_keys_2d(kind, s, arrays, decode):
     """Packed keys of the decodable windows of ``s`` and the indices of the
     degenerate ones, BLOCK_ROWS windows a block: a block's rows and its next
@@ -117,7 +112,7 @@ def walk_keys_2d(kind, s, arrays, decode):
     keys = np.empty(count, dtype=np.int64)
     degenerate, filled = [], 0
     rows = lambda at: (arrays[0][at].astype(np.intp), *(x[at] for x in arrays[1:]))
-    for start, stop in _blocks(count):
+    for start, stop in row_blocks(count):
         nxt = np.arange(start + 1, stop + 1) % N
         u, v, bad = decode(*rows(slice(start, stop)), *rows(nxt))
         good = ((u @ weights) * radix + v @ weights)[~bad]
@@ -175,7 +170,7 @@ def encode_by_code(codes, kinds, q, head, first, sep, last, tail):
             for k in range(len(first)) for j in range(n)]
     table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
     yield head
-    for start, stop in _blocks(len(codes)):
+    for start, stop in row_blocks(len(codes)):
         kind = kinds[start:stop, None] * (n * q) if len(first) > 1 else 0
         tokens = table[codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
         if stop == len(codes):
