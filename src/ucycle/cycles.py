@@ -6,15 +6,16 @@ consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints.
 Both, and grassmann.GrassCycle, are immutable VertexSequences: one code
 array in the field's dtype (plus, for cycles and segments, an at-infinity
-mask), checked once over the arrays, with the vertex tuple built lazily and
-cached; their windows are decoded by the verifier's key walk
-(``verify.window_keys``).  Gluing, translation and linear maps work on the
-arrays.  One generator, ``encode_blocks``, writes every text form from the
-arrays in blocks of BLOCK_ROWS rows, a token of precomputed text for each
-row or group of codes.  ``decode_cycle`` reads gen's bytes block by block,
-each parsed by numpy and checked by encoding it back; any other input is
-read as a UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or
-by lines.
+mask), the only representation, each rule checked once over the arrays; a
+vertex list is only converted to them, and the vertex tuple is built from
+them on first use.  Their windows are decoded by the verifier's key walk
+(``verify.window_keys``).  Rotation, reversal, gluing, translation and
+linear maps work on the arrays.  One generator, ``encode_blocks``, writes
+every text form from the arrays in blocks of BLOCK_ROWS rows, a token of
+precomputed text for each row or group of codes.  ``decode_cycle`` reads
+gen's bytes block by block, each parsed by numpy and checked by encoding it
+back; any other input is read as a UTF-8 text file, by ``json.loads`` and
+``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -60,19 +61,29 @@ def _row_hits(rows: np.ndarray, row: Sequence[int]) -> np.ndarray:
     return (rows == np.asarray(row)).all(axis=1)
 
 
-def _int_rows(rows: Sequence, coerce: bool = False) -> np.ndarray | None:
-    """``rows`` as one int64 (N, n) array with n >= 1: None unless they are
-    equal-length rows of plain integers that fit in an int64, or, with
-    ``coerce``, every code passed through ``int`` first."""
-    if coerce:
-        return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
+def _int_rows(rows: Sequence, q: int) -> tuple[np.ndarray, ValueError | None]:
+    """``rows`` as one int64 (N, n) array and None, by one ``np.array`` when
+    they are plain integers; else scanned up to the first row that is not n
+    long (n the first row's) or has a code neither an int64 nor equal to an
+    integer in [0, q): the rows before it and the ValueError naming it."""
     try:
         a = np.array(rows)
+        if a.dtype == np.int64 and a.ndim == 2:
+            return a, None
     except (ValueError, TypeError, OverflowError):
-        return None
-    if a.dtype != np.int64 or a.ndim != 2 or a.shape[1] < 1:
-        return None
-    return a
+        pass
+    n, in_field, fault = len(rows[0]) if rows else 0, frozenset(range(q)), None
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            fault = ValueError(f"vertex {i} has dimension {len(r)}, expected {n}")
+        elif not in_field.issuperset(r) and not all(
+            type(x) is int and -(2**63) <= x < 2**63 for x in r
+        ):
+            fault = ValueError(f"vertex {i} has codes outside [0, {q})")
+        if fault is not None:
+            rows = rows[:i]
+            break
+    return np.array([list(map(int, r)) for r in rows], dtype=np.int64).reshape(len(rows), n), fault
 
 
 class VertexSequence:
@@ -80,18 +91,16 @@ class VertexSequence:
     dimension n >= 1, every coordinate a code in [0, q).
 
     The vertices are stored as arrays, ``codes`` first: one row of
-    coordinates per vertex, in the field's dtype once checked.  ``vertices``
-    is the tuple view, built on first use; a sequence built from vertices
-    keeps them as that view.  The checks run once, vectorized over the
-    arrays; the per-vertex rule runs only on the first failing vertex.
+    coordinates per vertex, in the field's dtype once checked.  The arrays
+    are the only representation: ``vertices`` is the tuple view, built from
+    them on first use, and the checks run once, vectorized over them.
 
     Vertices are coordinate tuples unless a subclass adds arrays
-    (``_array_names``) and states how vertices convert to them (``_arrays``:
-    None when they do not convert in one step, for instance ragged rows or
-    non-integer codes) and back (``_view``).  Every subclass states its
-    per-vertex rule ``_coords(i, v)`` (validate vertex i, return its
-    coordinates) and that rule over the arrays (``_rule_fails``) and, in
-    ``wrap``, whether the last vertex pairs with the first.
+    (``_array_names``) and states how vertices convert to them (``_arrays``)
+    and back (``_view``).  Every subclass states its rule over the arrays
+    (``_rule_fails``, the mask of the vertices that break it) and its wording
+    for vertex i (``_rule``) and, in ``wrap``, whether the last vertex pairs
+    with the first.
     """
 
     __slots__ = ("field", "n", "codes", "_vertices")
@@ -102,10 +111,11 @@ class VertexSequence:
         vertices = tuple(vertices)
         if len(vertices) < 2:
             raise ValueError("need at least 2 vertices")
-        arrays = self._arrays(vertices)
-        if arrays is None:
-            arrays = self._coerce(vertices, field.q)
-        self._vertices = vertices
+        arrays, fault = self._arrays(vertices, field.q)
+        if fault is not None:
+            if len(arrays[0]):  # the vertices before it are checked first, by the vertex rules
+                VertexSequence._set_arrays(self, arrays, field)
+            raise fault
         self._set_arrays(arrays, field)
 
     @classmethod
@@ -114,51 +124,36 @@ class VertexSequence:
         self = cls.__new__(cls)
         if len(arrays[0]) < 2:
             raise ValueError("need at least 2 vertices")
-        self._vertices = None
         self._set_arrays(arrays, field)
         return self
 
     def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
+        """Check the arrays and keep them, or raise for the first vertex that
+        breaks the rule or has a code outside [0, q), the rule named first."""
         for name, a in zip(self._array_names, arrays):
             setattr(self, name, a)
-        self.field, self.n = field, self.codes.shape[1]
+        self.field, self.n, self._vertices = field, self.codes.shape[1], None
+        if self.n < 1:
+            raise ValueError("vertices need dimension >= 1")
         q, codes, bad = field.q, self.codes, self._rule_fails()
         if codes.min() < 0 or codes.max() >= q:  # only then are the rows looked for
-            bad |= ((codes < 0) | (codes >= q)).any(axis=1)
+            i = int(np.argmax(bad | ((codes < 0) | (codes >= q)).any(axis=1)))
+            if not bad[i]:
+                raise ValueError(f"vertex {i} has codes outside [0, {q})")
         if bad.any():
             i = int(np.argmax(bad))
-            v = self._view(i, i + 1)[0] if self._vertices is None else self._vertices[i]
-            self._check(i, v, self.n, q, frozenset(range(q)))
-            raise AssertionError(f"vertex {i} failed a check that its rule accepts")
+            raise ValueError(self._rule.format(i=i, v=tuple(codes[i].tolist())))
         self.codes = codes.astype(field.arrays[0].dtype, copy=False)
 
     @staticmethod
-    def _arrays(vertices: tuple, coerce: bool = False) -> tuple[np.ndarray] | None:
-        codes = _int_rows(vertices, coerce)
-        return None if codes is None else (codes,)
+    def _arrays(vertices: tuple, q: int) -> tuple[tuple[np.ndarray], Exception | None]:
+        """The vertices' arrays and None; or, when a vertex is no row, the
+        arrays of the vertices before it and the error that names it."""
+        codes, fault = _int_rows(vertices, q)
+        return (codes,), fault
 
     def _view(self, start: int, stop: int) -> tuple:
         return tuple(map(tuple, self.codes[start:stop].tolist()))
-
-    def _coerce(self, vertices: tuple, q: int) -> tuple[np.ndarray, ...]:
-        """Arrays of vertices that ``_arrays`` did not convert: raise the
-        first vertex's error, else convert the codes, which then equal
-        integers in [0, q)."""
-        n = len(self._coords(0, vertices[0]))
-        if n < 1:
-            raise ValueError("vertices need dimension >= 1")
-        in_field = frozenset(range(q))
-        for i, v in enumerate(vertices):
-            self._check(i, v, n, q, in_field)
-        return self._arrays(vertices, coerce=True)
-
-    def _check(self, i: int, v, n: int, q: int, in_field: frozenset) -> None:
-        """The per-vertex rule, then the dimension and the range of vertex i."""
-        c = self._coords(i, v)
-        if len(c) != n:
-            raise ValueError(f"vertex {i} has dimension {len(c)}, expected {n}")
-        if not in_field.issuperset(c):
-            raise ValueError(f"vertex {i} has codes outside [0, {q})")
 
     @property
     def vertices(self) -> tuple:
@@ -191,25 +186,21 @@ class _ProjectiveSequence(VertexSequence):
 
     __slots__ = ("at_infinity",)
     _array_names = ("codes", "at_infinity")
+    _rule = "vertex {i}: infinity vector {v} not normalized"
 
     @staticmethod
-    def _arrays(vertices: tuple, coerce: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
-        if not all(map(isinstance, vertices, repeat(ProjVertex))):
-            return None
-        codes = _int_rows(list(map(itemgetter(1), vertices)), coerce)
-        if codes is None:
-            return None
-        flags = map(bool, map(itemgetter(0), vertices))
-        return codes, np.fromiter(flags, dtype=bool, count=len(vertices))
+    def _arrays(vertices: tuple, q: int) -> tuple[tuple[np.ndarray, np.ndarray], Exception | None]:
+        projective = list(map(isinstance, vertices, repeat(ProjVertex)))
+        k = projective.index(False) if False in projective else len(vertices)
+        codes, fault = _int_rows(list(map(itemgetter(1), vertices[:k])), q)
+        if fault is None and k < len(vertices):
+            fault = TypeError(f"vertex {k} is not a ProjVertex")
+        flags = map(bool, map(itemgetter(0), vertices[: len(codes)]))
+        return (codes, np.fromiter(flags, dtype=bool, count=len(codes))), fault
 
     def _view(self, start: int, stop: int) -> tuple:
-        return tuple(
-            map(
-                ProjVertex,
-                self.at_infinity[start:stop].tolist(),
-                map(tuple, self.codes[start:stop].tolist()),
-            )
-        )
+        flags, rows = self.at_infinity[start:stop].tolist(), self.codes[start:stop].tolist()
+        return tuple(map(ProjVertex, flags, map(tuple, rows)))
 
     def _rule_fails(self) -> np.ndarray:
         # a vector at infinity must have 1 as its first nonzero code, checked a block at a time
@@ -219,13 +210,6 @@ class _ProjectiveSequence(VertexSequence):
             lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], axis=1)
             bad[start:stop] = self.at_infinity[start:stop] & (lead[:, 0] != 1)
         return bad
-
-    def _coords(self, i: int, v) -> tuple:
-        if not isinstance(v, ProjVertex):
-            raise TypeError(f"vertex {i} is not a ProjVertex")
-        if v.at_infinity and next((c for c in v.coords if c != 0), None) != 1:
-            raise ValueError(f"vertex {i}: infinity vector {v.coords} not normalized")
-        return v.coords
 
 
 class Cycle(_ProjectiveSequence):
@@ -240,18 +224,17 @@ class Segment(_ProjectiveSequence):
     __slots__ = ()
     wrap = False
 
-    def __init__(self, vertices: Iterable[ProjVertex], field: Field):
-        super().__init__(vertices, field)
-        if self.vertices[0] == self.vertices[-1]:
+    def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
+        super()._set_arrays(arrays, field)
+        if self.at_infinity[0] == self.at_infinity[-1] and (self.codes[0] == self.codes[-1]).all():
             raise ValueError("segment endpoints must be distinct")
 
     def reversed(self) -> "Segment":
-        return Segment(tuple(reversed(self.vertices)), self.field)
+        return Segment._from_arrays(self.field, self.codes[::-1], self.at_infinity[::-1])
 
 
 def rotate(c: Cycle, k: int) -> Cycle:
-    k %= len(c.vertices)
-    return Cycle(c.vertices[k:] + c.vertices[:k], c.field)
+    return Cycle._from_arrays(c.field, *(np.roll(a, -k, axis=0) for a in (c.codes, c.at_infinity)))
 
 
 def _check_parts(glued: Cycle, part: np.ndarray, index: np.ndarray) -> None:
@@ -332,9 +315,10 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
     if not ss:
         raise GluingError("nothing to glue")
 
+    ends = [[ProjVertex(bool(s.at_infinity[j]), tuple(s.codes[j].tolist())) for j in (0, -1)]
+            for s in ss]
     adj: dict[ProjVertex, list[tuple[int, ProjVertex]]] = defaultdict(list)
-    for i, s in enumerate(ss):
-        a, b = s.vertices[0], s.vertices[-1]
+    for i, (a, b) in enumerate(ends):
         adj[a].append((i, b))
         adj[b].append((i, a))
     odd = [v for v, edges in adj.items() if len(edges) % 2]
@@ -342,7 +326,7 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
         raise GluingError(f"odd endpoint multiplicity at {min(odd)}")
 
     # Hierholzer with per-vertex cursors; deterministic for a fixed input order.
-    start = ss[0].vertices[0]
+    start = ends[0][0]
     used = [False] * len(ss)
     cursor: dict[ProjVertex, int] = defaultdict(int)
     stack: list[tuple[ProjVertex, int]] = [(start, -1)]
@@ -365,18 +349,16 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
         raise GluingError("endpoint-incidence graph is disconnected")
     trail.reverse()
 
-    out: list[ProjVertex] = []
-    labels: list[tuple[int, int]] = []
+    rows, labels = [], []
     prev = start
     for v, eid in trail[1:]:
-        seg = ss[eid]
-        forward = seg.vertices[0] == prev
-        out.extend((seg.vertices if forward else tuple(reversed(seg.vertices)))[:-1])
+        s, step = ss[eid], 1 if ends[eid][0] == prev else -1
+        rows.append((s.codes[::step][:-1], s.at_infinity[::step][:-1]))
         # read from its tail, a segment's window j is its window len - 2 - j
-        labels += [(eid, j if forward else len(seg) - 2 - j) for j in range(len(seg) - 1)]
+        labels.append((np.full(len(s) - 1, eid), np.arange(len(s) - 1)[::step]))
         prev = v
-    glued = Cycle(out, ss[0].field)
-    _check_parts(glued, *np.array(labels).T)
+    glued = Cycle._from_arrays(ss[0].field, *map(np.concatenate, zip(*rows)))
+    _check_parts(glued, *map(np.concatenate, zip(*labels)))
     return glued
 
 

@@ -19,7 +19,7 @@ writes a level's payload straight from its array.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,7 @@ class GrassCycle(VertexSequence):
     """Cyclic sequence of nonzero vectors whose windows span distinct planes."""
 
     __slots__ = ()
-
-    def __init__(self, vertices: Iterable[Vector], field: Field):
-        super().__init__((tuple(v) for v in vertices), field)
+    _rule = "vertex {i} is the zero vector"
 
     @property
     def m(self) -> int:
@@ -59,11 +57,6 @@ class GrassCycle(VertexSequence):
 
     def _rule_fails(self) -> np.ndarray:
         return ~self.codes.any(axis=1)
-
-    def _coords(self, i: int, v: Vector) -> Vector:
-        if not any(v):
-            raise ValueError(f"vertex {i} is the zero vector")
-        return v
 
 
 def tau(L: AffineLine, F: Field) -> Subspace2:

@@ -80,6 +80,14 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_verify_names_a_vertex_of_the_wrong_length_for_its_length(tmp_path, capsys):
+    # the vector at infinity also breaks its rule; the length is named
+    f = tmp_path / "c.txt"
+    f.write_text("A 0 0\nI 2 1 0\n")
+    rc, out, err = run(capsys, "verify", "--in", str(f), "--p", "3")
+    assert (rc, out, err) == (2, "", "error: vertex 1 has dimension 3, expected 2\n")
+
+
 def test_verify_refuses_oversized_keys_at_once(tmp_path, capsys):
     # q^(2n) = 2^64 overflows the packed int64 line keys; refused before
     # the 2^32 points of AG(4,256) are enumerated

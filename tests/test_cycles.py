@@ -19,6 +19,8 @@ from ucycle.cycles import (
     Cycle,
     GluingError,
     Segment,
+    VertexSequence,
+    _ProjectiveSequence,
     _canonical_cycle,
     cycle_from_json,
     cycle_from_json_obj,
@@ -83,9 +85,14 @@ def test_two_vertex_cycle_duplicates_its_line():
 
 
 def test_degenerate_segment_rejected():
+    # from a vertex list and from the arrays alike
     F = field_make(3)
-    with pytest.raises(ValueError):
-        Segment([affine((0, 0)), affine((0, 0))], F)
+    codes, at_infinity = np.array([[0, 0], [1, 0], [0, 0]]), np.array([False, True, False])
+    for build in (lambda: Segment([affine((0, 0)), affine((0, 0))], F),
+                  lambda: Segment._from_arrays(F, codes, at_infinity)):
+        with pytest.raises(ValueError, match="^segment endpoints must be distinct$"):
+            build()
+    assert len(Segment._from_arrays(F, codes[:2], at_infinity[:2])) == 2
 
 
 def test_windows_match_the_per_window_decode():
@@ -134,6 +141,89 @@ def test_vertex_codes_outside_the_field_rejected(kind, bad):
         verts = good[:4] + (affine((bad, 0)),) + good[5:]
     with pytest.raises(ValueError, match=r"vertex \d has codes outside \[0, 2\)"):
         kind(verts, F)
+
+
+GOOD_VERTICES = {
+    Cycle: [affine((0, 0)), affine((1, 1)), infinity((1, 0)), infinity((0, 1))],
+    GrassCycle: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],
+}
+GOOD_VERTICES[Segment] = GOOD_VERTICES[Cycle]
+
+
+def refusal_cases(kind):
+    """(fault, vertices, whether arrays can hold them, exception type, message)
+    over GF(3): one fault each, at vertex 1 when it is a vertex's."""
+    projective = kind is not GrassCycle
+    good = GOOD_VERTICES[kind]
+    n = len(good[0].coords) if projective else len(good[0])
+
+    def at(coords, at_infinity=False):
+        return ProjVertex(at_infinity, coords) if projective else coords
+
+    def one(v):
+        return good[:1] + [v] + good[2:]
+
+    zero = (0,) * n
+    codes = "vertex 1 has codes outside [0, 3)"
+    yield "code -1", one(at((-1,) + zero[1:])), True, ValueError, codes
+    yield "code 257", one(at((257,) + zero[1:])), True, ValueError, codes
+    yield "code 2^70", one(at((2**70,) + zero[1:])), False, ValueError, codes
+    if projective:
+        yield ("unnormalized", one(at((2, 1), True)), True, ValueError,
+               "vertex 1: infinity vector (2, 1) not normalized")
+        yield ("zero vector", one(at(zero, True)), True, ValueError,
+               "vertex 1: infinity vector (0, 0) not normalized")
+        yield ("not a ProjVertex", one((1, 1)), False, TypeError, "vertex 1 is not a ProjVertex")
+    else:
+        yield "zero vector", one(at(zero)), True, ValueError, "vertex 1 is the zero vector"
+    yield ("wrong length", one(at((1,) * (n + 1))), False, ValueError,
+           f"vertex 1 has dimension {n + 1}, expected {n}")
+    yield "one vertex", good[:1], True, ValueError, "need at least 2 vertices"
+    yield "dimension 0", [at(()), at(())], True, ValueError, "vertices need dimension >= 1"
+
+
+def as_arrays(kind, vertices):
+    if kind is GrassCycle:
+        return (np.array(vertices, dtype=np.int64).reshape(len(vertices), -1),)
+    codes = np.array([v.coords for v in vertices], dtype=np.int64).reshape(len(vertices), -1)
+    return codes, np.array([v.at_infinity for v in vertices], dtype=bool)
+
+
+@pytest.mark.parametrize("kind", [Cycle, Segment, GrassCycle])
+def test_vertex_lists_and_arrays_are_refused_alike(kind):
+    # the same exception and message, naming the same vertex, from a vertex
+    # list as from the arrays wherever the arrays can hold the fault
+    F = field_make(3)
+    kind(GOOD_VERTICES[kind], F)
+    for fault, vertices, holds, error, message in refusal_cases(kind):
+        routes = [lambda: kind(vertices, F)]
+        if holds:
+            routes.append(lambda: kind._from_arrays(F, *as_arrays(kind, vertices)))
+        for build in routes:
+            with pytest.raises(Exception) as err:
+                build()
+            assert (type(err.value), str(err.value)) == (error, message), fault
+
+
+def test_vertex_list_refusals_name_the_first_failing_vertex():
+    F = field_make(3)
+    cases = [
+        # a code out of range before a vertex that is no ProjVertex
+        ([affine((0, 0)), affine((5, 0)), (0, 1)], "vertex 1 has codes outside [0, 3)"),
+        # an unnormalized vector before a row of the wrong length
+        ([affine((0, 0)), infinity((2, 1)), affine((0, 0, 0))],
+         "vertex 1: infinity vector (2, 1) not normalized"),
+        # an unnormalized vector with a code out of range, before a code no int64 holds
+        ([affine((0, 0)), infinity((2, 5)), affine((2**70, 0))],
+         "vertex 1: infinity vector (2, 5) not normalized"),
+        # a vertex that breaks its rule and is no row is named for the row
+        ([affine((0, 0)), infinity((2, 1, 0))], "vertex 1 has dimension 3, expected 2"),
+        ([affine((0, 0)), infinity((2, 2**70))], "vertex 1 has codes outside [0, 3)"),
+    ]
+    for vertices, message in cases:
+        with pytest.raises(ValueError) as err:
+            Cycle(vertices, F)
+        assert str(err.value) == message
 
 
 def test_windows_rotation_invariant():
@@ -248,6 +338,35 @@ def test_glue_segments_disconnected_rejected():
     assert not set(s.vertices[0] for s in segs1) & set(s.vertices[0] for s in segs2)
     with pytest.raises(GluingError, match="disconnected"):
         glue_segments(segs1 + segs2)
+
+
+def refuse_view(self, start, stop):
+    raise AssertionError(f"{type(self).__name__} built a vertex view")
+
+
+def test_array_operations_build_no_vertex_view(monkeypatch):
+    # rotate, Segment.reversed and glue_segments work on the arrays, and
+    # return what rebuilding the vertex tuples returns
+    cases = []
+    for p, positions in ((3, [0, 3]), (5, [0, 2, 5, 7])):
+        F = field_make(p)
+        c = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F)
+        vs, segs = c.vertices, cut_cycle(c, positions)
+        shifts = {k: Cycle(vs[k % len(vs):] + vs[: k % len(vs)], F) for k in (-1, 0, 1, 3, 12)}
+        backwards = [Segment(s.vertices[::-1], F) for s in segs]
+        # copies whose vertex views are not built yet
+        c, *segs = [type(x)._from_arrays(F, x.codes, x.at_infinity) for x in [c, *segs]]
+        cases.append((c, segs, shifts, backwards))
+    monkeypatch.setattr(VertexSequence, "_view", refuse_view)
+    monkeypatch.setattr(_ProjectiveSequence, "_view", refuse_view)
+    for c, segs, shifts, backwards in cases:
+        for k, want in shifts.items():
+            assert_same_arrays(rotate(c, k), want)
+        for s, want in zip(segs, backwards):
+            assert_same_arrays(s.reversed(), want)
+        assert_same_arrays(glue_segments(segs), c)
+    c, (s1, s2), _, _ = cases[0]
+    assert_same_arrays(glue_segments([s1, s2.reversed()]), c)
 
 
 def gluing_refusals():
@@ -569,7 +688,6 @@ def test_vertex_view_is_the_input_or_built_from_the_arrays():
     c, F = plane_cycle_22()
     verts = list(c.vertices)
     kept = Cycle(verts, F)
-    assert all(a is b for a, b in zip(kept.vertices, verts))
     decoded = cycle_from_json(cycle_to_json(kept))
     assert decoded._vertices is None  # built on first use
     assert decoded.vertices == c.vertices
