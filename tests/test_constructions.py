@@ -1,5 +1,6 @@
 """Fiber-pair cycles, lifting, triple cycles, and the full assembly."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -231,6 +232,54 @@ def test_triple_base_counts_and_origin(q):
     assert len(c.vertices) == 3 * q
     assert affine((0, 0)) in c.vertices
     assert verify_subset(c, fiber_union(STD_DIRS, 2, F)).passed
+
+
+# every order the default bound admits, q <= 512: the first 16 hex digits of
+# the sha256 of each triple base cycle's code bytes followed by its
+# at-infinity bytes, taken while the base was glued from one Cycle per block
+TRIPLE_BASE_DIGESTS = {
+    2: "668efbd392109d3b", 3: "a50ebebebe7c5c52", 4: "038782afc2f2b4c8", 5: "5353c3630514c6b9",
+    7: "ec121bf885c8404b", 8: "c76ecc11d3a959f2", 9: "4c823142ed83f13a", 11: "31115e25908c812b",
+    13: "e83a4681c4bdaa1e", 16: "b185033e83d09b52", 17: "911e7950f211bed1", 19: "7ead8fa96a6ed062",
+    23: "8d7d8d861ceb1564", 25: "016b6353f8cb9615", 27: "9d3da2c9c4eb4689", 29: "9be488359a2f8ebf",
+    31: "baf35b5d85b10503", 32: "d0592742df02cc7d", 37: "76930de1842b87bf", 41: "363f4ee2ec39bae0",
+    43: "5ab7fab8914694bc", 47: "9df84391dc484457", 49: "b93dcd9fa3bcca1b", 53: "b8c03e5e171c843a",
+    59: "0a0d29e62f4fe720", 61: "b6d29d1b7221197d", 64: "6630c9ae47d6c3e4", 67: "8b8227701ac5f91b",
+    71: "2c82b2a140a6a40a", 73: "b3f2718e48997358", 79: "fd0a143c02ae1717", 81: "9f449f0732ed8cf8",
+    83: "2bcfcf24b0d081a7", 89: "fbd2d7600ec72021", 97: "cd6297998d8d9f69", 101: "1124db73b2e61f4e",
+    103: "3169d93e30e4447b", 107: "ea522e7f6fb737d2", 109: "f410ebc31226f211", 113: "724007dcfa14867f",
+    121: "195e8151abf16f90", 125: "9b87269ab8d373a3", 127: "0575dfb7300a7759", 128: "9d37d08a03b0ffdd",
+    131: "ea37bed37cfa42e9", 137: "073284c55f9d3696", 139: "444cf48b51686c8c", 149: "ebde5d87ec1c65d9",
+    151: "25c2ad7cf3c69fab", 157: "593168f87fd68c1d", 163: "944921dd7fd32815", 167: "70436145cd6c6282",
+    169: "e6663ff47cd91f93", 173: "03522b62d706e6ec", 179: "097a1454b3f5fe42", 181: "776b7523fbe37a30",
+    191: "6baf28d2d52dde18", 193: "92d573f693b468d7", 197: "b7b4fb0cb160bb86", 199: "88504c30d241402e",
+    211: "8a9d4719dc163529", 223: "c97f741aa3e97b30", 227: "dfaccb745d081b59", 229: "533ea8b3ebe5dc7c",
+    233: "5a2554b8ca4715a7", 239: "cf07303281f5b231", 241: "16aa99ea883cd179", 243: "84e4cf86164edab1",
+    251: "05162cbee1e56ca9", 256: "40175cfba6d3be0c", 257: "4c5a8690f24218de", 263: "ade76709535855b7",
+    269: "97cd60cac8d3c956", 271: "9d9f9532ccf4f937", 277: "d64f44857a1bd4f5", 281: "131cefff322d1549",
+    283: "d5a0d8f140f26210", 289: "204e9ddf70e66236", 293: "d82a8c09e539b454", 307: "6a3cb85479a82f18",
+    311: "caa096bc34833aaf", 313: "07be26b8d6bff2f9", 317: "e3c82ec59cc81cf2", 331: "023c555c396f09b0",
+    337: "9f304084cd408ce3", 343: "82ffc13269fd8f12", 347: "e4364915e1990499", 349: "9152b9b2d943c66e",
+    353: "b51a8e0429e48f20", 359: "bb1a970115622e56", 361: "df9efef7ff548ec1", 367: "50e3abc0147a3099",
+    373: "e4be7c96582402ad", 379: "44cc9885c4b21775", 383: "49a907a2990c0de1", 389: "3a91bc6d24a709ff",
+    397: "cfe2b7446a26a73c", 401: "cda1553991400020", 409: "763561ad97f9175e", 419: "bb34cea0658b292d",
+    421: "b707d5f0bae989fd", 431: "46d1c3ff72630c4f", 433: "9994a049fac31c64", 439: "b2440690d6d607b0",
+    443: "12621bd52531a234", 449: "7c80e5e43a15b1b9", 457: "f765e98d0a9cb6f4", 461: "9399baf1a9596d59",
+    463: "9d63d29e19ce0966", 467: "9da7b44bc9590c80", 479: "d0a429ccf50c0aed", 487: "cc11965d7141d50a",
+    491: "a45ab5e72c176217", 499: "bd937c8be2cd4880", 503: "5b5bb1d991d18265", 509: "3655802bcf4dd072",
+    512: "bd6634384ec1dfd8",
+}
+
+
+def test_triple_base_bytes_pinned_and_exact_for_every_q():
+    assert len(TRIPLE_BASE_DIGESTS) == 117
+    for q, digest in TRIPLE_BASE_DIGESTS.items():
+        F = field_from_order(q)
+        c = triple_base_cycle(F)
+        data = c.codes.tobytes() + c.at_infinity.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest, q
+        rep = verify_subset(c, fiber_union(STD_DIRS, 2, F))
+        assert (len(c), rep.found_count, rep.passed) == (3 * q, 3 * q, True), q
 
 
 def test_kernel_rejects_even_q():

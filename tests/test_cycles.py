@@ -389,6 +389,19 @@ def gluing_refusals():
     yield "segments-odd", lambda: glue_segments([s1])
     yield "segments-disconnected", lambda: glue_segments(apart)
     yield "segments-share", lambda: glue_segments([s1, s2, s1.reversed(), s2.reversed()])
+    # part 1 repeats the diagonal (windows 1, 2) before it shares y = 1 (window
+    # 3) and then x = 0, whose key is smaller: the share is named, at window 3
+    both = Cycle([affine((1, 2)), origin, infinity((1, 1)), affine((1, 1)), infinity((1, 0)),
+                  affine((0, 1)), infinity((0, 1)), affine((0, 2))], F3)
+    yield "cycle-shares-and-repeats", lambda: glue_cycles([c1, both], origin)
+    # part 1 shares x = 0 at window 1, and its window 2 is degenerate
+    late = Cycle([affine((1, 2)), origin, infinity((0, 1)), infinity((1, 1))], F3)
+    yield "cycle-shares-then-degenerate", lambda: glue_cycles([c1, late], origin)
+    # the walk reads part 1 tail to head: its degenerate window 1 as passed
+    # is its window 2 as read
+    x, y = origin, affine((0, 1))
+    tail = Segment([x, infinity((1, 1)), infinity((1, 2)), affine((1, 3)), y], F5)
+    yield "segments-degenerate-reversed", lambda: glue_segments([Segment([x, y], F5), tail])
 
 
 # each refusal's type and message as checking the parts one by one raises them
@@ -402,6 +415,10 @@ GLUING_REFUSALS = {
     "segments-disconnected": (GluingError, "endpoint-incidence graph is disconnected"),
     "segments-share": (GluingError, "part 2 shares line AffineLine(dir=Direction(vector=(0, 1)),"
                        " base=(1, 0)) with an earlier part"),
+    "cycle-shares-and-repeats": (GluingError, "part 1 shares line AffineLine("
+                                 "dir=Direction(vector=(1, 0)), base=(0, 1)) with an earlier part"),
+    "cycle-shares-then-degenerate": (DegenerateWindowError, "window 2 does not determine a line"),
+    "segments-degenerate-reversed": (DegenerateWindowError, "window 1 does not determine a line"),
 }
 
 
@@ -413,7 +430,7 @@ def test_gluing_refusals_keep_their_messages(case):
         glue()
     assert (type(err.value), str(err.value)) == (kind, message)
     if kind is DegenerateWindowError:
-        assert err.value.index == 0
+        assert message == f"window {err.value.index} does not determine a line"
 
 
 def test_translate_identity_and_conservation():
