@@ -9,14 +9,15 @@ The parts are built on code arrays.  One builder writes all fiber pairs
 into one preallocated block, building each distinct hyperplane's points
 once; as every pair starts at the origin, the full cycle is the triplet
 part rotated there followed by that block, checked once.  A lift translates
-its rotated base to every coset in one table gather.  Only the triple base
-cycles (3q vertices) are written vertex by vertex.  Nothing is searched:
-for odd q the triple base cycle starts from one of three written 9-window
-kernels (q = 3, q = 3^k >= 9, p >= 5), each checked when it is built.
+its rotated base to every coset in one table gather.  The triple base cycle
+is its 6-window blocks in one array, spliced with the kernel for odd q and
+checked once.  Nothing is searched: the odd-q kernel is one of three written
+9-window cycles (q = 3, q = 3^k >= 9, p >= 5), each checked when it is built.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from .geometry import (
     pgl_normalizer,
     rref,
 )
-from .cycles import Cycle, glue_cycles, map_linear
+from .cycles import Cycle, _check_parts, _row_hits, map_linear, splice
 
 
 class FiberPlan(NamedTuple):
@@ -198,20 +199,30 @@ def triple_base_cycle(F: Field) -> Cycle:
     6-window block covering the lines indexed by u and u+1 in all three
     families.  Odd q: a 9-window kernel covers indices {0,1,2} and the
     remaining q-3 elements are paired consecutively into 6-window blocks.
-    All parts share the direction vertices and are spliced there.
+    The blocks are written into one array.  All parts share the direction
+    vertices and are spliced at the first of [d1], [d2], [d3] in part 0; a
+    lone part (q = 2, 3) is returned as built.  The base is checked once.
     """
-    q = F.q
-    i1, i2, i3 = infinity(_D1), infinity(_D2), infinity(_D3)
+    q, add = F.q, F.arrays[0]
+    u = np.arange(3 * (q % 2), q, 2)
     if q % 2 == 0:
-        parts, blocks = [], [((u, u + 1), (u + 1, 0), (0, u)) for u in range(0, q, 2)]
+        parts, points = [], [(u, u + 1), (u + 1, 0 * u), (0 * u, u)]
     else:
-        parts = [kernel_cycle(F)]
-        blocks = [((u, u), (u + 1, 0), (F.add(u, u + 1), u + 1)) for u in range(3, q, 2)]
-    parts += [Cycle([affine(x), i1, affine(y), i3, affine(z), i2], F) for x, y, z in blocks]
-    if len(parts) == 1:
-        return parts[0]
-    anchor = next(a for a in (i1, i2, i3) if all(a in p.vertices for p in parts))
-    return glue_cycles(parts, anchor)
+        kernel = kernel_cycle(F)
+        parts = [(kernel.codes, kernel.at_infinity)]
+        points = [(u, u), (u + 1, 0 * u), (add[u, u + 1], u + 1)]
+    # a block's points alternate with [d1], [d3], [d2]
+    blocks = np.empty((len(u), 6, 2), dtype=add.dtype)
+    blocks[:, 0::2] = np.transpose(points, (2, 0, 1))
+    blocks[:, 1::2] = _D1.vector, _D3.vector, _D2.vector
+    parts += zip(blocks, repeat(np.tile([False, True], 3)))
+    if len(parts) > 1:
+        inf = parts[0][0][parts[0][1]]  # part 0's vertices at infinity
+        at = next(d.vector for d in (_D1, _D2, _D3) if _row_hits(inf, d.vector).any())
+        parts = [splice(parts, [_row_hits(c, at) & f for c, f in parts], at)]
+    base = Cycle._from_arrays(F, *parts[0])
+    _check_parts([base])
+    return base
 
 
 def triple_fiber_cycle(

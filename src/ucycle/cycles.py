@@ -24,7 +24,7 @@ import io
 import json
 import re
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from itertools import product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -237,35 +237,35 @@ def rotate(c: Cycle, k: int) -> Cycle:
     return Cycle._from_arrays(c.field, *(np.roll(a, -k, axis=0) for a in (c.codes, c.at_infinity)))
 
 
-def _check_parts(glued: Cycle, part: np.ndarray, index: np.ndarray) -> None:
-    """Raise what checking the parts one by one, in input order, would: at the
-    first part with a fault, DegenerateWindowError at its window's index in
-    it, or GluingError for its first line an earlier part has, or for a line
-    it repeats.  ``part`` and ``index`` give each vertex of ``glued`` its
-    part's input index and its index there, that of the window it starts: a
-    spliced cycle's windows are its parts', so one key walk decides them."""
+def _check_parts(parts: Sequence[VertexSequence]) -> None:
+    """Check the parts one by one, in input order, each by its own key walk:
+    at the first part with a fault, raise DegenerateWindowError at its first
+    degenerate window, or GluingError for the line at its first window an
+    earlier part has, or for a line it repeats."""
     from .verify import window_keys  # verify imports this module
 
-    keys, degenerate, unpack = window_keys(glued)
-    good = np.ones(len(glued), dtype=bool)
-    good[degenerate] = False
-    order = np.lexsort((index[good], part[good], keys))
-    k, p, i = keys[order], part[good][order], index[good][order]
-    # a key met before in (key, part, index) order: an earlier part's line, or a repeat
-    again = np.flatnonzero(k[1:] == k[:-1]) + 1
-    bad = np.array(degenerate, dtype=np.int64)
-    faults = np.concatenate([
-        np.column_stack([part[bad], 0 * bad, index[bad], 0 * bad]),
-        np.column_stack([p[again], np.where(p[again] == p[again - 1], 2, 1), i[again], k[again]]),
-    ])
-    if len(faults) == 0:
-        return
-    at, fault, j, key = faults[np.lexsort(faults.T[::-1])[0]].tolist()
-    if fault == 0:
-        raise DegenerateWindowError(f"window {j} does not determine a line", index=j)
-    if fault == 1:
-        raise GluingError(f"part {at} shares line {unpack(key)} with an earlier part")
-    raise GluingError(f"part {at} repeats a line and is not a valid structure")
+    seen = np.empty(0, dtype=np.int64)
+    for k, part in enumerate(parts):
+        keys, degenerate, unpack = window_keys(part)
+        if degenerate:
+            i = degenerate[0]
+            raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
+        shared = keys[np.isin(keys, seen)]
+        if len(shared):
+            line = unpack(shared.item(0))
+            raise GluingError(f"part {k} shares line {line} with an earlier part")
+        if (np.diff(np.sort(keys)) == 0).any():
+            raise GluingError(f"part {k} repeats a line and is not a valid structure")
+        seen = np.concatenate([seen, keys])
+
+
+def _same_space(parts: Sequence[VertexSequence]) -> None:
+    """Refuse no parts, or the first part whose field or dimension is not part 0's."""
+    if not parts:
+        raise GluingError("nothing to glue")
+    for i, p in enumerate(parts):
+        if p.field != parts[0].field or p.n != parts[0].n:
+            raise GluingError(f"part {i} has dimension {p.n} over {p.field!r}, unlike part 0")
 
 
 def splice(
@@ -288,18 +288,16 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """Splice transversal cycles sharing the vertex ``at`` into one cycle.
 
     The window multiset of the result is exactly the disjoint union of the
-    inputs'.  ``check`` verifies that the inputs are valid and transversal
+    inputs', which must share one field and dimension.  ``check`` verifies,
+    part by part, that the inputs are valid and transversal
     (``_check_parts``); callers whose parts are so by construction pass False.
     """
-    if not cs:
-        raise GluingError("nothing to glue")
+    _same_space(cs)
     hits = [_row_hits(c.codes, at.coords) & (c.at_infinity == at.at_infinity) for c in cs]
     arrays = splice([(c.codes, c.at_infinity) for c in cs], hits, at)
-    glued = Cycle._from_arrays(cs[0].field, *arrays)
     if check:
-        labels = [(np.full(len(c), i), np.arange(len(c))) for i, c in enumerate(cs)]
-        _check_parts(glued, *splice(labels, hits, at))
-    return glued
+        _check_parts(cs)
+    return Cycle._from_arrays(cs[0].field, *arrays)
 
 
 def glue_segments(ss: Sequence[Segment]) -> Cycle:
@@ -308,58 +306,42 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
     Treats each segment as an edge of a multigraph on its two endpoints and
     walks an Eulerian circuit (Hierholzer, deterministic edge order given by
     the input order); traversing a segment tail-to-head reverses it.  Raises
-    GluingError if some endpoint multiplicity is odd, the endpoint graph is
-    disconnected (with even degrees, iff the walk leaves a segment unused),
-    or the segments are not valid and transversal, in that order.
+    GluingError if the segments differ in field or dimension, some endpoint
+    multiplicity is odd, the endpoint graph is disconnected (with even
+    degrees, iff the walk leaves a segment unused), or the segments are not
+    valid and transversal (``_check_parts``), in that order.
     """
-    if not ss:
-        raise GluingError("nothing to glue")
+    _same_space(ss)
 
-    ends = [[ProjVertex(bool(s.at_infinity[j]), tuple(s.codes[j].tolist())) for j in (0, -1)]
-            for s in ss]
-    adj: dict[ProjVertex, list[tuple[int, ProjVertex]]] = defaultdict(list)
-    for i, (a, b) in enumerate(ends):
-        adj[a].append((i, b))
-        adj[b].append((i, a))
+    # each endpoint's edges in input order: the segment, its other end, and
+    # its rows as read from this end, without the other end
+    adj: dict[ProjVertex, deque] = defaultdict(deque)
+    for i, s in enumerate(ss):
+        a, b = (ProjVertex(bool(s.at_infinity[j]), tuple(s.codes[j].tolist())) for j in (0, -1))
+        adj[a].append((i, b, (s.codes[:-1], s.at_infinity[:-1])))
+        adj[b].append((i, a, (s.codes[:0:-1], s.at_infinity[:0:-1])))
     odd = [v for v, edges in adj.items() if len(edges) % 2]
     if odd:
         raise GluingError(f"odd endpoint multiplicity at {min(odd)}")
 
-    # Hierholzer with per-vertex cursors; deterministic for a fixed input order.
-    start = ends[0][0]
-    used = [False] * len(ss)
-    cursor: dict[ProjVertex, int] = defaultdict(int)
-    stack: list[tuple[ProjVertex, int]] = [(start, -1)]
-    trail: list[tuple[ProjVertex, int]] = []
+    # Hierholzer from segment 0's head, adj's first key: deterministic
+    used, stack, trail = [False] * len(ss), [(next(iter(adj)), None)], []
     while stack:
-        v, _ = stack[-1]
-        lst = adj[v]
-        advanced = False
-        while cursor[v] < len(lst):
-            eid, w = lst[cursor[v]]
-            cursor[v] += 1
-            if not used[eid]:
-                used[eid] = True
-                stack.append((w, eid))
-                advanced = True
-                break
-        if not advanced:
+        edges = adj[stack[-1][0]]
+        while edges and used[edges[0][0]]:
+            edges.popleft()
+        if edges:
+            eid, w, rows = edges.popleft()
+            used[eid] = True
+            stack.append((w, rows))
+        else:
             trail.append(stack.pop())
     if not all(used):
         raise GluingError("endpoint-incidence graph is disconnected")
-    trail.reverse()
-
-    rows, labels = [], []
-    prev = start
-    for v, eid in trail[1:]:
-        s, step = ss[eid], 1 if ends[eid][0] == prev else -1
-        rows.append((s.codes[::step][:-1], s.at_infinity[::step][:-1]))
-        # read from its tail, a segment's window j is its window len - 2 - j
-        labels.append((np.full(len(s) - 1, eid), np.arange(len(s) - 1)[::step]))
-        prev = v
-    glued = Cycle._from_arrays(ss[0].field, *map(np.concatenate, zip(*rows)))
-    _check_parts(glued, *map(np.concatenate, zip(*labels)))
-    return glued
+    _check_parts(ss)
+    # the circuit is the trail reversed, from the start's first edge on
+    rows = [r for _, r in trail[-2::-1]]
+    return Cycle._from_arrays(ss[0].field, *map(np.concatenate, zip(*rows)))
 
 
 def translate(c: Cycle, t: Sequence[int]) -> Cycle:

@@ -36,6 +36,10 @@ def test_gen_and_grassmann_build_no_vertex_view(monkeypatch, capsys):
     monkeypatch.setattr(_ProjectiveSequence, "_view", refuse)
     assert len(universal_cycle(4, field_make(3, 2))) == 597_780
     assert len(universal_cycle(5, field_make(2))) == 496  # a triplet lifted over 8 cosets
+    # glued triple bases: even q, the p >= 5 kernel, the characteristic-3
+    # kernel, and 64 blocks
+    for n, q, windows in ((2, 4, 20), (3, 5, 775), (3, 9, 7371), (2, 128, 16512)):
+        assert len(universal_cycle(n, field_from_order(q))) == windows
     assert [len(u) for u in nested_cycles(6, field_make(2))] == [7, 35, 155, 651]
     assert main(["grassmann", "--m", "6", "--p", "2", "--nested"]) == 0
     capsys.readouterr()

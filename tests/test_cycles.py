@@ -36,7 +36,9 @@ from ucycle.cycles import (
     rotate,
     translate,
 )
-from ucycle.constructions import plan_fibers, triple_fiber_cycle, two_fiber_cycle, universal_cycle
+from ucycle.constructions import (
+    plan_fibers, triple_base_cycle, triple_fiber_cycle, two_fiber_cycle, universal_cycle,
+)
 from ucycle.grassmann import GrassCycle, nested_cycles, span2
 from ucycle.verify import all_affine_lines
 from reference import decoded_windows
@@ -420,6 +422,23 @@ GLUING_REFUSALS = {
     "cycle-shares-then-degenerate": (DegenerateWindowError, "window 2 does not determine a line"),
     "segments-degenerate-reversed": (DegenerateWindowError, "window 1 does not determine a line"),
 }
+
+
+def test_gluing_refuses_parts_of_another_field_or_dimension():
+    # checked before any splice: the GF(2) part would be read with GF(4) arithmetic
+    F2, F4 = field_make(2), field_make(2, 2)
+    s4 = Segment([affine((0, 0)), infinity((0, 1)), affine((1, 1))], F4)
+    s2 = Segment([affine((1, 1)), infinity((1, 0)), affine((0, 0))], F2)
+    with pytest.raises(GluingError, match=r"^part 1 has dimension 2 over GF\(2\), unlike part 0$"):
+        glue_segments([s4, s2])
+    s3 = Segment([affine((1, 1, 0)), infinity((1, 0, 0)), affine((0, 0, 0))], F4)
+    with pytest.raises(GluingError, match=r"^part 1 has dimension 3 over GF\(4\), unlike part 0$"):
+        glue_segments([s4, s3])
+    origin = affine((0, 0))
+    with pytest.raises(GluingError, match=r"^part 1 has dimension 2 over GF\(4\), unlike part 0$"):
+        glue_cycles([triple_base_cycle(F2), triple_base_cycle(F4)], origin)
+    with pytest.raises(GluingError, match=r"^part 2 has dimension 3 over GF\(2\), unlike part 0$"):
+        glue_cycles([universal_cycle(2, F2)] * 2 + [universal_cycle(3, F2)], origin, check=False)
 
 
 @pytest.mark.parametrize("case", list(GLUING_REFUSALS))
