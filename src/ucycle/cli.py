@@ -9,10 +9,11 @@ Output is byte-identical across runs for identical flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .gf import Field, field_make, field_order
 from .cycles import Cycle, cycle_blocks, decode_cycle, file_text, occurs_cyclically
@@ -22,23 +23,28 @@ from .verify import affine_line_count, gaussian_binomial_2, key_radix
 from .verify import verify_affine, verify_grassmann
 
 SIZE_BUDGET_BITS = 24  # at most 2^24 lines or planes
+# what the budget counts for each kind of packed key, and its name
+_BUDGETED = {"line": (affine_line_count, "the lines of AG({dim},{q})"),
+             "plane": (gaussian_binomial_2, "the planes of F_{q}^{dim}")}
 
 
-def _check_size(dim: int, q: int, count: Callable[[int, int], int], what: str) -> None:
+def _check_size(kind: str, dim: int, q: int) -> None:
     """Refuse, before any work, more than 2^SIZE_BUDGET_BITS lines or planes.
     Both number at least 2^(2·dim-4), so a dim past that is refused without
     forming q^dim; dim < 1 is left to the library's own checks."""
+    count, what = _BUDGETED[kind]
     if 2 * dim - 4 > SIZE_BUDGET_BITS or (dim >= 1 and count(dim, q) > 2**SIZE_BUDGET_BITS):
+        what = what.format(dim=dim, q=q)
         raise ValueError(f"{what} exceed the size budget of 2^{SIZE_BUDGET_BITS}")
 
 
-def _sized_order(args, dim: int, count: Callable[[int, int], int], what: str) -> int:
-    """The order q = p^k of the flags' field, once ``_check_size`` passed;
-    both need q alone, so no field table is built yet.  ``what`` is
-    formatted with dim and q."""
+def _flags_field(args, kind: str, dim: int) -> Field:
+    """GF(p^k) of the flags, built only once its order bound, the size budget
+    and the int64 key bound pass, in that order: each needs q alone."""
     q = field_order(args.p, args.k)
-    _check_size(dim, q, count, what.format(dim=dim, q=q))
-    return q
+    _check_size(kind, dim, q)
+    key_radix(kind, dim, q)
+    return field_make(args.p, args.k)
 
 
 def _dumps(obj) -> str:
@@ -65,7 +71,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: " + message.replace("\n", "\\n") + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The grammar, built once: argparse keeps no state between parses."""
     parser = _Parser(
         prog="ucycle",
         description="Universal cycles for affine lines of AG(n,q) and nested "
@@ -74,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a universal cycle for AG(n,q)")
+    gen.set_defaults(run=cmd_gen)
     gen.add_argument("--n", type=int, required=True, help="affine dimension (>= 2)")
     gen.add_argument("--p", type=int, required=True, help="prime characteristic")
     gen.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
@@ -81,12 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output path (default: stdout)")
 
     ver = sub.add_parser("verify", help="verify a cycle file against the oracle")
+    ver.set_defaults(run=cmd_verify)
     ver.add_argument("--in", dest="infile", required=True, help="cycle file")
     ver.add_argument("--n", type=int, help="expected dimension (required for text files)")
     ver.add_argument("--p", type=int, help="prime (required for text files)")
     ver.add_argument("--k", type=int, default=1)
 
     gr = sub.add_parser("grassmann", help="build and verify plane-Grassmannian cycles")
+    gr.set_defaults(run=cmd_grassmann)
     gr.add_argument("--m", type=int, required=True, help="ambient dimension (>= 3)")
     gr.add_argument("--p", type=int, required=True)
     gr.add_argument("--k", type=int, default=1)
@@ -94,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--out", help="output path (default: stdout)")
 
     st = sub.add_parser("stats", help="print counts and the planned fiber partition")
+    st.set_defaults(run=cmd_stats)
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--p", type=int, required=True)
     st.add_argument("--k", type=int, default=1)
@@ -101,23 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lines_field(args) -> Field:
-    """GF(p^k) for ``gen`` and ``stats``, built after the size check."""
-    _sized_order(args, args.n, affine_line_count, "the lines of AG({dim},{q})")
-    return field_make(args.p, args.k)
-
-
 def _direction_count(n: int, q: int) -> int:
     return (q**n - 1) // (q - 1)
 
 
 def cmd_gen(args) -> int:
-    F = _lines_field(args)
+    F = _flags_field(args, "line", args.n)
     c = universal_cycle(args.n, F)
     ndirs = _direction_count(args.n, F.q)
-    summary = (
-        f"n={args.n} q={F.q} vertices={len(c)} windows={len(c)} directions={ndirs}"
-    )
+    summary = f"n={args.n} q={F.q} vertices={len(c)} windows={len(c)} directions={ndirs}"
     _emit(cycle_blocks(c, args.format), args.out, summary)
     return 0
 
@@ -145,7 +149,7 @@ def cmd_verify(args) -> int:
     c = _load_cycle(args)
     # an int64 overflow of the line keys names its own bound, so it is checked first
     key_radix("line", c.n, c.field.q)
-    _check_size(c.n, c.field.q, affine_line_count, f"the lines of AG({c.n},{c.field.q})")
+    _check_size("line", c.n, c.field.q)
     rep = verify_affine(c, c.n, c.field)
     sys.stdout.write(_dumps(rep.to_json_obj()))
     print(rep.summary(), file=sys.stderr)
@@ -153,9 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
-    q = _sized_order(args, args.m, gaussian_binomial_2, "the planes of F_{q}^{dim}")
-    key_radix("plane", args.m, q)
-    F = field_make(args.p, args.k)
+    F = _flags_field(args, "plane", args.m)
     levels, failed = nested_levels(args.m, F), []
 
     def payload():  # each level written once checked; only the previous one is kept
@@ -183,7 +185,7 @@ def cmd_grassmann(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    F = _lines_field(args)
+    F = _flags_field(args, "line", args.n)
     plan = plan_fibers(args.n, F)
     print(f"directions = {_direction_count(args.n, F.q)}")
     print(f"lines = {affine_line_count(args.n, F.q)}")
@@ -199,19 +201,12 @@ def cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handlers = {
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-        "grassmann": cmd_grassmann,
-        "stats": cmd_stats,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -238,25 +238,27 @@ def rotate(c: Cycle, k: int) -> Cycle:
 
 
 def _check_parts(parts: Sequence[VertexSequence]) -> None:
-    """Check the parts one by one, in input order, each by its own key walk:
-    at the first part with a fault, raise DegenerateWindowError at its first
-    degenerate window, or GluingError for the line at its first window an
-    earlier part has, or for a line it repeats."""
+    """Check the parts by one key walk each and one stable sort of all their
+    keys: at the first part with a fault, raise DegenerateWindowError at its
+    first degenerate window, or GluingError for the line at its first window
+    whose first copy lies in an earlier part, or for a line it repeats."""
     from .verify import window_keys  # verify imports this module
 
-    seen = np.empty(0, dtype=np.int64)
-    for k, part in enumerate(parts):
-        keys, degenerate, unpack = window_keys(part)
+    walks = [window_keys(part) for part in parts]
+    every = np.concatenate([keys for keys, _, _ in walks])
+    _, first, inverse = np.unique(every, return_index=True, return_inverse=True)
+    first, stop = first[inverse], 0  # the position of each window's first copy
+    for k, (keys, degenerate, unpack) in enumerate(walks):
         if degenerate:
             i = degenerate[0]
             raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
-        shared = keys[np.isin(keys, seen)]
+        start, stop = stop, stop + len(keys)
+        shared = np.flatnonzero(first[start:stop] < start)
         if len(shared):
-            line = unpack(shared.item(0))
+            line = unpack(keys.item(shared[0]))
             raise GluingError(f"part {k} shares line {line} with an earlier part")
-        if (np.diff(np.sort(keys)) == 0).any():
+        if (first[start:stop] != np.arange(start, stop)).any():
             raise GluingError(f"part {k} repeats a line and is not a valid structure")
-        seen = np.concatenate([seen, keys])
 
 
 def _same_space(parts: Sequence[VertexSequence]) -> None:
@@ -288,9 +290,10 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     """Splice transversal cycles sharing the vertex ``at`` into one cycle.
 
     The window multiset of the result is exactly the disjoint union of the
-    inputs', which must share one field and dimension.  ``check`` verifies,
-    part by part, that the inputs are valid and transversal
-    (``_check_parts``); callers whose parts are so by construction pass False.
+    inputs', which must share one field and dimension.  ``check`` verifies
+    that the inputs are valid and transversal, by one key walk per part and
+    one sort of all their keys (``_check_parts``), in time near linear in the
+    windows; callers whose parts are so by construction pass False.
     """
     _same_space(cs)
     hits = [_row_hits(c.codes, at.coords) & (c.at_infinity == at.at_infinity) for c in cs]

@@ -295,7 +295,8 @@ def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> Coverag
         rows.append(row)
     # direction digits first: the key order is the (direction, base) tuple order
     weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-    return _key_report(c, np.unique(np.array(rows, dtype=np.int64).reshape(-1, 2 * n) @ weights))
+    keys = np.array(rows, dtype=np.int64).reshape(-1, 2 * n) @ weights
+    return _key_report(c, np.unique(keys, return_counts=True)[0])  # a plain one imports numpy.ma
 
 
 # -- Grassmannian oracle -------------------------------------------------------

@@ -164,6 +164,21 @@ def test_grassmann_refuses_oversized_plane_keys_at_once(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1 and "2^63" in err, err
 
 
+@pytest.mark.parametrize("command", ["gen", "stats"])
+def test_line_keys_of_one_dimension_refused_at_once(capsys, monkeypatch, command):
+    # AG(1,q) has one line, within the size budget, but at q past 2^31.5 its
+    # key overflows an int64; refused before GF(q) would take its q - 1
+    # generator powers one at a time
+    monkeypatch.setenv("UCYCLE_MAX_Q", str(2**32))
+    monkeypatch.setattr(Field, "__init__", field_built)
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, command, "--n", "1", "--p", "3037000507")
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert err == ("error: AG(1,3037000507) is too large to verify:"
+                   " line keys need q^(2n) <= 2^63-1\n")
+
+
 def test_verify_parameter_mismatch_exits_2(tmp_path, capsys):
     f = tmp_path / "c.json"
     run(capsys, "gen", "--n", "2", "--p", "2", "--out", str(f))
@@ -310,6 +325,32 @@ def test_memory_error_of_a_build_names_its_size(capsys, monkeypatch, command, ar
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    # argparse refuses the first call after it has already read --n and --p
+    refused = ["gen", "--n", "2", "--p", "3", "--format", "xml"]
+    valid = ["stats", "--n", "2", "--p", "3"]
+    together = [run(capsys, *argv) for argv in (refused, valid, ["--help"], refused, valid)]
+    # the top-level parser; its subcommand parsers share the class
+    assert built.count("ucycle") <= 1
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    alone = []
+    for argv in (refused, valid):  # each call in a fresh process
+        child = subprocess.run([sys.executable, "-m", "ucycle", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        alone.append((child.returncode, child.stdout, child.stderr))
+    assert alone[0][0] == 2 and alone[0][2].startswith("error: ") and alone[0][2].count("\n") == 1
+    assert together[:2] == together[3:] == alone
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,12 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,25 @@ def test_verify_subset_two_fiber():
     rep = verify_subset(c, set(fiber(d1, 2, F)))
     assert not rep.passed
     assert rep.unexpected_total == 4
+
+
+def test_verify_subset_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on its first call, 15 ms of a fresh process
+    script = (
+        "import sys\n"
+        "from ucycle.constructions import triple_base_cycle\n"
+        "from ucycle.gf import field_make\n"
+        "from ucycle.verify import verify_subset\n"
+        "c = triple_base_cycle(field_make(5))\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "assert verify_subset(c, c.windows()).passed\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(geometry.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False False\n", "")
 
 
 def test_verify_subset_triple_q5():
