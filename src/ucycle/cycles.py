@@ -1,21 +1,22 @@
-"""Double-window cycles and segments, window extraction, gluing, and the
-canonical codec.
+"""Double-window cycles and segments, Grassmannian cycles, window
+extraction, gluing, and the canonical codec.
 
 A cycle is a cyclic vertex sequence over the projective closure whose
 consecutive windows (including the wrap-around) decode to pairwise distinct
-affine lines; a segment is the open variant with two distinct endpoints.
-Both, and grassmann.GrassCycle, are immutable VertexSequences: one code
-array in the field's dtype (plus, for cycles and segments, an at-infinity
-mask), the only representation, each rule checked once over the arrays; a
-vertex list is only converted to them, and the vertex tuple is built from
-them on first use.  Their windows are decoded by the verifier's key walk
+affine lines; a segment is the open variant with two distinct endpoints; a
+GrassCycle is a cyclic sequence of nonzero vectors whose windows span
+distinct planes.  All are immutable VertexSequences: one code array in the
+field's dtype (plus, for cycles and segments, an at-infinity mask), the only
+representation, each rule checked once over the arrays; a vertex list is
+only converted to them, and the vertex tuple is built from them on first
+use.  Their windows are decoded by the verifier's key walk
 (``verify.window_keys``).  Rotation, reversal, gluing, translation and
 linear maps work on the arrays.  One generator, ``encode_blocks``, writes
 every text form from the arrays in blocks of BLOCK_ROWS rows, a token of
 precomputed text for each row or group of codes.  ``decode_cycle`` reads
 gen's bytes block by block, each parsed by numpy and checked by encoding it
-back; any other input is read as a UTF-8 text file, by ``json.loads`` and
-``cycle_from_json_obj`` or by lines.
+back, and refuses a grassmann chain file at once; any other input is read as
+a UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -178,6 +179,20 @@ class VertexSequence:
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self)} vertices over {self.field!r}, n={self.n})"
+
+
+class GrassCycle(VertexSequence):
+    """Cyclic sequence of nonzero vectors whose windows span distinct planes."""
+
+    __slots__ = ()
+    _rule = "vertex {i} is the zero vector"
+
+    @property
+    def m(self) -> int:
+        return self.n
+
+    def _rule_fails(self) -> np.ndarray:
+        return ~self.codes.any(axis=1)
 
 
 class _ProjectiveSequence(VertexSequence):
@@ -563,14 +578,16 @@ def file_text(data: bytes) -> str:
 
 def decode_cycle(data: bytes | str, field: Field | None) -> Cycle:
     """The cycle in JSON (no ``field``) or text, or in a file's bytes read as
-    ``file_text`` reads them: gen's bytes by ``_canonical_cycle``, anything
-    else by the format's general route, which words every refusal:
-    ``json.loads`` and ``cycle_from_json_obj``, or ``_cycle_from_lines``."""
+    ``file_text`` reads them: gen's bytes by ``_canonical_cycle``; a grassmann
+    chain file is refused at once; anything else goes the format's general
+    route: ``json.loads`` and ``cycle_from_json_obj``, or ``_cycle_from_lines``."""
     try:
         return _canonical_cycle(data, field)
     except (ValueError, Warning):
         pass
     if isinstance(data, bytes):
+        if data.startswith(b'{"levels":['):
+            raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
         crlf, data = b"\r" in data, file_text(data)
         if crlf:  # its line ends may be all that differed from gen's bytes
             return decode_cycle(data, field)

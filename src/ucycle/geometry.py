@@ -76,6 +76,9 @@ class Subspace(NamedTuple):
     def dim(self) -> int:
         return len(self.basis)
 
+    def contained_in_last_hyperplane(self) -> bool:
+        return all(row[-1] == 0 for row in self.basis)
+
 
 # -- vector helpers ----------------------------------------------------------
 

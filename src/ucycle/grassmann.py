@@ -19,44 +19,23 @@ writes a level's payload straight from its array.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .gf import Field, generator_powers, mulmod, smallest_irreducible
-from .geometry import AffineLine, DegenerateWindowError, Vector, rref
-from .cycles import Cycle, VertexSequence, _row_hits, encode_blocks, splice
+from .geometry import AffineLine, DegenerateWindowError, Subspace, Vector, rref
+from .cycles import Cycle, GrassCycle, _row_hits, encode_blocks, splice
 from .constructions import universal_cycle
 
-
-class Subspace2(NamedTuple):
-    """2-dimensional subspace in reduced-row-echelon canonical form."""
-
-    basis: tuple[Vector, Vector]
-
-    def contained_in_last_hyperplane(self) -> bool:
-        return all(row[-1] == 0 for row in self.basis)
+Subspace2 = Subspace  # a 2-subspace: its two RREF rows
 
 
 def span2(v1: Vector, v2: Vector, F: Field) -> Subspace2:
     rows = rref([v1, v2], F)
     if len(rows) != 2:
         raise DegenerateWindowError(f"vectors {v1}, {v2} do not span a plane")
-    return Subspace2((rows[0], rows[1]))
-
-
-class GrassCycle(VertexSequence):
-    """Cyclic sequence of nonzero vectors whose windows span distinct planes."""
-
-    __slots__ = ()
-    _rule = "vertex {i} is the zero vector"
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    def _rule_fails(self) -> np.ndarray:
-        return ~self.codes.any(axis=1)
+    return Subspace2(rows)
 
 
 def tau(L: AffineLine, F: Field) -> Subspace2:
@@ -155,6 +134,3 @@ def grass_to_json(gc: GrassCycle) -> str:
     newline, written from the code array."""
     return "".join(grass_blocks(gc))
 
-
-def subspace_to_json_obj(s: Subspace2) -> dict:
-    return {"basis": [list(row) for row in s.basis]}

@@ -1,21 +1,21 @@
 """Exact-cover checks for affine-line and Grassmannian cycles.
 
 Every check returns a CoverageReport rather than raising, so invalid cycles
-produce failing reports.  The targets are enumerated in closed form, with no
-code shared with the constructions: an affine line of AG(n,q) is a
-normalized direction together with the one point of the line whose
-coordinate at the direction's pivot is 0, and a plane of F_q^m is a rank-2
-RREF row pair.  One block walk decodes the windows, about
+produce failing reports.  The targets are enumerated in closed form, and no
+construction module is imported (only gf, geometry and cycles): an affine
+line of AG(n,q) is a normalized direction together with the one point of
+the line whose coordinate at the direction's pivot is 0, and a plane of
+F_q^m is a rank-2 RREF row pair.  One block walk decodes the windows, about
 ``cycles.BLOCK_ROWS`` codes at a time, from the narrow code array into one
-int64 array of packed keys, with no per-vertex object: lines with the closed
-form of ``geometry.line_from``, planes with the closed-form RREF of two rows.
-Each field operation is one 1-D gather from a flattened table, its first
-operand pre-scaled by q, and each window's rows are put in order by one row
-gather.  Every check decides exact cover on sorted int64 arrays
-(``_key_report``): the distinct window keys with their counts against the
-ascending target keys, which ``verify_subset`` packs from any target set.
-The walk (``window_keys``) also serves ``windows()`` and the gluing check.
-The brute-force point-pair oracle and a set-based report stay in the tests.
+int64 array of keys, with no per-vertex object: lines with the closed form
+of ``geometry.line_from``, planes with the closed-form RREF of two rows,
+each field operation one 1-D gather from a flattened table.  One packer,
+``_pack``, keys the walk's windows and the canonical lines that
+``verify_subset`` takes as targets.  Every check decides exact cover on
+sorted int64 arrays (``_key_report``): the distinct window keys with their
+counts against the ascending target keys.  The walk (``window_keys``) also
+serves ``windows()`` and the gluing check.  The brute-force point-pair
+oracle and a set-based report stay in the tests.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .gf import Field
-from .geometry import AffineLine, Direction
-from .cycles import Cycle, Segment, VertexSequence, occurs_cyclically, row_blocks
-from .grassmann import GrassCycle, Subspace2, subspace_to_json_obj
+from .geometry import AffineLine, Direction, Subspace
+from .cycles import Cycle, GrassCycle, Segment, VertexSequence, occurs_cyclically, row_blocks
 
 MAX_REPORT_ITEMS = 32
 
@@ -74,8 +73,8 @@ class CoverageReport:
         def item(x):
             if isinstance(x, AffineLine):
                 return {"dir": list(x.dir.vector), "base": list(x.base)}
-            if isinstance(x, Subspace2):
-                return subspace_to_json_obj(x)
+            if isinstance(x, Subspace):
+                return {"basis": [list(row) for row in x.basis]}
             return x
 
         return {
@@ -157,6 +156,12 @@ def key_radix(kind: str, dim: int, q: int) -> int:
     return q**dim
 
 
+def _pack(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """The int64 keys code(u)·q^dim + code(v) of row pairs ``key_radix`` passed."""
+    weights = q ** np.arange(u.shape[1] - 1, -1, -1, dtype=np.int64)
+    return u @ (weights * q ** u.shape[1]) + v @ weights
+
+
 def _digits(x: int, n: int, q: int) -> tuple[int, ...]:
     """The n base-q digits of x, most significant first."""
     out = []
@@ -210,8 +215,7 @@ def _walk_keys(kind: str, s: VertexSequence, arrays: tuple, decode: Callable) ->
     vectors of each window's key and the degenerate mask."""
     N, dim = arrays[0].shape
     count = N if s.wrap else N - 1
-    radix = key_radix(kind, dim, s.field.q)
-    weights = s.field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    key_radix(kind, dim, s.field.q)
     keys = np.empty(count, dtype=np.int64)
     degenerate, filled = [], 0
     for start, stop in row_blocks(count, dim):
@@ -219,7 +223,7 @@ def _walk_keys(kind: str, s: VertexSequence, arrays: tuple, decode: Callable) ->
         rows = [x[start : stop + 1] if stop < N else np.concatenate([x[start:], x[:1]])
                 for x in arrays]
         u, v, bad = decode(*rows)
-        packed = u @ (weights * radix) + v @ weights
+        packed = _pack(u, v, s.field.q)
         if bad.any():
             degenerate += (np.flatnonzero(bad) + start).tolist()
             packed = packed[~bad]
@@ -283,25 +287,25 @@ def verify_affine(c: Cycle, n: int, F: Field) -> CoverageReport:
 def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> CoverageReport:
     """Exact-coverage report of a cycle's or a segment's windows against any
     target line set, a target given twice counting once.  Raises ValueError
-    naming a target whose direction or base is not c.n codes in [0, q).
-    """
+    naming a target that is not a line of AG(n,q) in the canonical form."""
     n, q = c.n, c.field.q
     key_radix("line", n, q)  # before any target key is packed
     rows = []
     for L in expected:
         row = tuple(L.dir.vector) + tuple(L.base)
-        if len(L.dir.vector) != n or len(row) != 2 * n or not all(0 <= x < q for x in row):
+        fits = len(L.dir.vector) == n and len(row) == 2 * n and all(0 <= x < q for x in row)
+        piv = next((i for i, x in enumerate(row[:n]) if x), n)  # n for a zero direction
+        if not (fits and piv < n and row[piv] == 1 and row[n + piv] == 0):
             raise ValueError(f"target {L} is not a line of AG({n},{q})")
         rows.append(row)
-    # direction digits first: the key order is the (direction, base) tuple order
-    weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-    keys = np.array(rows, dtype=np.int64).reshape(-1, 2 * n) @ weights
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+    keys = _pack(rows[:, :n], rows[:, n:], q)
     return _key_report(c, np.unique(keys, return_counts=True)[0])  # a plain one imports numpy.ma
 
 
 # -- Grassmannian oracle -------------------------------------------------------
 
-def all_2subspaces(m: int, F: Field) -> set[Subspace2]:
+def all_2subspaces(m: int, F: Field) -> set[Subspace]:
     """Every 2-subspace of F_q^m, enumerated in closed form."""
     return {_unpack_plane_key(k, m, F) for k in _all_plane_keys(m, F).tolist()}
 
@@ -357,14 +361,14 @@ def _plane_keys(gc: GrassCycle) -> tuple[np.ndarray, list[int]]:
     return _walk_keys("plane", gc, (gc.codes,), decode)
 
 
-def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace2:
+def _unpack_plane_key(key: int, m: int, F: Field) -> Subspace:
     row1, row2 = divmod(key, F.q**m)
-    return Subspace2((_digits(row1, m, F.q), _digits(row2, m, F.q)))
+    return Subspace((_digits(row1, m, F.q), _digits(row2, m, F.q)))
 
 
 def window_keys(s: VertexSequence) -> tuple[np.ndarray, list[int], Callable]:
     """``_window_keys(s)`` or, for a GrassCycle, ``_plane_keys(s)``, and the
-    unpacking of a key into its AffineLine or Subspace2."""
+    unpacking of a key into its AffineLine or Subspace."""
     if isinstance(s, GrassCycle):
         return (*_plane_keys(s), lambda k: _unpack_plane_key(k, s.m, s.field))
     return (*_window_keys(s), lambda k: _unpack_line_key(k, s.n, s.field))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ucycle import cycles
-from ucycle.cli import _dumps
+from ucycle.cli import _dumps, main
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     DegenerateWindowError, Direction, ProjVertex, affine, decode_window, infinity,
@@ -694,6 +694,21 @@ def test_canonical_decode_refuses_heads_before_the_rows(data, p):
     # refused before the arrays are allocated or any row is read
     with pytest.raises(ValueError, match="^not the canonical byte form$"):
         _canonical_cycle(data, None if p is None else field_make(p))
+
+
+def test_verify_refuses_a_grassmann_chain_file_before_json_loads(tmp_path, capsys, monkeypatch):
+    # such a file once fell through to json.loads of the whole file
+    f = tmp_path / "g.json"
+    assert main(["grassmann", "--m", "4", "--p", "2", "--nested", "--out", str(f)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads read the chain file")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == 'error: a grassmann chain file ({"levels":[...]}) is not a cycle file\n'
 
 
 def test_a_parse_warning_takes_the_fallback(monkeypatch):

@@ -1,5 +1,6 @@
 """Oracle layer: line enumeration, coverage reports, nesting scan."""
 
+import ast
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucycle import cli, geometry, grassmann
+from ucycle import cli, cycles, geometry, grassmann, verify
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     AffineLine,
@@ -240,6 +241,32 @@ def test_verify_subset_refuses_targets_outside_the_space():
         with pytest.raises(ValueError) as err:
             verify_subset(c, [*good, bad])
         assert str(err.value) == f"target {bad} is not a line of AG(2,2)"
+
+
+@pytest.mark.parametrize("bad", [
+    AffineLine(Direction((1, 0)), (1, 1)),
+    AffineLine(Direction((0, 0)), (0, 1)),
+    AffineLine(Direction((2, 0)), (0, 1)),
+], ids=["base-nonzero-at-pivot", "zero-direction", "unnormalized-direction"])
+def test_verify_subset_refuses_targets_not_in_canonical_form(bad):
+    # each was once packed as it stood: missing, while its window was unexpected
+    F = field_make(3)
+    c = two_fiber_cycle(Direction((0, 1)), Direction((1, 0)), 2, F)
+    with pytest.raises(ValueError) as err:
+        verify_subset(c, [bad])
+    assert str(err.value) == f"target {bad} is not a line of AG(2,3)"
+    # the canonical form of the line y = 1 is found among the windows
+    rep = verify_subset(c, [AffineLine(Direction((1, 0)), (0, 1))])
+    assert (rep.missing_total, rep.unexpected_total, rep.found_count) == (0, 5, 6)
+
+
+def test_verify_imports_only_the_layers_below_it():
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative <= {"gf", "geometry", "cycles"}
+    assert grassmann.Subspace2 is geometry.Subspace
+    assert grassmann.GrassCycle is cycles.GrassCycle
 
 
 def test_verify_subset_of_a_segment_has_no_wrap_around_window():
