@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -128,16 +129,19 @@ def cmd_gen(args) -> int:
 
 def _load_cycle(args) -> Cycle:
     with open(args.infile, "rb") as fh:
-        data = fh.read()
-    # gen's files (ASCII, led by "{", "A" or "I") stay bytes; others open as text
-    if not (data.isascii() and data[:1] in b"{AI"):
-        data = file_text(data)
-    json_file = data.lstrip()[:1] in ("{", b"{")
-    if not json_file and args.p is None:
-        raise ValueError("text cycle files need --p (and --k for extensions)")
-    handoff = [data]
-    del data  # the decode holds the only reference, so it drops the bytes once it has the text
-    c = decode_cycle(handoff.pop(), None if json_file else field_make(args.p, args.k))
+        if not fh.seekable():  # a pipe: the decode reads a file twice
+            fh = io.BytesIO(fh.read())
+        lead = fh.read(1)
+        fh.seek(0)
+        # a file led as gen's are, given --p for text, is streamed; any other opens as text
+        if lead == b"{" or (lead in (b"A", b"I") and args.p is not None):
+            c = decode_cycle(fh, None if lead == b"{" else field_make(args.p, args.k))
+        else:
+            text = file_text(fh.read())
+            json_file = text.lstrip()[:1] == "{"
+            if not json_file and args.p is None:
+                raise ValueError("text cycle files need --p (and --k for extensions)")
+            c = decode_cycle(text, None if json_file else field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
     if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):

@@ -9,14 +9,15 @@ distinct planes.  All are immutable VertexSequences: one code array in the
 field's dtype (plus, for cycles and segments, an at-infinity mask), the only
 representation, each rule checked once over the arrays; a vertex list is
 only converted to them, and the vertex tuple is built from them on first
-use.  Their windows are decoded by the verifier's key walk
-(``verify.window_keys``).  Rotation, reversal, gluing, translation and
+use.  Their windows are decoded by the verifier's rank walk
+(``verify.window_ranks``).  Rotation, reversal, gluing, translation and
 linear maps work on the arrays.  One generator, ``encode_blocks``, writes
 every text form from the arrays in blocks of BLOCK_ROWS rows, a token of
-precomputed text for each row or group of codes.  ``decode_cycle`` reads
-gen's bytes block by block, each parsed by numpy and checked by encoding it
-back, and refuses a grassmann chain file at once; any other input is read as
-a UTF-8 text file, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
+precomputed text for each row or group of codes.  ``decode_cycle`` streams
+gen's bytes from a file a block at a time, each gathered from its bytes and
+checked by encoding it back, and refuses a grassmann chain file at once;
+any other input is read whole as a UTF-8 text file, by ``json.loads`` and
+``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 import io
 import json
 import re
-import warnings
 from collections import Counter, defaultdict, deque
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,13 +169,13 @@ class VertexSequence:
         """Multiset of decoded windows; raises DegenerateWindowError with the
         index of the first window that does not decode, and ValueError when
         the packed keys would overflow an int64 (``verify.key_radix``)."""
-        from .verify import window_keys  # verify imports this module
+        from .verify import window_ranks  # verify imports this module
 
-        keys, degenerate, unpack = window_keys(self)
+        ranks, degenerate, space = window_ranks(self)
         if degenerate:
             i = degenerate[0]
             raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
-        return Counter(map(unpack, keys.tolist()))
+        return Counter(space.items(ranks))
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self)} vertices over {self.field!r}, n={self.n})"
@@ -253,24 +253,24 @@ def rotate(c: Cycle, k: int) -> Cycle:
 
 
 def _check_parts(parts: Sequence[VertexSequence]) -> None:
-    """Check the parts by one key walk each and one stable sort of all their
-    keys: at the first part with a fault, raise DegenerateWindowError at its
+    """Check the parts by one rank walk each and one stable sort of all their
+    ranks: at the first part with a fault, raise DegenerateWindowError at its
     first degenerate window, or GluingError for the line at its first window
     whose first copy lies in an earlier part, or for a line it repeats."""
-    from .verify import window_keys  # verify imports this module
+    from .verify import window_ranks  # verify imports this module
 
-    walks = [window_keys(part) for part in parts]
-    every = np.concatenate([keys for keys, _, _ in walks])
+    walks = [window_ranks(part) for part in parts]
+    every = np.concatenate([ranks for ranks, _, _ in walks])
     _, first, inverse = np.unique(every, return_index=True, return_inverse=True)
     first, stop = first[inverse], 0  # the position of each window's first copy
-    for k, (keys, degenerate, unpack) in enumerate(walks):
+    for k, (ranks, degenerate, space) in enumerate(walks):
         if degenerate:
             i = degenerate[0]
             raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
-        start, stop = stop, stop + len(keys)
+        start, stop = stop, stop + len(ranks)
         shared = np.flatnonzero(first[start:stop] < start)
         if len(shared):
-            line = unpack(keys.item(shared[0]))
+            line = space.items(ranks[shared[:1]])[0]
             raise GluingError(f"part {k} shares line {line} with an earlier part")
         if (first[start:stop] != np.arange(start, stop)).any():
             raise GluingError(f"part {k} repeats a line and is not a valid structure")
@@ -307,7 +307,7 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
     The window multiset of the result is exactly the disjoint union of the
     inputs', which must share one field and dimension.  ``check`` verifies
     that the inputs are valid and transversal, by one key walk per part and
-    one sort of all their keys (``_check_parts``), in time near linear in the
+    one sort of all their ranks (``_check_parts``), in time near linear in the
     windows; callers whose parts are so by construction pass False.
     """
     _same_space(cs)
@@ -446,19 +446,24 @@ def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str
     table = np.array([(pre if a == 0 else "") + sep.join(v) + (post if b == n else sep)
                       for pre, post in zip(first, last) for a, b in groups
                       for v in product(digits, repeat=b - a)], dtype=object)
-    # a token's number in the table: its kind's and group's offset plus codes @ value
-    value = np.zeros((n, len(groups)), dtype=np.uint32)
-    for k, (a, b) in enumerate(groups):
-        value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)
+    # a token's number: its kind's and group's offset plus codes @ value (at g = 1, the code)
     sizes = [q ** (b - a) for a, b in groups]
-    offset, per_kind = np.cumsum([0] + sizes[:-1]), sum(sizes)
-    yield head
-    for start, stop in row_blocks(N):
+    offset, per_kind = np.array([0, *accumulate(sizes[:-1])]), sum(sizes)
+    value = np.zeros((n, len(groups)), dtype=np.uint32)
+    for k, (a, b) in enumerate(groups if g > 1 else ()):
+        value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)
+
+    def block(start: int, stop: int) -> str:  # its temporaries go before it is read
         kind = kinds[start:stop, None] * per_kind if len(first) > 1 else 0
-        tokens = table.take(codes[start:stop] @ value + (offset + kind)).ravel().tolist()
+        rows = codes[start:stop] if g == 1 else codes[start:stop] @ value
+        tokens = table.take(rows + (offset + kind)).ravel().tolist()
         if stop == N:
             tokens[-1] = tokens[-1][:-1] + tail
-        yield "".join(tokens)
+        return "".join(tokens)
+
+    yield head
+    for start, stop in row_blocks(N):
+        yield block(start, stop)
 
 
 def cycle_to_json_obj(c: Cycle) -> dict:
@@ -520,8 +525,7 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
 _JSON_HEAD = re.compile(
     rb'\{"n":([0-9]+),"q":([0-9]+),"schema_version":%d,"vertices":\[' % SCHEMA_VERSION
 )
-_TO_NUMBERS = {fmt: (bytes.maketrans(old, new), bytes(set(range(256)) - set(b"0123456789" + old)))
-               for fmt, old, new in (("json", b",ya", b",10"), ("text", b"AI \n", b"01,,"))}
+_CHUNK = 2**16  # bytes a read of the row count takes; the first holds the head
 
 
 def _canonical(ok: bool) -> None:
@@ -529,45 +533,59 @@ def _canonical(ok: bool) -> None:
         raise ValueError("not the canonical byte form")
 
 
-def _canonical_cycle(data: bytes | str, field: Field | None = None) -> Cycle:
+def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None) -> Cycle:
     """The cycle that ``cycle_to_json``, or given its field ``cycle_to_text``,
-    writes as ``data``.  The rows are counted (the ``{`` past the head, or
-    the lines) and read into preallocated arrays a block at a time: a
-    translate keeps the digits and turns separators into commas, and numpy
-    parses the rows.  A JSON row reads its codes, then 10 (affine: the y of
-    "type", the a of "affine") or 11; a text row reads 0 (A) or 1 (I), then
-    its codes, n being the spaces on its first line.  Raises ValueError, or
-    the parse's warning, at the first block that encodes differently."""
-    data = data.encode("ascii") if isinstance(data, str) else data
-    fmt, kind, inf = ("json", -1, 11) if field is None else ("text", 0, 1)
-    if field is None:
-        nq = _JSON_HEAD.match(data)
-        _canonical(nq is not None)
-        n, field, count = int(nq[1]), field_from_order(int(nq[2])), data.count(b"{") - 1
+    writes as the bytes of ``source`` (bytes, ASCII text or a binary file),
+    streamed: one pass counts the rows, then one buffer takes BLOCK_ROWS
+    rows at a time, each found by its lead byte, its code j after code j-1's
+    separator with 1 to len(str(q-1)) digits.  The gather is loose, every
+    index clipped: the proof is each block's encoding, compared with it."""
+    fh = source if hasattr(source, "readinto") else io.BytesIO(
+        source.encode("ascii") if isinstance(source, str) else source)
+    fh.seek(0)
+    first, text = fh.read(_CHUNK), field is not None
+    if text:  # n is the spaces of the first line, and "A " leads the codes
+        n, lead, skip = first.count(b" ", 0, first.find(b"\n")), b"\n", 2
     else:
-        n, count = data.count(b" ", 0, data.find(b"\n")), data.count(b"\n")
-    q = field.q
-    _canonical(n >= 1 and 2 * n * count <= len(data))  # a code takes a digit and a separator
-    width = n * (len(str(q)) + 1) + 33  # bytes of the longest row, JSON's last
-    cols = slice(1 + kind, n + 1 + kind)  # the codes, beside the kind column
+        nq = _JSON_HEAD.match(first)
+        _canonical(nq is not None)
+        n, field, lead, skip = int(nq[1]), field_from_order(int(nq[2])), b"{", 11  # '{"coords":['
+    count = first.count(lead) + sum(b.count(lead) for b in iter(lambda: fh.read(_CHUNK), b""))
+    count, size = count - (not text), fh.tell()  # less the head's "{"; the count read it all
+    q, digits = field.q, len(str(field.q - 1))
+    _canonical(n >= 1 and 2 * n * count <= size)  # a code takes a digit and a separator
     codes, at_infinity = np.empty((count, n), field.arrays[0].dtype), np.empty(count, bool)
-    blocks = map(str.encode, _array_blocks(codes, at_infinity, q, fmt))
+    blocks = map(str.encode, _array_blocks(codes, at_infinity, q, "text" if text else "json"))
     # a head the regex matched but with leading zeros is longer: the rows' compare fails
     at = len(next(blocks))
+    width = n * (digits + 1) + (2 if text else 33)  # bytes of the longest row
+    buf = bytearray(max(0, min(size - at, min(count, BLOCK_ROWS) * width)))
+    view, data, held = memoryview(buf), np.frombuffer(buf, np.uint8), 0
+    fh.seek(at)
     for start, stop in row_blocks(count):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            chunk = data[at : at + (stop - start) * width].translate(*_TO_NUMBERS[fmt])
-            rows = np.fromstring(chunk, dtype=np.int64, sep=",", count=(stop - start) * (n + 1))
-        rows = rows.reshape(-1, n + 1)
-        _canonical(rows[:, cols].min() >= 0 and rows[:, cols].max() < q)  # before narrowing
-        codes[start:stop], at_infinity[start:stop] = rows[:, cols], rows[:, kind] == inf
-        del chunk, rows  # each block's temporaries go before the next block's come
-        block = next(blocks)
-        _canonical(data.startswith(block, at))
-        at += len(block)
-        del block
-    _canonical(at == len(data))
+        held += fh.readinto(view[held:])
+        block = data[:held]
+        marks = np.flatnonzero(block == lead[0])
+        rows = (np.concatenate([[0], marks + 1]) if text else marks)[: stop - start]
+        _canonical(held > 0 and len(rows) == stop - start)
+        end = rows + skip
+        for j in range(n):  # a byte that is no digit reads as 10 or more
+            code, more, past = (block.take(end, mode="clip") - 48).astype(np.uint16), True, end + 2
+            for k in range(1, digits):  # past: the byte after the code's separator
+                digit = block.take(end + k, mode="clip") - 48
+                more = more & (digit < 10)
+                code, past = np.where(more, code * 10 + digit, code), past + more
+            _canonical(code.max() < q)  # before narrowing
+            codes[start:stop, j], end = code, past
+        kind = block.take(rows if text else end + 9, mode="clip")  # line start, or past "type":"
+        at_infinity[start:stop] = kind == (b"I" if text else b"i")[0]
+        del marks, rows, end, code, kind  # before the block's text is encoded
+        encoded = next(blocks)
+        _canonical(buf.startswith(encoded, 0, held))
+        view[: held - len(encoded)] = view[len(encoded) : held]
+        held, at = held - len(encoded), at + len(encoded)
+        del encoded  # while the next block is gathered
+    _canonical(at == size)
     return Cycle._from_arrays(field, codes, at_infinity)
 
 
@@ -576,15 +594,19 @@ def file_text(data: bytes) -> str:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def decode_cycle(data: bytes | str, field: Field | None) -> Cycle:
-    """The cycle in JSON (no ``field``) or text, or in a file's bytes read as
-    ``file_text`` reads them: gen's bytes by ``_canonical_cycle``; a grassmann
-    chain file is refused at once; anything else goes the format's general
-    route: ``json.loads`` and ``cycle_from_json_obj``, or ``_cycle_from_lines``."""
+def decode_cycle(data: bytes | str | BinaryIO, field: Field | None) -> Cycle:
+    """The cycle in JSON (no ``field``) or text, as str, bytes or a binary
+    file: gen's bytes by ``_canonical_cycle``; else read whole, bytes as
+    ``file_text`` reads them, a grassmann chain file refused at once, and
+    the rest by ``json.loads`` and ``cycle_from_json_obj``, or by lines."""
     try:
         return _canonical_cycle(data, field)
-    except (ValueError, Warning):
+    except ValueError:
         pass
+    if not isinstance(data, (bytes, str)):  # a file, read whole: as text unless ASCII
+        data.seek(0)
+        data = data.read()
+        data = data if data.isascii() else file_text(data)
     if isinstance(data, bytes):
         if data.startswith(b'{"levels":['):
             raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')

@@ -1,12 +1,16 @@
-"""References for the key walk, its report and the block encoder.
+"""References for the rank walk, its report, its ranking and the block
+encoder.
 
 Each window is decoded on its own, by ``geometry.decode_window`` or
 ``grassmann.span2``, and the report is built from a Counter of the decoded
-windows and a set of targets.  None of it shares code with the packed-key
-walk or with ``verify._key_report``, which the tests compare against it.
+windows and a set of targets.  None of it shares code with the rank walk
+or with ``verify._rank_report``, which the tests compare against it.  The
+packed keys of every line and plane, ascending, are enumerated pivot by
+pivot (``all_line_keys``, ``all_plane_keys``): the oracle that the ranking
+is a bijection that keeps key order.
 
 The kernels that the flat-table walk and the grouped-token encoder replaced
-stay here too, unchanged: the key walk that decodes BLOCK_ROWS windows a
+stay here too, unchanged: the packed-key walk that decodes BLOCK_ROWS windows a
 block with 2-D table gathers on intp copies of the rows (``line_keys_2d``,
 ``plane_keys_2d``), and the encoder that writes one token per code
 (``encode_by_code``).
@@ -18,9 +22,9 @@ from collections import Counter
 import numpy as np
 
 from ucycle.cycles import row_blocks
-from ucycle.geometry import DegenerateWindowError, decode_window
+from ucycle.geometry import AffineLine, DegenerateWindowError, Direction, decode_window
 from ucycle.grassmann import Subspace2
-from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, key_radix
+from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, key_radix, window_ranks
 
 
 def rref_plane_pairs(m, F):
@@ -43,6 +47,71 @@ def rref_plane_pairs(m, F):
                         row2[col] = v
                     out.add(Subspace2((tuple(row1), tuple(row2))))
     return out
+
+
+def all_line_keys(n, F):
+    """Packed keys of every line of AG(n,q), ascending.
+
+    Directions with pivot i have codes in [q^(n-1-i), 2·q^(n-1-i)), and
+    their canonical bases are the points whose coordinate i is 0.  Later
+    pivots have smaller direction codes, so emitting pivots from last to
+    first keeps the keys sorted.
+    """
+    q = F.q
+    radix = key_radix("line", n, q)
+    parts = []
+    for i in range(n - 1, -1, -1):
+        low = q ** (n - 1 - i)
+        dirs = np.arange(low, 2 * low, dtype=np.int64)
+        heads = np.arange(q**i, dtype=np.int64)[:, None] * (q * low)
+        bases = (heads + np.arange(low, dtype=np.int64)).ravel()
+        parts.append((dirs[:, None] * radix + bases).ravel())
+    return np.concatenate(parts)
+
+
+def all_plane_keys(m, F):
+    """Packed keys of every 2-subspace of F_q^m, ascending.
+
+    For pivots i < j, row 1 is e_i plus any entries right of i except at j,
+    and row 2 is e_j plus any entries right of j.
+    """
+    q = F.q
+    radix = key_radix("plane", m, q)
+    parts = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            # columns i+1..j-1 are the high free digits of row 1, column j is 0
+            high = np.arange(q ** (j - i - 1), dtype=np.int64) * q ** (m - j)
+            tail = np.arange(q ** (m - 1 - j), dtype=np.int64)
+            row1 = q ** (m - 1 - i) + (high[:, None] + tail).ravel()
+            row2 = q ** (m - 1 - j) + tail
+            parts.append((row1[:, None] * radix + row2).ravel())
+    return np.sort(np.concatenate(parts))
+
+
+def key_rows(keys, dim, q):
+    """The two vectors of each packed key, as (count, dim) int64 arrays."""
+    weights = q ** np.arange(2 * dim - 1, -1, -1, dtype=np.int64)
+    digits = np.asarray(keys, dtype=np.int64)[:, None] // weights % q
+    return digits[:, :dim], digits[:, dim:]
+
+
+def line_of_key(key, n, F):
+    """The AffineLine whose packed key is ``key``."""
+    d, base = key_rows([key], n, F.q)
+    return AffineLine(Direction(tuple(d[0].tolist())), tuple(base[0].tolist()))
+
+
+def plane_of_key(key, m, F):
+    """The plane whose packed key is ``key``."""
+    r1, r2 = key_rows([key], m, F.q)
+    return Subspace2((tuple(r1[0].tolist()), tuple(r2[0].tolist())))
+
+
+def walk_keys(s):
+    """The rank walk's windows as packed keys, and the degenerate ones."""
+    ranks, degenerate, space = window_ranks(s)
+    return space.keys(ranks), degenerate
 
 
 def decoded_windows(vs, decode, wrap=True):
@@ -123,7 +192,7 @@ def walk_keys_2d(kind, s, arrays, decode):
 
 
 def line_keys_2d(c):
-    """``verify._window_keys(c)``, each window decoded with 2-D gathers."""
+    """``walk_keys(c)`` of a cycle or segment, each window decoded with 2-D gathers."""
     ADD, MUL, NEG, INV = (t.astype(np.intp) for t in c.field.arrays)
 
     def decode(d, a_inf, pt, b_inf):
@@ -142,7 +211,7 @@ def line_keys_2d(c):
 
 
 def plane_keys_2d(gc):
-    """``verify._plane_keys(gc)``, each window decoded with 2-D gathers."""
+    """``walk_keys(gc)`` of a vector cycle, each window decoded with 2-D gathers."""
     ADD, MUL, NEG, INV = (t.astype(np.intp) for t in gc.field.arrays)
 
     def decode(r1, r2):

@@ -15,16 +15,12 @@ from ucycle.gf import field_from_order
 from ucycle.geometry import decode_window
 from ucycle.grassmann import GrassCycle, grass_to_json, nested_cycles, span2
 from ucycle.verify import (
-    _plane_keys,
-    _unpack_line_key,
-    _unpack_plane_key,
-    _window_keys,
     all_2subspaces,
     all_affine_lines,
     verify_affine,
     verify_grassmann,
 )
-from reference import build_report, decoded_windows
+from reference import build_report, decoded_windows, line_of_key, plane_of_key, walk_keys
 from test_cycles import decode_outcome, reference_from_text
 
 SIZES = [1, 3, 7]
@@ -34,7 +30,7 @@ GRID = [(n, q) for n in (2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9) if q**n <= 500]
 
 
 def affine_outputs(c, n, F):
-    keys, degenerate = _window_keys(c)
+    keys, degenerate = walk_keys(c)
     report = verify_affine(c, n, F).to_json_obj()
     return cycle_to_json(c), cycle_to_text(c), keys.tolist(), degenerate, report
 
@@ -65,7 +61,7 @@ def test_affine_blocks_match_one_block(monkeypatch, n, q):
 
 
 def grassmann_outputs(u, m, F):
-    keys, degenerate = _plane_keys(u)
+    keys, degenerate = walk_keys(u)
     return grass_to_json(u), keys.tolist(), degenerate, verify_grassmann(u, m, F).to_json_obj()
 
 
@@ -99,9 +95,9 @@ def test_degenerate_line_windows_on_block_edges(monkeypatch, size):
     assert {size - 1, size, len(vs) - 1} <= set(degenerate)
     reference = build_report(all_affine_lines(n, F), lines, degenerate).to_json_obj()
     monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
-    keys, found = _window_keys(c)
+    keys, found = walk_keys(c)
     assert found == degenerate
-    assert [_unpack_line_key(k, n, F) for k in keys.tolist()] == lines
+    assert [line_of_key(k, n, F) for k in keys.tolist()] == lines
     assert verify_affine(c, n, F).to_json_obj() == reference
 
 
@@ -114,7 +110,7 @@ def test_degenerate_plane_windows_on_block_edges(monkeypatch, size):
     assert {size - 1, size, len(vs) - 1} <= set(degenerate)
     reference = build_report(all_2subspaces(m, F), planes, degenerate).to_json_obj()
     monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
-    keys, found = _plane_keys(gc)
+    keys, found = walk_keys(gc)
     assert found == degenerate
-    assert [_unpack_plane_key(k, m, F) for k in keys.tolist()] == planes
+    assert [plane_of_key(k, m, F) for k in keys.tolist()] == planes
     assert verify_grassmann(gc, m, F).to_json_obj() == reference

@@ -13,7 +13,7 @@ import pytest
 
 from ucycle import cli, cycles
 from ucycle.cli import _dumps, main
-from ucycle.gf import Field, field_make
+from ucycle.gf import Field, field_from_order, field_make
 from ucycle.grassmann import GrassCycle, nested_cycles
 
 
@@ -393,7 +393,7 @@ def gen_json(capsys, path, n, p, k=1):
     return path.read_text()
 
 
-@pytest.mark.parametrize("n,p,k", [(3, 5, 1), (2, 2, 3), (2, 2, 1)])
+@pytest.mark.parametrize("n,p,k", [(3, 5, 1), (2, 2, 3), (2, 2, 1), (2, 11, 1), (2, 101, 1)])
 def test_verify_reads_gen_files_without_json_loads(tmp_path, capsys, monkeypatch, n, p, k):
     f = tmp_path / "c.json"
     text = gen_json(capsys, f, n, p, k)
@@ -549,3 +549,109 @@ def test_verify_one_byte_changed_at_a_block_edge_matches_json_loads(
     expected = loads_route(monkeypatch, capsys, "verify", "--in", str(f))
     assert run(capsys, "verify", "--in", str(f)) == expected
     assert expected[0] == 2 and expected[2].count("\n") == 1
+
+
+# -- codes of every width: the gather against the general route ----------------
+
+
+def wide_cycle(q, rows=40):
+    """A 40-row cycle over GF(q) in AG(2,q), every third vertex at infinity,
+    whose second codes take every width from 1 to len(str(q-1)) digits in
+    turn: the gather reads codes of 1, 2 and 3 digits from one file."""
+    digits = len(str(q - 1))
+    F = field_from_order(q)
+    codes = np.random.default_rng(q).integers(0, q, (rows, 2))
+    inf = np.arange(rows) % 3 == 1
+    codes[inf, 0] = 1
+    codes[:, 1] = [min(10 ** (r % digits) + r % 7, q - 1) for r in range(rows)]
+    return cycles.Cycle._from_arrays(F, codes.astype(F.arrays[0].dtype), inf)
+
+
+def rows_of(c, fmt):
+    """gen's bytes of the cycle, as its head and one string a row."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cycles, "BLOCK_ROWS", 1)
+        return list(cycles.cycle_blocks(c, fmt))
+
+
+def first_code(row, fmt):
+    """The span of a row's first code."""
+    start = row.index("[") + 1 if fmt == "json" else 2
+    return start, start + len(re.match(r"[0-9]+", row[start:])[0])
+
+
+def last_code(row, fmt):
+    """The span of a row's last code."""
+    stop = row.index("]") if fmt == "json" else len(row.rstrip("\n"))
+    return stop - len(re.search(r"[0-9]+$", row[:stop])[0]), stop
+
+
+def change_code(rows, r, fmt, span, change):
+    """rows with the code that ``span`` finds in row r passed through ``change``."""
+    row = rows[r + 1]
+    a, b = span(row, fmt)
+    return rows[: r + 1] + [row[:a] + change(row[a:b]) + row[b:]] + rows[r + 2 :]
+
+
+def next_kind(row, fmt):
+    """The row with the byte that gives its kind (a, i, A or I) one higher."""
+    at = row.index('"type":"') + 8 if fmt == "json" else 0
+    return row[:at] + chr(ord(row[at]) + 1) + row[at + 1 :]
+
+
+# each case: the rows of gen's bytes, the block size and the format -> the changed rows
+WIDE_CASES = {
+    "leading-zero": lambda c, rows, s, fmt: change_code(rows, s, fmt, first_code, lambda x: "0" + x),
+    "one-digit-too-many": lambda c, rows, s, fmt: change_code(  # at the widest first code
+        rows, int(np.argmax(c.codes[:, 0])), fmt, first_code, lambda x: x + "1"),
+    "the-code-q": lambda c, rows, s, fmt: change_code(
+        rows, s, fmt, first_code, lambda x: str(c.field.q)),
+    "digit-deleted-before-the-edge": lambda c, rows, s, fmt: change_code(
+        rows, s - 1, fmt, last_code, lambda x: x[:-1]),
+    "digit-deleted-after-the-edge": lambda c, rows, s, fmt: change_code(
+        rows, s, fmt, first_code, lambda x: x[1:]),
+    "non-digit": lambda c, rows, s, fmt: change_code(rows, s, fmt, last_code, lambda x: ":" * len(x)),
+    "kind": lambda c, rows, s, fmt: rows[: s + 1] + [next_kind(rows[s + 1], fmt)] + rows[s + 2 :],
+    "last-byte-of-the-block": lambda c, rows, s, fmt: rows[:s] + [rows[s][:-1] + " "] + rows[s + 1 :],
+    "first-byte-of-the-next": lambda c, rows, s, fmt: rows[: s + 1] + ["}" + rows[s + 1][1:]] + rows[s + 2 :],
+    "tail": lambda c, rows, s, fmt: rows[:-1] + [rows[-1][:-1]],
+    # the head and brackets of JSON alone: text takes n from its first line and q from --p
+    "n": lambda c, rows, s, fmt: [rows[0].replace('"n":2', '"n":3')] + rows[1:],
+    "q": lambda c, rows, s, fmt: [rows[0].replace(
+        f'"q":{c.field.q},', f'"q":{ {11: 13, 101: 103, 509: 512}[c.field.q]},')] + rows[1:],
+    "q-not-prime-power": lambda c, rows, s, fmt: [
+        rows[0].replace(f'"q":{c.field.q},', f'"q":{c.field.q + 1},')] + rows[1:],
+    "bracket": lambda c, rows, s, fmt: rows[: s + 1] + [rows[s + 1].replace("[", "{", 1)] + rows[s + 2 :],
+}
+JSON_ONLY = {"n", "q", "q-not-prime-power", "bracket"}
+
+
+@pytest.mark.parametrize("fmt,case", [(fmt, case) for fmt in ("json", "text")
+                                      for case in sorted(WIDE_CASES)
+                                      if fmt == "json" or case not in JSON_ONLY])
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("q", [11, 101, 509])
+def test_verify_codes_of_every_width_match_the_general_route(
+    tmp_path, capsys, monkeypatch, q, fmt, size, case
+):
+    # gen's bytes of a cycle whose codes have 1 to 3 digits, changed at the
+    # edge between the first two blocks of ``size`` rows: the streamed gather
+    # gives the exit code, stdout and stderr of the general route
+    c = wide_cycle(q)
+    rows = rows_of(c, fmt)
+    f = tmp_path / f"c.{fmt}"
+    f.write_text("".join(rows))
+    flags = () if fmt == "json" else ("--n", "2", "--p", str(q))
+    monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
+    argv = ("verify", "--in", str(f), *flags)
+    unchanged = loads_route(monkeypatch, capsys, *argv)
+    with monkeypatch.context() as m:  # gen's bytes are gathered, not parsed
+        m.setattr(json, "loads", refuse_loads)
+        m.setattr(cycles, "_cycle_from_lines", lambda text, field: refuse_loads(text))
+        assert run(capsys, *argv) == unchanged and unchanged[0] == 1
+    changed = WIDE_CASES[case](c, rows, size, fmt)
+    assert changed != rows
+    f.write_text("".join(changed))
+    expected = loads_route(monkeypatch, capsys, *argv)
+    assert run(capsys, *argv) == expected
+    assert expected[0] in (1, 2) and expected[2].count("\n") == 1

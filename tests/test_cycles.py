@@ -1,16 +1,17 @@
 """Cycle/segment structures, window extraction, gluing, and vertex maps."""
 
+import argparse
 import json
 import random
+import re
 import tracemalloc
-import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ucycle import cycles
-from ucycle.cli import _dumps, main
+from ucycle.cli import _dumps, _load_cycle, main
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     DegenerateWindowError, Direction, ProjVertex, affine, decode_window, infinity,
@@ -634,15 +635,16 @@ def assert_same_arrays(a, b):
 
 def test_canonical_decode_is_linear_in_memory():
     # json.loads plus cycle_from_json_obj peak at ~418 B per line on this
-    # text.  Measured, block by block into uint8 codes: 66 B per line from
-    # the text, which is encoded to bytes first, and 28 from the file's
-    # bytes, as the CLI reads them; 28 also from the bytes of the text
-    # format (111, 73 and 73 when the whole file was parsed at once).
+    # text.  Measured, streamed a block at a time into uint8 codes: 59 B per
+    # line from the text, which is encoded to bytes first, and 21 from the
+    # file's bytes; 12 from the bytes of the text format (56, 18 and 17 when
+    # numpy parsed each block of bytes held whole, 111, 73 and 73 when the
+    # whole file was parsed at once)
     F = field_make(3, 2)
     c = universal_cycle(4, F)
     text = cycle_to_json(c)
-    cases = [(cycle_from_json, text, 80), (cycle_from_json, text.encode(), 35),
-             (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 35)]
+    cases = [(cycle_from_json, text, 64), (cycle_from_json, text.encode(), 24),
+             (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 16)]
     for decode, source, bound in cases:
         tracemalloc.start()
         try:
@@ -652,6 +654,23 @@ def test_canonical_decode_is_linear_in_memory():
             tracemalloc.stop()
         assert len(c) == 597_780
         assert peak / len(c) <= bound
+
+
+def test_verify_streams_the_file(tmp_path):
+    # traced from the file's opening: 21 B per line measured for gen's
+    # AG(4,9) file, which alone holds 38 B per line (22.7 MB), against 56
+    # when the whole file was read into one bytes
+    f = tmp_path / "c.json"
+    f.write_text(cycle_to_json(universal_cycle(4, field_make(3, 2))))
+    args = argparse.Namespace(infile=str(f), n=None, p=None, k=1)
+    tracemalloc.start()
+    try:
+        c = _load_cycle(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 597_780 and f.stat().st_size / len(c) > 37
+    assert peak / len(c) <= 24
 
 
 def test_cycle_checks_are_linear_in_memory():
@@ -711,28 +730,23 @@ def test_verify_refuses_a_grassmann_chain_file_before_json_loads(tmp_path, capsy
     assert err == 'error: a grassmann chain file ({"levels":[...]}) is not a cycle file\n'
 
 
-def test_a_parse_warning_takes_the_fallback(monkeypatch):
-    # numpy < 2.3 warns, instead of raising, when it stops before the end
-    text = cycle_to_json(universal_cycle(2, field_make(3)))
-    expected = cycle_from_json_obj(json.loads(text))
-    fromstring, loads = np.fromstring, json.loads
-    calls = []
-
-    def partial(s, dtype, sep, count=-1):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return fromstring(s, dtype=dtype, sep=sep, count=count)[:-1]
-
-    def counted(s):
-        calls.append(len(s))
-        return loads(s)
-
-    monkeypatch.setattr(np, "fromstring", partial)
-    monkeypatch.setattr(json, "loads", counted)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        c = cycle_from_json(text)
-    assert caught == [] and calls == [len(text)]
-    assert_same_arrays(c, expected)
+@pytest.mark.parametrize("stray", [":", "fourth-digit", "leading-zero"])
+def test_a_stray_byte_in_a_code_is_refused_by_the_block_compare(monkeypatch, stray):
+    # the gather reads ":" as the digit 10, and a code as its first three
+    # digits, with or without a leading 0: only the compare with the encoded
+    # block refuses the row, and then json.loads reads the text
+    c = universal_cycle(2, field_from_order(101))
+    text = cycle_to_json(c)
+    row = re.search(r"\[([0-9]{3}),", text)
+    code = {":": ":", "fourth-digit": row[1] + "7", "leading-zero": "0" + row[1][1:]}[stray]
+    data = (text[: row.start(1)] + code + text[row.end(1) :]).encode()
+    with pytest.raises(ValueError, match="^not the canonical byte form$"):
+        _canonical_cycle(data)
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s: calls.append(len(s)) or loads(s))
+    assert decode_outcome(lambda d, F: cycle_from_json(d), data, None) == decode_outcome(
+        lambda d, F: cycle_from_json_obj(loads(d)), data, None)
+    assert calls == [len(data)]
 
 
 def test_vertex_view_is_the_input_or_built_from_the_arrays():

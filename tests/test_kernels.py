@@ -1,4 +1,4 @@
-"""The flat-table key walk and the grouped-token block encoder against the
+"""The flat-table rank walk and the grouped-token block encoder against the
 kernels they replaced (``reference.line_keys_2d``, ``plane_keys_2d`` and
 ``encode_by_code``): the same keys and degenerate windows at every block
 size, with the wrap window alone in its block among them, and the same
@@ -13,8 +13,7 @@ from ucycle.constructions import universal_cycle
 from ucycle.cycles import Cycle, Segment, _array_blocks, row_blocks, _token_width
 from ucycle.gf import field_from_order
 from ucycle.grassmann import GrassCycle, grass_blocks, nested_cycles
-from ucycle.verify import _plane_keys, _window_keys
-from reference import encode_by_code, line_keys_2d, plane_keys_2d
+from reference import encode_by_code, line_keys_2d, plane_keys_2d, walk_keys
 
 
 def projective_arrays(rng, count, n, F):
@@ -69,32 +68,32 @@ def test_line_walk_matches_the_2d_gathers(monkeypatch, n, q):
     c = Cycle._from_arrays(F, codes, inf)
     two = ~(inf | np.roll(inf, -1))
     assert two.sum() > 2 and (inf & np.roll(inf, -1)).any()
-    degenerate = assert_walks_agree(monkeypatch, c, _window_keys, line_keys_2d)
+    degenerate = assert_walks_agree(monkeypatch, c, walk_keys, line_keys_2d)
     assert {2, 5} <= set(degenerate)
     # the open sequence: no wrap window
     s = Segment._from_arrays(F, codes[:-1], inf[:-1])
-    assert_walks_agree(monkeypatch, s, _window_keys, line_keys_2d)
+    assert_walks_agree(monkeypatch, s, walk_keys, line_keys_2d)
 
 
 @pytest.mark.parametrize("n,q", [(3, 5), (4, 3), (2, 9)])
 def test_line_walk_matches_the_2d_gathers_on_universal_cycles(monkeypatch, n, q):
     c = universal_cycle(n, field_from_order(q))
     assert (~(c.at_infinity | np.roll(c.at_infinity, -1))).any()  # two-affine windows
-    assert assert_walks_agree(monkeypatch, c, _window_keys, line_keys_2d) == []
+    assert assert_walks_agree(monkeypatch, c, walk_keys, line_keys_2d) == []
 
 
 @pytest.mark.parametrize("m,q", [(3, 2), (4, 3), (3, 4), (5, 2), (3, 257), (3, 512)])
 def test_plane_walk_matches_the_2d_gathers(monkeypatch, m, q):
     F = field_from_order(q)
     gc = GrassCycle._from_arrays(F, vector_codes(np.random.default_rng(q * 10 + m), 53, m, F))
-    degenerate = assert_walks_agree(monkeypatch, gc, _plane_keys, plane_keys_2d)
+    degenerate = assert_walks_agree(monkeypatch, gc, walk_keys, plane_keys_2d)
     assert {2, 52} <= set(degenerate)
 
 
 @pytest.mark.parametrize("m,q", [(5, 2), (4, 3)])
 def test_plane_walk_matches_the_2d_gathers_on_nested_cycles(monkeypatch, m, q):
     for u in nested_cycles(m, field_from_order(q)):
-        assert assert_walks_agree(monkeypatch, u, _plane_keys, plane_keys_2d) == []
+        assert assert_walks_agree(monkeypatch, u, walk_keys, plane_keys_2d) == []
 
 
 # (n, q, rows, g): g codes a token, whole rows when g = n

@@ -35,12 +35,8 @@ from ucycle.verify import (
     MAX_REPORT_ITEMS,
     all_2subspaces,
     all_affine_lines,
-    _all_line_keys,
-    _all_plane_keys,
-    _plane_keys,
-    _unpack_line_key,
-    _unpack_plane_key,
-    _window_keys,
+    _Lines,
+    _Planes,
     affine_line_count,
     gaussian_binomial_2,
     key_radix,
@@ -49,7 +45,10 @@ from ucycle.verify import (
     verify_nesting,
     verify_subset,
 )
-from reference import build_report, decoded_windows, line_report, rref_plane_pairs
+from reference import (
+    all_line_keys, all_plane_keys, build_report, decoded_windows, key_rows, line_of_key,
+    line_report, plane_of_key, rref_plane_pairs, walk_keys,
+)
 
 
 def pair_oracle(n, F):
@@ -94,17 +93,17 @@ def test_line_count_formula(n, q):
 def test_vectorized_keys_match_pure_pairs(n, q):
     F = field_from_order(q)
     pure = pair_oracle(n, F)
-    keys = _all_line_keys(n, F)
+    keys = all_line_keys(n, F)
     assert len(keys) == len(np.unique(keys)) == len(pure)
     assert list(keys) == sorted(keys)
-    assert {_unpack_line_key(int(k), n, F) for k in keys} == pure
+    assert {line_of_key(int(k), n, F) for k in keys} == pure
     assert all_affine_lines(n, F) == pure
     c = universal_cycle(n, F)
-    wkeys, degenerate = _window_keys(c)
+    wkeys, degenerate = walk_keys(c)
     vs = c.vertices
     decoded = [decode_window(vs[i], vs[(i + 1) % len(vs)], F) for i in range(len(vs))]
     assert degenerate == []
-    assert [_unpack_line_key(int(k), n, F) for k in wkeys] == decoded
+    assert [line_of_key(int(k), n, F) for k in wkeys] == decoded
     assert set(decoded) == pure
 
 
@@ -332,21 +331,56 @@ def test_plane_keys_match_span2(m, q):
     F = field_from_order(q)
     gc = random_vector_cycle(m, F, random.Random(q * 10 + m))
     spans, degenerate = decoded_windows(gc.vertices, lambda a, b: span2(a, b, F))
-    keys, deg = _plane_keys(gc)
+    keys, deg = walk_keys(gc)
     assert deg == degenerate and degenerate
-    assert [_unpack_plane_key(int(k), m, F) for k in keys] == spans
+    assert [plane_of_key(int(k), m, F) for k in keys] == spans
 
 
 @pytest.mark.parametrize("m,q", [(m, q) for m in (2, 3, 4, 5) for q in (2, 3, 4, 5, 7, 8, 9)
                                  if gaussian_binomial_2(m, q) <= 20000])
 def test_all_plane_keys_unpack_to_all_2subspaces(m, q):
     F = field_from_order(q)
-    keys = _all_plane_keys(m, F).tolist()
+    keys = all_plane_keys(m, F).tolist()
     assert keys == sorted(set(keys))
-    planes = [_unpack_plane_key(k, m, F) for k in keys]
+    planes = [plane_of_key(k, m, F) for k in keys]
     assert planes == sorted(rref_plane_pairs(m, F))
     assert all_2subspaces(m, F) == rref_plane_pairs(m, F)
     assert len(planes) == gaussian_binomial_2(m, q)
+
+
+# the acceptance grid's cases with q^n <= 500, as (n, q)
+SMALL_GRID = [(n, q) for n in (2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9) if q**n <= 500]
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 5)] + SMALL_GRID)
+def test_line_ranks_keep_the_key_order(n, q):
+    # the oracle's keys, ascending, rank to 0, 1, ..., L-1, and unrank to themselves
+    F = field_from_order(q)
+    keys = all_line_keys(n, F)
+    d, base = key_rows(keys, n, q)
+    lines = _Lines(n, F)
+    ranks = lines.rank(d, base, np.argmax(d != 0, axis=1))
+    assert len(keys) == lines.count == affine_line_count(n, q)
+    assert ranks.tolist() == list(range(lines.count))
+    assert lines.keys(ranks).tolist() == keys.tolist()
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for m in range(2, 7) for q in (2, 3, 4)])
+def test_plane_ranks_are_a_bijection_in_key_order_within_each_cell(m, q):
+    F = field_from_order(q)
+    keys = all_plane_keys(m, F)
+    r1, r2 = key_rows(keys, m, q)
+    p1, p2 = np.argmax(r1 != 0, axis=1), np.argmax(r2 != 0, axis=1)
+    planes = _Planes(m, F)
+    ranks = planes.rank(r1, r2, p1, p2)
+    assert sorted(ranks.tolist()) == list(range(planes.count))
+    assert planes.keys(ranks).tolist() == keys.tolist()
+    # the runs are the Schubert cells (i, j) in lexicographic order, and in
+    # each the ranks of the ascending keys ascend
+    cell = np.searchsorted(planes.runs, ranks, side="right") - 1
+    assert (planes.cells[0][cell] == p1).all() and (planes.cells[1][cell] == p2).all()
+    for c in range(len(planes.runs)):
+        assert (np.diff(ranks[cell == c]) > 0).all()
 
 
 def _grassmann_variants():
@@ -475,26 +509,26 @@ def traced_peak(f):
 
 
 def test_verify_affine_memory_per_window():
-    # 60 B/window measured at AG(10,2) (523,776 windows), each block's rows
-    # widened once and turned into direction and point in place (70 with
-    # np.where copies beside them); the one-pass decode held (N, n) int64
-    # temporaries and peaked at 426 B/window
+    # 12.1 B/window measured at AG(10,2) (523,776 windows and lines): the
+    # int32 ranks and one intp count a line, and one block's temporaries;
+    # 50 with int64 keys, np.unique and the sorted target keys, and 426
+    # when the one-pass decode held (N, n) int64 temporaries
     F = field_make(2)
     c = universal_cycle(10, F)
     rep, peak = traced_peak(lambda: verify_affine(c, 10, F))
     assert rep.passed
-    assert peak / len(c) <= 72
+    assert peak / len(c) <= 20
 
 
 def test_verify_grassmann_memory_per_window():
-    # 155 B/window measured at the m = 10, q = 2 top level (174,251 planes),
-    # most of it one block's temporaries, written in place (185 when each
-    # step made a new array); the one-pass decode peaked at 442
+    # 12.4 B/window measured at the m = 10, q = 2 top level (174,251 planes):
+    # ranks and counts as for lines; 50 with packed keys, 442 when the
+    # one-pass decode held int64 temporaries
     F = field_make(2)
     top = nested_cycles(10, F)[-1]
     rep, peak = traced_peak(lambda: verify_grassmann(top, 10, F))
     assert rep.passed
-    assert peak / len(top) <= 190
+    assert peak / len(top) <= 20
 
 
 def test_universal_cycle_memory_per_window():
