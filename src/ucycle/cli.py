@@ -93,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify a cycle file against the oracle")
     ver.set_defaults(run=cmd_verify)
     ver.add_argument("--in", dest="infile", required=True, help="cycle file")
-    ver.add_argument("--n", type=int, help="expected dimension (required for text files)")
+    ver.add_argument("--n", type=int, help="expected dimension, checked against the file's")
     ver.add_argument("--p", type=int, help="prime (required for text files)")
     ver.add_argument("--k", type=int, default=1)
 

@@ -11,8 +11,9 @@ once; as every pair starts at the origin, the full cycle is the triplet
 part rotated there followed by that block, checked once.  A lift translates
 its rotated base to every coset in one table gather.  The triple base cycle
 is its 6-window blocks in one array, spliced with the kernel for odd q and
-checked once.  Nothing is searched: the odd-q kernel is one of three written
-9-window cycles (q = 3, q = 3^k >= 9, p >= 5), each checked when it is built.
+checked once, by rank, for exact cover of its three fibers.  Nothing is
+searched: the odd-q kernel is one of three written 9-window cycles (q = 3,
+q = 3^k >= 9, p >= 5).
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .geometry import (
     find_coplanar_triplet,
     hyperplane_point_array,
     infinity,
-    line_from,
     pgl_normalizer,
     rref,
 )
-from .cycles import Cycle, _check_parts, _row_hits, map_linear, splice
+from .cycles import Cycle, _row_hits, map_linear, splice
+from .verify import window_ranks
 
 
 class FiberPlan(NamedTuple):
@@ -153,15 +154,6 @@ _D2 = Direction((1, 0))
 _D3 = Direction((1, 1))
 
 
-def _kernel_targets(F: Field) -> set:
-    """The 9 lines indexed by {0,1,2}: verticals x=c, horizontals y=c, and
-    slope-one lines with x-intercept c."""
-    return {
-        L for c in (0, 1, 2)
-        for L in (line_from((c, 0), _D1, F), line_from((0, c), _D2, F), line_from((c, 0), _D3, F))
-    }
-
-
 def kernel_cycle(F: Field) -> Cycle:
     """9-window cycle through (0,0) covering the index-{0,1,2} lines (odd q).
 
@@ -171,8 +163,7 @@ def kernel_cycle(F: Field) -> Cycle:
     p >= 5 no difference of two such codes wraps, so all of them behave
     like the integers.  Hence one sequence serves every p >= 5 and one
     every q = 3^k >= 9.  The q = 3 sequence relies on slope-one intercepts
-    wrapping mod 3 and is kept for q = 3 alone.  The result is checked
-    against the 9 target lines before being returned.
+    wrapping mod 3 and is kept for q = 3 alone.
     """
     if F.q % 2 == 0 or F.q < 3:
         raise ValueError("kernel cycle requires odd q >= 3")
@@ -184,11 +175,7 @@ def kernel_cycle(F: Field) -> Cycle:
         verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(0, 2), a(1, 2), i3, a(2, 2), a(2, 0)]
     else:
         verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(2, 1), a(2, 0), i3, a(2, 2), i2]
-    cyc = Cycle(verts, F)
-    w = cyc.windows()
-    if set(w) != _kernel_targets(F) or any(c != 1 for c in w.values()):
-        raise AssertionError("kernel cycle failed its coverage check")
-    return cyc
+    return Cycle(verts, F)
 
 
 def triple_base_cycle(F: Field) -> Cycle:
@@ -201,7 +188,8 @@ def triple_base_cycle(F: Field) -> Cycle:
     remaining q-3 elements are paired consecutively into 6-window blocks.
     The blocks are written into one array.  All parts share the direction
     vertices and are spliced at the first of [d1], [d2], [d3] in part 0; a
-    lone part (q = 2, 3) is returned as built.  The base is checked once.
+    lone part (q = 2, 3) is returned as built.  The base is checked once:
+    its windows must rank to exactly 0..3q-1, the lines of its fibers.
     """
     q, add = F.q, F.arrays[0]
     u = np.arange(3 * (q % 2), q, 2)
@@ -221,7 +209,9 @@ def triple_base_cycle(F: Field) -> Cycle:
         at = next(d.vector for d in (_D1, _D2, _D3) if _row_hits(inf, d.vector).any())
         parts = [splice(parts, [_row_hits(c, at) & f for c, f in parts], at)]
     base = Cycle._from_arrays(F, *parts[0])
-    _check_parts([base])
+    ranks, degenerate, _ = window_ranks(base)  # [d1], [d2], [d3] rank first in AG(2,q)
+    if degenerate or not np.array_equal(np.sort(ranks), np.arange(3 * q)):
+        raise AssertionError("triple base cycle does not cover its three fibers exactly")
     return base
 
 

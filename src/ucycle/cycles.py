@@ -499,10 +499,20 @@ def cycle_to_json(c: Cycle) -> str:
     return "".join(cycle_blocks(c))
 
 
+def _integers(xs: Sequence, name: str = "a code") -> tuple[int, ...]:
+    """``int`` of each of ``xs``, refusing a number that ``int`` would change
+    (5.5); integral numbers (1.0, true) and integer strings ("02") pass."""
+    ints = tuple(map(int, xs))
+    if ints != tuple(xs):  # only then are the items looked at
+        bad = [x for i, x in zip(ints, xs) if i != x and not isinstance(x, str)]
+        if bad:
+            raise ValueError(f"{name} is {bad[0]!r}, not an integer")
+    return ints
+
+
 def cycle_from_json_obj(obj: dict) -> Cycle:
     try:
-        n = int(obj["n"])
-        q = int(obj["q"])
+        n, q = (_integers([obj[key]], repr(key))[0] for key in ("n", "q"))
         raw = obj["vertices"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed cycle object: {e}") from None
@@ -513,7 +523,7 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
     for i, item in enumerate(raw):
         try:
             kind = item["type"]
-            coords = tuple(int(x) for x in item["coords"])
+            coords = _integers(item["coords"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError(f"malformed vertex {i}: {item!r}") from None
         if kind not in ("affine", "infinity") or len(coords) != n:
@@ -596,20 +606,19 @@ def file_text(data: bytes) -> str:
 
 def decode_cycle(data: bytes | str | BinaryIO, field: Field | None) -> Cycle:
     """The cycle in JSON (no ``field``) or text, as str, bytes or a binary
-    file: gen's bytes by ``_canonical_cycle``; else read whole, bytes as
-    ``file_text`` reads them, a grassmann chain file refused at once, and
+    file: gen's bytes by ``_canonical_cycle``; else read whole, a grassmann
+    chain file refused at once, bytes read as ``file_text`` reads them, and
     the rest by ``json.loads`` and ``cycle_from_json_obj``, or by lines."""
     try:
         return _canonical_cycle(data, field)
     except ValueError:
         pass
-    if not isinstance(data, (bytes, str)):  # a file, read whole: as text unless ASCII
+    if not isinstance(data, (bytes, str)):  # a file, read whole
         data.seek(0)
         data = data.read()
-        data = data if data.isascii() else file_text(data)
+    if data[:11] == ('{"levels":[' if isinstance(data, str) else b'{"levels":['):
+        raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
     if isinstance(data, bytes):
-        if data.startswith(b'{"levels":['):
-            raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
         crlf, data = b"\r" in data, file_text(data)
         if crlf:  # its line ends may be all that differed from gen's bytes
             return decode_cycle(data, field)

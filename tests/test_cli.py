@@ -460,6 +460,45 @@ def test_verify_non_canonical_json_takes_json_loads(tmp_path, capsys, monkeypatc
     assert len(calls) == differs
 
 
+# gen's AG(3,5) file with a number that int() would truncate, and the name
+# that the refusal gives it; 1.0, true and "02" are integers (NON_CANONICAL)
+NON_INTEGRAL = {
+    "q": (('"q":5,', '"q":5.5,'), "malformed cycle object: 'q'"),
+    "n": (('"n":3,', '"n":3.9,'), "malformed cycle object: 'n'"),
+    "code": (('"coords":[0,', '"coords":[0.5,'), "malformed vertex 0: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRAL))
+def test_verify_refuses_a_number_that_is_not_an_integer(tmp_path, capsys, case):
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 3, 5)
+    (old, new), name = NON_INTEGRAL[case]
+    f.write_text(text.replace(old, new, 1))
+    rc, out, err = run(capsys, "verify", "--in", str(f))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1, err
+
+
+def test_verify_reads_a_pipe_as_it_reads_the_file(tmp_path, capsys):
+    # a pipe cannot seek, so the CLI reads it whole before the decode
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    gen_json(capsys, tmp_path / "c.json", 3, 5)
+    run(capsys, "gen", "--n", "3", "--p", "5", "--format", "text", "--out", str(tmp_path / "c.txt"))
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# a comment\n" + (tmp_path / "c.txt").read_text())
+    for f, flags in ((tmp_path / "c.json", ()), (tmp_path / "c.txt", ("--p", "5")),
+                     (commented, ("--n", "3", "--p", "5"))):
+        outcomes = []
+        for path, data in ((str(f), None), ("/dev/stdin", f.read_bytes())):
+            child = subprocess.run([sys.executable, "-m", "ucycle", "verify", "--in", path, *flags],
+                                   input=data, env=env, capture_output=True, timeout=120)
+            outcomes.append((child.returncode, child.stdout, child.stderr))
+        assert outcomes[0][0] == 0 and b"PASS 775/775" in outcomes[0][2], f
+        assert outcomes[1] == outcomes[0], f
+
+
 PASS_30 = "PASS 30/30 windows (missing=0 duplicated=0 unexpected=0 degenerate=0)"
 TEXT_FLAGS = ("--n", "2", "--p", "5")
 DECODE_ERROR = "error: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"

@@ -50,8 +50,9 @@ from ucycle.constructions import (
     two_fiber_cycle,
     universal_cycle,
 )
+from ucycle import constructions
 from ucycle.cli import SIZE_BUDGET_BITS
-from ucycle.verify import affine_line_count, verify_affine, verify_subset
+from ucycle.verify import _Lines, affine_line_count, verify_affine, verify_subset
 
 GRID_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -331,6 +332,29 @@ def test_q3_kernel_sequence_misses_targets_for_q5():
     assert got != expect
     assert line_from((3, 0), Direction((1, 1)), F) in got  # intercept q-2 = 3
     assert line_from((1, 0), Direction((1, 1)), F) not in got
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 256, 257, 512])
+def test_the_three_standard_fibers_are_the_first_3q_line_ranks(q):
+    # triple_base_cycle checks its windows' ranks against 0..3q-1
+    F = field_from_order(q)
+    lines = _Lines(2, F).items(np.arange(3 * q))
+    assert len(lines) == 3 * q
+    assert set(lines) == fiber_union(STD_DIRS, 2, F)
+
+
+def test_triple_base_refuses_a_kernel_off_its_fibers(monkeypatch):
+    # the p >= 5 kernel with (0,2) for (0,1): 9 distinct lines, but (0,2)
+    # -> (1,1) has direction (1,4), off the three fibers, and y = 1 is missing
+    F = field_make(5)
+    a, i = affine, infinity
+    kernel = Cycle(
+        [a((0, 0)), a((0, 2)), a((1, 1)), a((1, 0)), a((2, 1)), a((2, 0)),
+         i((1, 1)), a((2, 2)), i((1, 0))], F)
+    assert len(set(kernel.windows())) == 9
+    monkeypatch.setattr(constructions, "kernel_cycle", lambda F: kernel)
+    with pytest.raises(AssertionError, match="three fibers"):
+        triple_base_cycle(F)
 
 
 def test_triple_fiber_2d_is_base_mapped():

@@ -724,10 +724,19 @@ def test_verify_refuses_a_grassmann_chain_file_before_json_loads(tmp_path, capsy
         raise AssertionError("json.loads read the chain file")
 
     monkeypatch.setattr(json, "loads", refuse)
-    capsys.readouterr()
-    assert main(["verify", "--in", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err == 'error: a grassmann chain file ({"levels":[...]}) is not a cycle file\n'
+    message = 'a grassmann chain file ({"levels":[...]}) is not a cycle file'
+    # gen's bytes, and a copy that holds a non-ASCII character
+    text = f.read_text()
+    g = tmp_path / "g-utf8.json"
+    g.write_text(text[:-2] + ',"\u00e9":0}\n', encoding="utf-8")
+    for path in (f, g):
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # the file's text as a str
+    with pytest.raises(ValueError) as e:
+        cycle_from_json(text)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("stray", [":", "fourth-digit", "leading-zero"])
