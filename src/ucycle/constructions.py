@@ -38,7 +38,7 @@ from .geometry import (
     pgl_normalizer,
     rref,
 )
-from .cycles import Cycle, _row_hits, map_linear, splice
+from .cycles import Cycle, _row_hits, _row_keys, map_linear, splice
 from .verify import window_ranks
 
 
@@ -91,7 +91,7 @@ def _fiber_pairs(
         pts = hyperplane_point_array(Hyperplane(tuple(W.tolist())), F)
         if odd:
             # the sorted points with each pair's w*, at index r, moved to second place
-            r = (pts == wstar[sel, None]).all(axis=2).argmax(axis=1)
+            r = (_row_keys(pts) == _row_keys(wstar[sel])[:, None]).argmax(axis=1)
             order = np.where(k > r[:, None], k, k - 1)
             order[:, 0], order[:, 1] = 0, r
             pts = pts[order]
@@ -128,12 +128,12 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in U.basis]
     for piv, row in zip(pivots, U.basis):
         rest = add[rest, mul[neg[rest[:, piv : piv + 1]], np.array(row)]]
-    outside = rest.any(axis=1)
+    outside = ~_row_hits(rest, (0,) * n)
     if outside.any():
         i = int(np.argmax(outside))
         kind = "direction" if cU.at_infinity[i] else "affine vertex"
         raise ValueError(f"{kind} {tuple(cU.codes[i].tolist())} at position {i} lies outside U")
-    if not (~cU.at_infinity & ~cU.codes.any(axis=1)).any():
+    if not (_row_hits(cU.codes, (0,) * n) & ~cU.at_infinity).any():
         raise ValueError("base cycle must contain the origin")
     if not cU.at_infinity.any():
         raise ValueError("base cycle has no point at infinity to splice at")
@@ -257,7 +257,7 @@ def universal_cycle(n: int, F: Field) -> Cycle:
     u1, u2 = (np.array([p[k].vector for p in plan.pairs], dtype=np.int64) for k in (0, 1))
     codes, at_infinity = _fiber_pairs(u1, u2, F, 0 if triple is None else len(triple))
     if triple is not None:
-        r = int(np.argmax(~triple.at_infinity & ~triple.codes.any(axis=1)))
+        r = int(np.argmax(_row_hits(triple.codes, (0,) * n) & ~triple.at_infinity))
         codes[: len(triple)] = np.roll(triple.codes, -r, axis=0)
         at_infinity[: len(triple)] = np.roll(triple.at_infinity, -r)
     return Cycle._from_arrays(F, codes, at_infinity)

@@ -55,11 +55,21 @@ def occurs_cyclically(seq: np.ndarray, cycle: np.ndarray) -> bool:
     )
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` (one or more) as one key: a void view of the contiguous rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.itemsize * rows.shape[-1]}").ravel()
+
+
 def _row_hits(rows: np.ndarray, row: Sequence[int]) -> np.ndarray:
-    """Bool mask of the rows equal to ``row``; all False when the lengths differ."""
-    if len(row) != rows.shape[1]:
-        return np.zeros(len(rows), dtype=bool)
-    return (rows == np.asarray(row)).all(axis=1)
+    """Bool mask of the rows equal to ``row``, each row compared as one key;
+    all False when the lengths differ or a code of ``row`` does not fit the dtype."""
+    try:  # a code past the dtype raises, or wraps to another value
+        key = np.array(row, dtype=rows.dtype)
+        fits = key.shape == rows.shape[1:] and key.tolist() == list(row)
+    except OverflowError:
+        fits = False
+    return _row_keys(rows) == _row_keys(key) if fits else np.zeros(len(rows), dtype=bool)
 
 
 def _int_rows(rows: Sequence, q: int) -> tuple[np.ndarray, ValueError | None]:
@@ -192,7 +202,7 @@ class GrassCycle(VertexSequence):
         return self.n
 
     def _rule_fails(self) -> np.ndarray:
-        return ~self.codes.any(axis=1)
+        return _row_hits(self.codes, (0,) * self.n)
 
 
 class _ProjectiveSequence(VertexSequence):
@@ -218,12 +228,12 @@ class _ProjectiveSequence(VertexSequence):
         return tuple(map(ProjVertex, flags, map(tuple, rows)))
 
     def _rule_fails(self) -> np.ndarray:
-        # a vector at infinity must have 1 as its first nonzero code, checked a block at a time
-        bad = np.empty(len(self), dtype=bool)
+        # a vector at infinity must lead with 1: only those rows are read, a block at a time
+        bad = np.zeros(len(self), dtype=bool)
         for start, stop in row_blocks(len(self)):
-            rows = self.codes[start:stop]
-            lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], axis=1)
-            bad[start:stop] = self.at_infinity[start:stop] & (lead[:, 0] != 1)
+            at = np.flatnonzero(self.at_infinity[start:stop]) + start
+            rows = self.codes.take(at, axis=0)
+            bad[at] = rows[np.arange(len(at)), np.argmax(rows != 0, axis=1)] != 1
         return bad
 
 
@@ -286,17 +296,18 @@ def _same_space(parts: Sequence[VertexSequence]) -> None:
 
 
 def splice(
-    parts: Sequence[Sequence[np.ndarray]], hits: Sequence[np.ndarray], at
+    parts: Sequence[Sequence[np.ndarray]], hits: Sequence[np.ndarray], at, out=None
 ) -> list[np.ndarray]:
-    """Concatenate the parts in input order, the arrays of each rotated to
-    start at its first hit, the first occurrence of the vertex ``at``."""
+    """Concatenate the parts in input order, into ``out`` if given, each part's
+    arrays rotated to start at its first hit, the first occurrence of ``at``."""
     starts = []
     for idx, h in enumerate(hits):
         if not h.any():
             raise GluingError(f"cycle {idx} does not contain the splice vertex {at}")
         starts.append(int(np.argmax(h)))
     return [
-        np.concatenate([a for p, i in zip(parts, starts) for a in (p[k][i:], p[k][:i])])
+        np.concatenate([a for p, i in zip(parts, starts) for a in (p[k][i:], p[k][:i])],
+                       out=None if out is None else out[k])
         for k in range(len(parts[0]))
     ]
 
@@ -522,11 +533,11 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
     verts = []
     for i, item in enumerate(raw):
         try:
-            kind = item["type"]
-            coords = _integers(item["coords"])
+            kind, coords = item["type"], item["coords"]
+            coords = _integers(coords) if isinstance(coords, list) else None  # "01" is no row
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError(f"malformed vertex {i}: {item!r}") from None
-        if kind not in ("affine", "infinity") or len(coords) != n:
+        if kind not in ("affine", "infinity") or coords is None or len(coords) != n:
             raise ValueError(f"malformed vertex {i}: {item!r}")
         verts.append(ProjVertex(kind == "infinity", coords))
     return Cycle(verts, F)

@@ -10,10 +10,10 @@ subcycle of the next, attached at the shared vertex e_1.  The multiplicative
 (Singer) cycle takes its finite-field arithmetic, cubic modulus and generator
 from gf.
 
-The chain is built on code arrays, one level at a time: a level is the
-zero-padded previous level and the homogenized affine cycle (one column
-stack), both rotated to start at e_1 and concatenated, and ``grass_blocks``
-writes a level's payload straight from its array.
+The chain is built on code arrays, one level at a time: each level is one
+array, written once, of the previous level zero-padded and then the affine
+cycle with its homogenizing column, each rotated to start at e_1, and
+``grass_blocks`` writes a level's payload straight from its array.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def tau(L: AffineLine, F: Field) -> Subspace2:
     return span2(L.base + (1,), L.dir.vector + (0,), F)
 
 
-def _homogenize(c: Cycle) -> np.ndarray:
-    """The codes of an affine-line cycle homogenized: x -> (x,1), [d] -> (d,0)."""
-    return np.column_stack([c.codes, ~c.at_infinity])
-
-
 def lift_affine_cycle(c: Cycle) -> GrassCycle:
     """Homogenize an affine-line cycle: x -> (x,1), [d] -> (d,0).
 
@@ -55,7 +50,7 @@ def lift_affine_cycle(c: Cycle) -> GrassCycle:
     cycle on all affine lines of AG(m-1,q) becomes a universal cycle on the
     outer shell of G_q(2,m).
     """
-    return GrassCycle._from_arrays(c.field, _homogenize(c))
+    return GrassCycle._from_arrays(c.field, np.column_stack([c.codes, ~c.at_infinity]))
 
 
 def singer_cycle(F: Field) -> GrassCycle:
@@ -89,13 +84,14 @@ def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
 
 
 def _next_level(level: GrassCycle, j: int) -> GrassCycle:
-    """U_j embedded into the hyperplane x_(j+1) = 0, spliced at e_1 with a
-    universal affine-line cycle of AG(j,q) lifted to the outer shell."""
-    shell = _homogenize(universal_cycle(j, level.field))
-    inner = embed_codes(level, j + 1)
-    e1 = (1,) + (0,) * j
-    hits = [_row_hits(inner, e1), _row_hits(shell, e1)]
-    return GrassCycle._from_arrays(level.field, *splice([(inner,), (shell,)], hits, e1))
+    """U_j in the hyperplane x_(j+1) = 0, spliced at e_1 with a universal cycle
+    of AG(j,q) lifted to the outer shell, each written once into one array."""
+    c, e1 = universal_cycle(j, level.field), (1,) + (0,) * (j - 1)
+    hits = [_row_hits(level.codes, e1), _row_hits(c.codes, e1) & c.at_infinity]
+    codes = np.empty((len(level) + len(c), j + 1), dtype=level.codes.dtype)
+    parts = [(level.codes, np.zeros(len(level), dtype=bool)), (c.codes, ~c.at_infinity)]
+    splice(parts, hits, e1 + (0,), out=(codes[:, :j], codes[:, j]))
+    return GrassCycle._from_arrays(level.field, codes)
 
 
 def nested_levels(m: int, F: Field) -> Iterator[GrassCycle]:

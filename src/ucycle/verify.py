@@ -9,15 +9,18 @@ F_q^m is a rank-2 RREF row pair.  One block walk (``window_ranks``) decodes
 the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the narrow
 code array into one array of their ranks, with no per-vertex object: lines
 with the closed form of ``geometry.line_from``, planes with the closed-form
-RREF of two rows, each field operation one 1-D gather from a flattened
-table.  Every check counts the ranks, one count per target, in linear time
-(``_rank_report``); the walk also serves ``windows()`` and the gluing
-check.  The brute-force point-pair oracle, the packed keys of every target
-and a set-based report stay in the tests.
+RREF of two rows from each vertex's normal form (pivot and lead 1), found
+once; each field operation is one 1-D gather from a flattened table, its
+indices in the narrowest dtype that holds q^2 - 1.  Every check counts the
+ranks, one count per target, in linear time (``_rank_report``); the walk
+also serves ``windows()`` and the gluing check.  The brute-force point-pair
+oracle, the packed keys of every target and a set-based report stay in the
+tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
@@ -161,14 +164,16 @@ class _Ranking:
     the decoder of their windows.  ``w`` holds the digit weights q^(dim-1-i),
     ``runs`` the first ranks of the runs in which rank order is key order.
     ``tables``: add and mul flat (``ADD.take(x * q + y)`` is x + y), and mul,
-    neg and inv as intp scaled by q, ready to index the next gather."""
+    neg and inv scaled by q, ready to index the next gather, in the dtype of
+    q^2 - 1 (uint8 up to q = 16), so that no index sum widens to intp."""
 
     def __init__(self, kind: str, dim: int, F: Field, count: int):
         key_radix(kind, dim, F.q)
         q, (add, mul, neg, inv) = F.q, F.arrays
         self.dim, self.field, self.count = dim, F, count
         self.w = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        scaled = np.multiply(np.concatenate([mul.ravel(), neg, inv]), q, dtype=np.intp)
+        index = np.min_scalar_type(q * q - 1)  # holds every index sum of the gathers
+        scaled = np.multiply(np.concatenate([mul.ravel(), neg, inv]), q, dtype=index)
         self.tables = add.ravel(), mul.ravel(), scaled[: q * q], scaled[q * q : -q], scaled[-q:]
 
     def items(self, ranks: np.ndarray) -> list:
@@ -233,7 +238,9 @@ class _Planes(_Ranking):
     """The planes of F_q^m, each an RREF row pair with pivots i < j.  The
     cells (i, j), of q^(m-2-i)·q^(m-1-j) planes, come in lexicographic
     order, each a run; in its cell a plane ranks by row 1's free digits (all
-    after i but j's, which is 0), then row 2's (all after j)."""
+    after i but j's, which is 0), then row 2's (all after j).  The decode
+    normalizes each vertex once, to its pivot and a lead 1, and reduces
+    further only the windows whose two pivots are equal."""
 
     unpack = staticmethod(lambda r1, r2: Subspace((r1, r2)))
 
@@ -242,13 +249,15 @@ class _Planes(_Ranking):
         cells = [(i, j) for i in range(m) for j in range(i + 1, m)]
         self.cells = np.array(cells, dtype=np.intp).reshape(-1, 2).T
         self.runs = np.cumsum([0] + [F.q ** (2 * m - 3 - i - j) for i, j in cells][:-1])
+        (i, j), w = self.cells, self.w  # at i·m + j: cell (i, j)'s first rank, less the pivots
+        self.offset = np.zeros(m * m, dtype=np.int64)
+        self.offset[i * m + j] = self.runs - w[j] - w[j] * (w[i] // F.q)
 
     def rank(self, r1: np.ndarray, r2: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        w, q, wj = self.w, self.field.q, self.w[p2]
-        x = r1 @ w - w[p1]  # row 1's digits after its pivot
-        x -= x // (q * wj) * ((q - 1) * wj)  # without digit j
-        cell = p1 * (2 * self.dim - 3 - p1) // 2 + p2 - 1  # (i, j)'s place in lexicographic order
-        return self.runs.take(cell) + x * wj + r2 @ w - wj
+        w, q, wj = self.w, self.field.q, self.w.take(p2)
+        c1 = r1 @ w  # x drops digit j, which is 0: the digits before it lose a factor q,
+        x = c1 - c1 // (q * wj) * ((q - 1) * wj)  # the pivot's too, as offset counts it
+        return self.offset.take(p1 * self.dim + p2) + x * wj + r2 @ w
 
     def keys(self, ranks: np.ndarray) -> np.ndarray:
         w, q = self.w, self.field.q
@@ -260,25 +269,29 @@ class _Planes(_Ranking):
 
     def decode(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ranks of a block's windows and the mask of the degenerate ones
-        (two proportional vectors), by the closed-form RREF of two rows:
-        pivot on the first column where either vector is nonzero, with a row
-        nonzero there first; normalize that row and clear the column from
-        the other, which is then zero iff the window is degenerate.
-        Otherwise normalize the second row at its own pivot and clear that
-        column from the first."""
+        (two proportional vectors).  Row 2 of a window whose pivots differ is
+        the normal form of its vertex of the later pivot; for equal pivots,
+        that of the difference of the two, zero iff the window is degenerate.
+        Row 2's pivot column is then cleared from row 1."""
         ADD, MUL, MULQ, NEGQ, INVQ = self.tables
+        piv = np.argmax(rows != 0, axis=1)
+        rows = MUL.take(INVQ.take(_pick(rows, piv))[:, None] + rows)
         i = np.arange(len(rows) - 1)
-        p1 = np.argmax((rows[:-1] | rows[1:]) != 0, axis=1)
-        # order each window's rows so that the first is nonzero at p1
-        swap = _pick(rows, p1) == 0
-        r1, r2 = rows.take(i + swap, axis=0), rows.take(i + ~swap, axis=0)
-        r1 = MUL.take(INVQ.take(_pick(r1, p1))[:, None] + r1)
-        r2 = ADD.take(MULQ.take(NEGQ.take(_pick(r2, p1))[:, None] + r1) + r2)
-        p2 = np.argmax(r2 != 0, axis=1)
-        lead = _pick(r2, p2)
-        r2 = MUL.take(INVQ.take(lead)[:, None] + r2)
+        later = piv[1:] < piv[:-1]  # the window's first vertex has the later pivot
+        r1, r2 = rows.take(i + later, axis=0), rows.take(i + ~later, axis=0)
+        p1, p2 = piv.take(i + later), piv.take(i + ~later)
+        bad = np.zeros(len(i), dtype=bool)
+        tie = np.flatnonzero(p1 == p2)
+        diff = ADD.take(NEGQ.take(r1[tie]) + r2[tie])
+        p2[tie] = np.argmax(diff != 0, axis=1)
+        lead = _pick(diff, p2[tie])
+        r2[tie], bad[tie] = MUL.take(INVQ.take(lead)[:, None] + diff), lead == 0
         r1 = ADD.take(MULQ.take(NEGQ.take(_pick(r1, p2))[:, None] + r2) + r1)
-        return self.rank(r1, r2, p1, p2), lead == 0
+        return self.rank(r1, r2, p1, p2), bad
+
+
+# ``kind(dim, F)``, built once while it is among the last few in use
+_ranking = functools.lru_cache(maxsize=8)(lambda kind, dim, F: kind(dim, F))
 
 
 def window_ranks(s: VertexSequence) -> tuple[np.ndarray, list[int], _Ranking]:
@@ -286,7 +299,7 @@ def window_ranks(s: VertexSequence) -> tuple[np.ndarray, list[int], _Ranking]:
     window order, int32 below 2^31 targets; the degenerate ones' indices;
     and the ranking: of lines of AG(n,q) or, for a GrassCycle, planes of
     F_q^m, which decodes each block of ``row_blocks`` and the row after it."""
-    space = (_Planes if isinstance(s, GrassCycle) else _Lines)(s.n, s.field)
+    space = _ranking(_Planes if isinstance(s, GrassCycle) else _Lines, s.n, s.field)
     arrays, N = [getattr(s, name) for name in s._array_names], len(s)
     count = N if s.wrap else N - 1
     ranks = np.empty(count, dtype=np.int32 if space.count < 2**31 else np.int64)

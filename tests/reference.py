@@ -13,7 +13,8 @@ The kernels that the flat-table walk and the grouped-token encoder replaced
 stay here too, unchanged: the packed-key walk that decodes BLOCK_ROWS windows a
 block with 2-D table gathers on intp copies of the rows (``line_keys_2d``,
 ``plane_keys_2d``), and the encoder that writes one token per code
-(``encode_by_code``).
+(``encode_by_code``), and the plane decode that reduced every window from
+its two raw rows (``plane_decode_rref``).
 """
 
 import itertools
@@ -24,7 +25,7 @@ import numpy as np
 from ucycle.cycles import row_blocks
 from ucycle.geometry import AffineLine, DegenerateWindowError, Direction, decode_window
 from ucycle.grassmann import Subspace2
-from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, key_radix, window_ranks
+from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, _pick, key_radix, window_ranks
 
 
 def rref_plane_pairs(m, F):
@@ -228,6 +229,28 @@ def plane_keys_2d(gc):
         return r1, r2, lead == 0
 
     return walk_keys_2d("plane", gc, (gc.codes,), decode)
+
+
+def plane_decode_rref(space, rows):
+    """``verify._Planes.decode`` of a block by the closed-form RREF of each
+    window's two raw rows: pivot on the first column where either vector
+    is nonzero, with a row nonzero there first; normalize that row and
+    clear the column from the other, which is then zero iff the window is
+    degenerate.  Otherwise normalize the second row at its own pivot and
+    clear that column from the first."""
+    ADD, MUL, MULQ, NEGQ, INVQ = space.tables
+    i = np.arange(len(rows) - 1)
+    p1 = np.argmax((rows[:-1] | rows[1:]) != 0, axis=1)
+    # order each window's rows so that the first is nonzero at p1
+    swap = _pick(rows, p1) == 0
+    r1, r2 = rows.take(i + swap, axis=0), rows.take(i + ~swap, axis=0)
+    r1 = MUL.take(INVQ.take(_pick(r1, p1))[:, None] + r1)
+    r2 = ADD.take(MULQ.take(NEGQ.take(_pick(r2, p1))[:, None] + r1) + r2)
+    p2 = np.argmax(r2 != 0, axis=1)
+    lead = _pick(r2, p2)
+    r2 = MUL.take(INVQ.take(lead)[:, None] + r2)
+    r1 = ADD.take(MULQ.take(NEGQ.take(_pick(r1, p2))[:, None] + r2) + r1)
+    return space.rank(r1, r2, p1, p2), lead == 0
 
 
 def encode_by_code(codes, kinds, q, head, first, sep, last, tail):

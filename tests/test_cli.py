@@ -480,6 +480,34 @@ def test_verify_refuses_a_number_that_is_not_an_integer(tmp_path, capsys, case):
     assert err.startswith(f"error: {name}") and err.count("\n") == 1, err
 
 
+# gen's AG(2,2) file with its first vertex's coords written as a string of
+# its digits or as an object keyed by them: iterated item by item, either
+# read as the codes themselves, and the file verified PASS 6/6
+NOT_A_LIST = {
+    "string": lambda coords: json.dumps("".join(map(str, coords))),
+    "object": lambda coords: json.dumps({str(x): x for x in coords}, separators=(",", ":")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_LIST))
+def test_verify_refuses_coords_that_are_not_a_list(tmp_path, capsys, case):
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 2)
+    first = json.loads(text)["vertices"][0]["coords"]
+    old = '"coords":' + json.dumps(first, separators=(",", ":"))
+    f.write_text(text.replace(old, '"coords":' + NOT_A_LIST[case](first), 1))
+    assert f.read_text() != text
+    rc, out, err = run(capsys, "verify", "--in", str(f))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: malformed vertex 0: ") and err.count("\n") == 1, err
+    # the same codes in a list, as integral numbers, booleans or strings, still read
+    for change in (float, bool, lambda x: f"0{x}"):
+        obj = json.loads(text)
+        obj["vertices"][0]["coords"] = [change(x) for x in first]
+        f.write_text(json.dumps(obj))
+        assert run(capsys, "verify", "--in", str(f))[0] == 0, change
+
+
 def test_verify_reads_a_pipe_as_it_reads_the_file(tmp_path, capsys):
     # a pipe cannot seek, so the CLI reads it whole before the decode
     src = str(Path(cli.__file__).parents[1])

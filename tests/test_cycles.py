@@ -284,6 +284,32 @@ def test_glue_missing_anchor_and_overlap_rejected():
         glue_cycles([c, c], affine((0, 0)))  # self-overlap violates transversality
 
 
+def test_row_hits_compares_whole_rows_of_any_layout():
+    rng = np.random.default_rng(5)
+    for dtype in (np.uint8, np.uint16):
+        codes = rng.integers(0, 3, (200, 4)).astype(dtype)
+        codes[[7, 150]] = (2, 0, 1, 2)
+        for rows in (codes, codes[::-1], codes[:, ::-1], codes[::3]):
+            want = (rows == (2, 0, 1, 2)).all(axis=1)
+            assert want.any() and np.array_equal(cycles._row_hits(rows, (2, 0, 1, 2)), want)
+        # a row of the wrong length matches nothing
+        for row in ((2, 0, 1), (2, 0, 1, 2, 0), ()):
+            assert not cycles._row_hits(codes, row).any()
+    wide = np.array([[300, 0], [44, 0], [65535, 1]], dtype=np.uint16)
+    assert cycles._row_hits(wide, (65535, 1)).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("row", [(300, 0), (256, 1), (-1, 0), (2**64 + 1, 0), (2**70, 0)])
+def test_row_hits_of_a_code_past_the_dtype_match_nothing(row):
+    # uint8 codes: 300 and 256 would wrap to 44 and 0 if cast; none of them raises
+    codes = np.array([[44, 0], [0, 1], [255, 0], [1, 0]], dtype=np.uint8)
+    assert cycles._row_hits(codes, row).tolist() == [False] * 4
+    assert cycles._row_hits(codes, np.array(row, dtype=object)).tolist() == [False] * 4
+    c, F = plane_cycle_22()
+    with pytest.raises(GluingError, match="does not contain the splice vertex"):
+        glue_cycles([c], affine(row))
+
+
 def cut_cycle(c, positions):
     """Split a cycle at the given sorted vertex positions into segments."""
     vs = list(c.vertices)

@@ -3,17 +3,21 @@ kernels they replaced (``reference.line_keys_2d``, ``plane_keys_2d`` and
 ``encode_by_code``): the same keys and degenerate windows at every block
 size, with the wrap window alone in its block among them, and the same
 blocks of bytes in every format, with each row one token, cut into groups,
-evenly or not, or one code a token."""
+evenly or not, or one code a token.  The plane decode from per-vertex
+normal forms against the one that reduced each window's two raw rows
+(``reference.plane_decode_rref``), at the edges of its index dtypes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucycle import cycles, grassmann
 from ucycle.constructions import universal_cycle
 from ucycle.cycles import Cycle, Segment, _array_blocks, row_blocks, _token_width
 from ucycle.gf import field_from_order
 from ucycle.grassmann import GrassCycle, grass_blocks, nested_cycles
-from reference import encode_by_code, line_keys_2d, plane_keys_2d, walk_keys
+from ucycle.verify import _Planes, key_radix
+from reference import encode_by_code, line_keys_2d, plane_keys_2d, plane_decode_rref, walk_keys
 
 
 def projective_arrays(rng, count, n, F):
@@ -94,6 +98,58 @@ def test_plane_walk_matches_the_2d_gathers(monkeypatch, m, q):
 def test_plane_walk_matches_the_2d_gathers_on_nested_cycles(monkeypatch, m, q):
     for u in nested_cycles(m, field_from_order(q)):
         assert assert_walks_agree(monkeypatch, u, walk_keys, plane_keys_2d) == []
+
+
+def tied_vectors(rng, count, m, F):
+    """Random nonzero vectors over F, each drawn afresh, as a multiple of
+    the one before it (a degenerate window), or with the pivot of the one
+    before it (a tie), with or without its tail: every kind among the
+    first four."""
+    mul, q = F.arrays[1], F.q
+    rows = np.zeros((count, m), dtype=np.int64)
+    for k, kind in enumerate([0, 1, 2, 3] + rng.integers(0, 4, count).tolist()[: count - 4]):
+        prev = rows[k - 1]
+        piv = int(np.argmax(prev != 0))
+        if k == 0 or kind == 0:
+            rows[k] = rng.integers(0, q, m)
+            rows[k, rng.integers(0, m)] = rng.integers(1, q)
+        elif kind == 1:  # proportional
+            rows[k] = mul[rng.integers(1, q)][prev]
+        else:  # the same pivot, with a random tail, or the previous tail changed at one place
+            rows[k, piv] = rng.integers(1, q)
+            rows[k, piv + 1 :] = rng.integers(0, q, m - piv - 1) if kind == 2 else prev[piv + 1 :]
+            if kind == 3 and piv + 1 < m:
+                rows[k, rng.integers(piv + 1, m)] = rng.integers(0, q)
+    return rows.astype(F.arrays[0].dtype)
+
+
+def largest_dim(q):
+    """The largest m whose plane keys fit an int64."""
+    return max(m for m in range(2, 64) if 2 * m * (q.bit_length() - 1) < 63 and q ** (2 * m) < 2**63)
+
+
+# q at the edges of the index dtype: uint8 up to q = 16, uint16 up to 256, uint32 above
+INDEX_DTYPES = {2: np.uint8, 3: np.uint8, 4: np.uint8, 5: np.uint8, 9: np.uint8, 16: np.uint8,
+                17: np.uint16, 256: np.uint16, 257: np.uint32}
+
+
+@pytest.mark.parametrize("q", sorted(INDEX_DTYPES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 60), data=st.data())
+def test_plane_decode_from_normal_forms_matches_the_rref_of_each_window(q, seed, count, data):
+    F = field_from_order(q)
+    m = data.draw(st.integers(2, min(6, largest_dim(q))), label="m")
+    key_radix("plane", m, q)
+    rng = np.random.default_rng(seed)
+    gc = GrassCycle._from_arrays(F, tied_vectors(rng, max(count, 4), m, F))
+    space = _Planes(m, F)
+    assert all(t.dtype == INDEX_DTYPES[q] for t in space.tables[2:])
+    rows = np.concatenate([gc.codes, gc.codes[:1]])  # the wrap window last
+    ranks, bad = space.decode(rows)
+    want, want_bad = plane_decode_rref(space, rows)
+    assert bad.tolist() == want_bad.tolist() and bad[0]  # rows 0 and 1 span no plane
+    assert ranks[~bad].tolist() == want[~bad].tolist()
+    assert ((0 <= ranks[~bad]) & (ranks[~bad] < space.count)).all()
 
 
 # (n, q, rows, g): g codes a token, whole rows when g = n
