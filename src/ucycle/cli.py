@@ -144,7 +144,7 @@ def _load_cycle(args) -> Cycle:
             c = decode_cycle(text, None if json_file else field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
-    if args.p is not None and (c.field.p, c.field.k) != (args.p, args.k):
+    if args.p is not None and c.field.q != field_order(args.p, args.k):
         raise ValueError(f"file has q={c.field.q}, expected q={args.p}^{args.k}")
     return c
 

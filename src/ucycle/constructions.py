@@ -5,20 +5,21 @@ Every construction returns a valid double-window cycle that contains the
 affine origin, covers exactly its declared fiber union, and is byte-for-byte
 deterministic for fixed (n, q).
 
-The parts are built on code arrays.  One builder writes all fiber pairs
-into one preallocated block, building each distinct hyperplane's points
-once; as every pair starts at the origin, the full cycle is the triplet
-part rotated there followed by that block, checked once.  A lift translates
-its rotated base to every coset in one table gather.  The triple base cycle
-is its 6-window blocks in one array, spliced with the kernel for odd q and
-checked once, by rank, for exact cover of its three fibers.  Nothing is
-searched: the odd-q kernel is one of three written 9-window cycles (q = 3,
-q = 3^k >= 9, p >= 5).
+The parts are built on code arrays, each cycle one array of homogeneous
+rows: (x, 1) for an affine point x, (d, 0) for a direction d.  One builder
+writes all fiber pairs, their last column included, into one preallocated
+block, building each distinct hyperplane's points once; as every pair
+starts at the origin, the full cycle is the triplet part rotated there
+followed by that block, checked once.  A lift translates its rotated base
+to every coset t in one table gather, (x, h) -> (x + h·t, h).  The triple
+base cycle is its 6-window blocks in one array, spliced with the kernel for
+odd q and checked once, by rank, for exact cover of its three fibers.
+Nothing is searched: the odd-q kernel is one of three written 9-window
+cycles (q = 3, q = 3^k >= 9, p >= 5).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,13 +29,11 @@ from .geometry import (
     Direction,
     Hyperplane,
     Subspace,
-    affine,
     complementary_functionals,
     dots,
     enumerate_directions,
     find_coplanar_triplet,
     hyperplane_point_array,
-    infinity,
     pgl_normalizer,
     rref,
 )
@@ -51,8 +50,8 @@ class FiberPlan(NamedTuple):
 
 def _fiber_pairs(
     u1: np.ndarray, u2: np.ndarray, F: Field, lead: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codes and at-infinity mask of the fiber-pair cycles of the rows of the
+) -> np.ndarray:
+    """The homogeneous rows of the fiber-pair cycles of the rows of the
     (P, n) direction arrays u1 and u2, in row order, after ``lead`` rows left
     for the caller.  A pair's affine vertices are the points of a hyperplane
     W transversal to both directions, origin first, alternating with [d1]
@@ -65,13 +64,12 @@ def _fiber_pairs(
     m = F.q ** (n - 1)
     add, mul, neg, inv = F.arrays
     f = complementary_functionals(u1, u2, F)
-    codes = np.empty((lead + P * 2 * m, n), dtype=add.dtype)
-    at_infinity = np.zeros(len(codes), dtype=bool)
-    parts, flags = codes[lead:].reshape(P, 2 * m, n), at_infinity[lead:].reshape(P, 2 * m)
+    codes = np.empty((lead + P * 2 * m, n + 1), dtype=add.dtype)
+    parts = codes[lead:].reshape(P, 2 * m, n + 1)
     odd = F.q % 2
     # every other point is followed by [d1]; for odd q the detour shifts them by one
-    parts[:, 1::4], parts[:, 3::4] = (u1, u2)[odd][:, None], (u2, u1)[odd][:, None]
-    flags[:, 1::2] = True
+    parts[:, 1::4, :n], parts[:, 3::4, :n] = (u1, u2)[odd][:, None], (u2, u1)[odd][:, None]
+    parts[:, 0::2, n], parts[:, 1::2, n] = 1, 0
     if odd:
         # W meets span{u1, u2} in the single direction of f(u2)*u1 - f(u1)*u2;
         # s normalizes it to w* = a*u1 + b*u2
@@ -82,7 +80,7 @@ def _fiber_pairs(
         if not (a.all() and b.all()):
             raise AssertionError("w* decomposition produced a zero coefficient")
         wstar = mul[s[:, None], raw]
-        parts[:, 1], flags[:, 1] = mul[a[:, None], u1], False
+        parts[:, 1, :n], parts[:, 1, n] = mul[a[:, None], u1], 1
     # the pairs grouped by W, keyed by f's digits (int64, below q^n, as the block fits in memory)
     _, first, group = np.unique(f @ F.q ** np.arange(n), return_index=True, return_inverse=True)
     k = np.arange(m)
@@ -95,15 +93,15 @@ def _fiber_pairs(
             order = np.where(k > r[:, None], k, k - 1)
             order[:, 0], order[:, 1] = 0, r
             pts = pts[order]
-        parts[sel, 0::2] = pts
-    return codes, at_infinity
+        parts[sel, 0::2, :n] = pts
+    return codes
 
 
 def two_fiber_cycle(d1: Direction, d2: Direction, n: int, F: Field) -> Cycle:
     """Universal cycle on the union of two direction fibers: ``_fiber_pairs`` of one pair."""
     if len(d1.vector) != n or len(d2.vector) != n:
         raise ValueError("direction dimension does not match n")
-    return Cycle._from_arrays(F, *_fiber_pairs(np.array([d1.vector]), np.array([d2.vector]), F))
+    return Cycle._from_arrays(F, _fiber_pairs(np.array([d1.vector]), np.array([d2.vector]), F))
 
 
 def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
@@ -115,7 +113,7 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
     supported on the non-pivot coordinates of U's RREF basis, in ascending
     integer order (the zero representative first, keeping 0 in the result).
     The base, rotated to its first point at infinity, the splice vertex,
-    is translated to every representative in one gather.
+    is translated to every representative t in one gather: (x, h) -> (x + h·t, h).
     """
     F = cU.field
     if U.dim >= n:
@@ -124,34 +122,30 @@ def lift_cycle(cU: Cycle, U: Subspace, n: int) -> Cycle:
         raise ValueError("cycle vertices must already use ambient coordinates")
     add, mul, neg, _ = F.arrays
     # reduce every vertex against the RREF basis: what is left is zero iff it lies in U
-    rest = cU.codes
+    rest, inf = cU.codes[:, :n], cU.codes[:, n] == 0
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in U.basis]
     for piv, row in zip(pivots, U.basis):
         rest = add[rest, mul[neg[rest[:, piv : piv + 1]], np.array(row)]]
     outside = ~_row_hits(rest, (0,) * n)
     if outside.any():
         i = int(np.argmax(outside))
-        kind = "direction" if cU.at_infinity[i] else "affine vertex"
-        raise ValueError(f"{kind} {tuple(cU.codes[i].tolist())} at position {i} lies outside U")
-    if not (_row_hits(cU.codes, (0,) * n) & ~cU.at_infinity).any():
+        kind = "direction" if inf[i] else "affine vertex"
+        raise ValueError(f"{kind} {tuple(cU.codes[i, :n].tolist())} at position {i} lies outside U")
+    if not _row_hits(cU.codes, (0,) * n + (1,)).any():
         raise ValueError("base cycle must contain the origin")
-    if not cU.at_infinity.any():
+    if not inf.any():
         raise ValueError("base cycle has no point at infinity to splice at")
-    i = int(np.argmax(cU.at_infinity))
-    base, flags = np.roll(cU.codes, -i, axis=0), np.roll(cU.at_infinity, -i)
+    base = np.roll(cU.codes, -int(np.argmax(inf)), axis=0)
     free = [j for j in range(n) if j not in pivots]
-    reps = np.zeros((F.q ** len(free), n), dtype=add.dtype)
+    reps = np.zeros((F.q ** len(free), n + 1), dtype=add.dtype)
     reps[:, free] = np.indices((F.q,) * len(free)).reshape(len(free), -1).T
-    # translates live in disjoint cosets, hence are transversal by construction;
-    # points at infinity are translated by 0
-    codes = add[base, reps[:, None] * ~flags[:, None]]
-    return Cycle._from_arrays(F, codes.reshape(-1, n), np.tile(flags, len(reps)))
+    # translates live in disjoint cosets, hence are transversal by construction
+    return Cycle._from_arrays(F, add[base, base[:, n:] * reps[:, None]].reshape(-1, n + 1))
 
 
-# Reference directions of the standard plane: (0,1), (1,0) and (1,1).
-_D1 = Direction((0, 1))
-_D2 = Direction((1, 0))
-_D3 = Direction((1, 1))
+# The standard plane's points at infinity [d1], [d2], [d3], of (0,1), (1,0)
+# and (1,1), as homogeneous rows.
+_I1, _I2, _I3 = (0, 1, 0), (1, 0, 0), (1, 1, 0)
 
 
 def kernel_cycle(F: Field) -> Cycle:
@@ -167,15 +161,14 @@ def kernel_cycle(F: Field) -> Cycle:
     """
     if F.q % 2 == 0 or F.q < 3:
         raise ValueError("kernel cycle requires odd q >= 3")
-    a = lambda x, y: affine((x, y))
-    i1, i2, i3 = infinity(_D1), infinity(_D2), infinity(_D3)
+    a = lambda x, y: (x, y, 1)
     if F.q == 3:
-        verts = [a(0, 1), a(0, 2), i3, a(2, 0), a(0, 0), a(1, 1), i1, a(2, 2), i2]
+        rows = [a(0, 1), a(0, 2), _I3, a(2, 0), a(0, 0), a(1, 1), _I1, a(2, 2), _I2]
     elif F.p == 3:
-        verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(0, 2), a(1, 2), i3, a(2, 2), a(2, 0)]
+        rows = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(0, 2), a(1, 2), _I3, a(2, 2), a(2, 0)]
     else:
-        verts = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(2, 1), a(2, 0), i3, a(2, 2), i2]
-    return Cycle(verts, F)
+        rows = [a(0, 0), a(0, 1), a(1, 1), a(1, 0), a(2, 1), a(2, 0), _I3, a(2, 2), _I2]
+    return Cycle._from_arrays(F, np.array(rows))
 
 
 def triple_base_cycle(F: Field) -> Cycle:
@@ -197,18 +190,17 @@ def triple_base_cycle(F: Field) -> Cycle:
         parts, points = [], [(u, u + 1), (u + 1, 0 * u), (0 * u, u)]
     else:
         kernel = kernel_cycle(F)
-        parts = [(kernel.codes, kernel.at_infinity)]
+        parts = [kernel.codes]
         points = [(u, u), (u + 1, 0 * u), (add[u, u + 1], u + 1)]
     # a block's points alternate with [d1], [d3], [d2]
-    blocks = np.empty((len(u), 6, 2), dtype=add.dtype)
-    blocks[:, 0::2] = np.transpose(points, (2, 0, 1))
-    blocks[:, 1::2] = _D1.vector, _D3.vector, _D2.vector
-    parts += zip(blocks, repeat(np.tile([False, True], 3)))
+    blocks = np.empty((len(u), 6, 3), dtype=add.dtype)
+    blocks[:, 0::2, :2], blocks[:, 0::2, 2] = np.transpose(points, (2, 0, 1)), 1
+    blocks[:, 1::2] = _I1, _I3, _I2
+    parts += list(blocks)
     if len(parts) > 1:
-        inf = parts[0][0][parts[0][1]]  # part 0's vertices at infinity
-        at = next(d.vector for d in (_D1, _D2, _D3) if _row_hits(inf, d.vector).any())
-        parts = [splice(parts, [_row_hits(c, at) & f for c, f in parts], at)]
-    base = Cycle._from_arrays(F, *parts[0])
+        at = next(row for row in (_I1, _I2, _I3) if _row_hits(parts[0], row).any())
+        parts = [splice(parts, [_row_hits(c, at) for c in parts], at)]
+    base = Cycle._from_arrays(F, parts[0])
     ranks, degenerate, _ = window_ranks(base)  # [d1], [d2], [d3] rank first in AG(2,q)
     if degenerate or not np.array_equal(np.sort(ranks), np.arange(3 * q)):
         raise AssertionError("triple base cycle does not cover its three fibers exactly")
@@ -255,9 +247,8 @@ def universal_cycle(n: int, F: Field) -> Cycle:
     if not plan.pairs:
         return triple
     u1, u2 = (np.array([p[k].vector for p in plan.pairs], dtype=np.int64) for k in (0, 1))
-    codes, at_infinity = _fiber_pairs(u1, u2, F, 0 if triple is None else len(triple))
+    codes = _fiber_pairs(u1, u2, F, 0 if triple is None else len(triple))
     if triple is not None:
-        r = int(np.argmax(_row_hits(triple.codes, (0,) * n) & ~triple.at_infinity))
+        r = int(np.argmax(_row_hits(triple.codes, (0,) * n + (1,))))
         codes[: len(triple)] = np.roll(triple.codes, -r, axis=0)
-        at_infinity[: len(triple)] = np.roll(triple.at_infinity, -r)
-    return Cycle._from_arrays(F, codes, at_infinity)
+    return Cycle._from_arrays(F, codes)

@@ -6,14 +6,16 @@ consecutive windows (including the wrap-around) decode to pairwise distinct
 affine lines; a segment is the open variant with two distinct endpoints; a
 GrassCycle is a cyclic sequence of nonzero vectors whose windows span
 distinct planes.  All are immutable VertexSequences: one code array in the
-field's dtype (plus, for cycles and segments, an at-infinity mask), the only
-representation, each rule checked once over the arrays; a vertex list is
-only converted to them, and the vertex tuple is built from them on first
-use.  Their windows are decoded by the verifier's rank walk
-(``verify.window_ranks``).  Rotation, reversal, gluing, translation and
-linear maps work on the arrays.  One generator, ``encode_blocks``, writes
-every text form from the arrays in blocks of BLOCK_ROWS rows, a token of
-precomputed text for each row or group of codes.  ``decode_cycle`` streams
+field's dtype, the only representation, each rule checked once over it.  A
+cycle or segment over AG(n,q) is its homogeneous coordinates in PG(n,q),
+(x, 1) for an affine point x and (d, 0) for a direction d, so its rows are
+n + 1 codes wide.  A vertex list is only converted to the array, and the
+vertex tuple is built from it on first use.  Their windows are decoded by
+the verifier's rank walk (``verify.window_ranks``).  Rotation, reversal,
+gluing, translation and linear maps work on the array.  One generator,
+``encode_blocks``, writes every text form from the array in blocks of
+BLOCK_ROWS rows, a token of precomputed text for each row or group of
+codes.  ``decode_cycle`` streams
 gen's bytes from a file a block at a time, each gathered from its bytes and
 checked by encoding it back, and refuses a grassmann chain file at once;
 any other input is read whole as a UTF-8 text file, by ``json.loads`` and
@@ -101,67 +103,61 @@ class VertexSequence:
     """Vertex sequence over a field: at least 2 vertices, all of one
     dimension n >= 1, every coordinate a code in [0, q).
 
-    The vertices are stored as arrays, ``codes`` first: one row of
-    coordinates per vertex, in the field's dtype once checked.  The arrays
-    are the only representation: ``vertices`` is the tuple view, built from
-    them on first use, and the checks run once, vectorized over them.
+    The vertices are stored as one code array ``codes``, one row per vertex,
+    in the field's dtype once checked.  It is the only representation:
+    ``vertices`` is the tuple view, built from it on first use, and the
+    checks run once, vectorized over it.
 
-    Vertices are coordinate tuples unless a subclass adds arrays
-    (``_array_names``) and states how vertices convert to them (``_arrays``)
-    and back (``_view``).  Every subclass states its rule over the arrays
-    (``_rule_fails``, the mask of the vertices that break it) and its wording
-    for vertex i (``_rule``) and, in ``wrap``, whether the last vertex pairs
-    with the first.
+    Vertices are coordinate tuples unless a subclass states how vertices
+    convert to rows (``_arrays``) and back (``_view``), and whether a last
+    column homogenizes them (``_h``, then n is the row width less one).
+    Every subclass states its rule over the rows (``_rule_fails``, the mask
+    of the vertices that break it) and its wording for vertex i (``_rule``)
+    and, in ``wrap``, whether the last vertex pairs with the first.
     """
 
     __slots__ = ("field", "n", "codes", "_vertices")
     wrap = True
-    _array_names: tuple[str, ...] = ("codes",)
+    _h = 0
 
     def __init__(self, vertices: Iterable, field: Field):
         vertices = tuple(vertices)
         if len(vertices) < 2:
             raise ValueError("need at least 2 vertices")
-        arrays, fault = self._arrays(vertices, field.q)
+        codes, fault = self._arrays(vertices, field.q)
         if fault is not None:
-            if len(arrays[0]):  # the vertices before it are checked first, by the vertex rules
-                VertexSequence._set_arrays(self, arrays, field)
+            if len(codes):  # the vertices before it are checked first, by the vertex rules
+                VertexSequence._set_arrays(self, codes, field)
             raise fault
-        self._set_arrays(arrays, field)
+        self._set_arrays(codes, field)
 
     @classmethod
-    def _from_arrays(cls, field: Field, *arrays: np.ndarray):
+    def _from_arrays(cls, field: Field, codes: np.ndarray):
         """A sequence over ``field`` whose vertex view is built on first use."""
         self = cls.__new__(cls)
-        if len(arrays[0]) < 2:
+        if len(codes) < 2:
             raise ValueError("need at least 2 vertices")
-        self._set_arrays(arrays, field)
+        self._set_arrays(codes, field)
         return self
 
-    def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
-        """Check the arrays and keep them, or raise for the first vertex that
+    def _set_arrays(self, codes: np.ndarray, field: Field) -> None:
+        """Check the rows and keep them, or raise for the first vertex that
         breaks the rule or has a code outside [0, q), the rule named first."""
-        for name, a in zip(self._array_names, arrays):
-            setattr(self, name, a)
-        self.field, self.n, self._vertices = field, self.codes.shape[1], None
+        self.codes, self.field, self._vertices = codes, field, None
+        self.n = codes.shape[1] - self._h
         if self.n < 1:
             raise ValueError("vertices need dimension >= 1")
-        q, codes, bad = field.q, self.codes, self._rule_fails()
+        q, bad = field.q, self._rule_fails()
         if codes.min() < 0 or codes.max() >= q:  # only then are the rows looked for
             i = int(np.argmax(bad | ((codes < 0) | (codes >= q)).any(axis=1)))
             if not bad[i]:
                 raise ValueError(f"vertex {i} has codes outside [0, {q})")
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(self._rule.format(i=i, v=tuple(codes[i].tolist())))
+            raise ValueError(self._rule.format(i=i, v=tuple(codes[i, : self.n].tolist())))
         self.codes = codes.astype(field.arrays[0].dtype, copy=False)
 
-    @staticmethod
-    def _arrays(vertices: tuple, q: int) -> tuple[tuple[np.ndarray], Exception | None]:
-        """The vertices' arrays and None; or, when a vertex is no row, the
-        arrays of the vertices before it and the error that names it."""
-        codes, fault = _int_rows(vertices, q)
-        return (codes,), fault
+    _arrays = staticmethod(_int_rows)
 
     def _view(self, start: int, stop: int) -> tuple:
         return tuple(map(tuple, self.codes[start:stop].tolist()))
@@ -206,35 +202,48 @@ class GrassCycle(VertexSequence):
 
 
 class _ProjectiveSequence(VertexSequence):
-    """Vertices of the projective closure (ProjVertex); ``at_infinity`` is
-    the bool mask of the vertices at infinity."""
+    """Vertices of the projective closure of AG(n,q) (ProjVertex), each row
+    its homogeneous coordinates in PG(n,q): an affine point x is (x, 1), a
+    point at infinity [d] is (d, 0)."""
 
-    __slots__ = ("at_infinity",)
-    _array_names = ("codes", "at_infinity")
+    __slots__ = ()
+    _h = 1
     _rule = "vertex {i}: infinity vector {v} not normalized"
 
     @staticmethod
-    def _arrays(vertices: tuple, q: int) -> tuple[tuple[np.ndarray, np.ndarray], Exception | None]:
+    def _arrays(vertices: tuple, q: int) -> tuple[np.ndarray, Exception | None]:
         projective = list(map(isinstance, vertices, repeat(ProjVertex)))
         k = projective.index(False) if False in projective else len(vertices)
         codes, fault = _int_rows(list(map(itemgetter(1), vertices[:k])), q)
         if fault is None and k < len(vertices):
             fault = TypeError(f"vertex {k} is not a ProjVertex")
-        flags = map(bool, map(itemgetter(0), vertices[: len(codes)]))
-        return (codes, np.fromiter(flags, dtype=bool, count=len(codes))), fault
+        return np.column_stack([codes, [not v[0] for v in vertices[: len(codes)]]]), fault
 
     def _view(self, start: int, stop: int) -> tuple:
-        flags, rows = self.at_infinity[start:stop].tolist(), self.codes[start:stop].tolist()
-        return tuple(map(ProjVertex, flags, map(tuple, rows)))
+        return tuple(map(_vertex, self.codes[start:stop].tolist()))
+
+    def _set_arrays(self, codes: np.ndarray, field: Field) -> None:
+        super()._set_arrays(codes, field)
+        if self.codes[:, -1].max() > 1:
+            i = int(np.argmax(self.codes[:, -1] > 1))
+            raise ValueError(f"vertex {i} has homogenizing code {self.codes[i, -1]}, not 0 or 1")
+        if not self.wrap and (self.codes[0] == self.codes[-1]).all():
+            raise ValueError("segment endpoints must be distinct")
 
     def _rule_fails(self) -> np.ndarray:
-        # a vector at infinity must lead with 1: only those rows are read, a block at a time
+        # a vector at infinity (last code 0) must lead with 1: only those rows
+        # are read, a block at a time
         bad = np.zeros(len(self), dtype=bool)
         for start, stop in row_blocks(len(self)):
-            at = np.flatnonzero(self.at_infinity[start:stop]) + start
+            at = np.flatnonzero(self.codes[start:stop, -1] == 0) + start
             rows = self.codes.take(at, axis=0)
             bad[at] = rows[np.arange(len(at)), np.argmax(rows != 0, axis=1)] != 1
         return bad
+
+
+def _vertex(row: list) -> ProjVertex:
+    """The ProjVertex of a homogeneous row."""
+    return ProjVertex(not row[-1], tuple(row[:-1]))
 
 
 class Cycle(_ProjectiveSequence):
@@ -249,17 +258,12 @@ class Segment(_ProjectiveSequence):
     __slots__ = ()
     wrap = False
 
-    def _set_arrays(self, arrays: Sequence[np.ndarray], field: Field) -> None:
-        super()._set_arrays(arrays, field)
-        if self.at_infinity[0] == self.at_infinity[-1] and (self.codes[0] == self.codes[-1]).all():
-            raise ValueError("segment endpoints must be distinct")
-
     def reversed(self) -> "Segment":
-        return Segment._from_arrays(self.field, self.codes[::-1], self.at_infinity[::-1])
+        return Segment._from_arrays(self.field, self.codes[::-1])
 
 
 def rotate(c: Cycle, k: int) -> Cycle:
-    return Cycle._from_arrays(c.field, *(np.roll(a, -k, axis=0) for a in (c.codes, c.at_infinity)))
+    return Cycle._from_arrays(c.field, np.roll(c.codes, -k, axis=0))
 
 
 def _check_parts(parts: Sequence[VertexSequence]) -> None:
@@ -295,21 +299,15 @@ def _same_space(parts: Sequence[VertexSequence]) -> None:
             raise GluingError(f"part {i} has dimension {p.n} over {p.field!r}, unlike part 0")
 
 
-def splice(
-    parts: Sequence[Sequence[np.ndarray]], hits: Sequence[np.ndarray], at, out=None
-) -> list[np.ndarray]:
-    """Concatenate the parts in input order, into ``out`` if given, each part's
-    arrays rotated to start at its first hit, the first occurrence of ``at``."""
+def splice(parts: Sequence[np.ndarray], hits: Sequence[np.ndarray], at, out=None) -> np.ndarray:
+    """Concatenate the parts' rows in input order, into ``out`` if given, each
+    part rotated to start at its first hit, the first occurrence of ``at``."""
     starts = []
     for idx, h in enumerate(hits):
         if not h.any():
             raise GluingError(f"cycle {idx} does not contain the splice vertex {at}")
         starts.append(int(np.argmax(h)))
-    return [
-        np.concatenate([a for p, i in zip(parts, starts) for a in (p[k][i:], p[k][:i])],
-                       out=None if out is None else out[k])
-        for k in range(len(parts[0]))
-    ]
+    return np.concatenate([a for p, i in zip(parts, starts) for a in (p[i:], p[:i])], out=out)
 
 
 def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycle:
@@ -317,16 +315,16 @@ def glue_cycles(cs: Sequence[Cycle], at: ProjVertex, check: bool = True) -> Cycl
 
     The window multiset of the result is exactly the disjoint union of the
     inputs', which must share one field and dimension.  ``check`` verifies
-    that the inputs are valid and transversal, by one key walk per part and
+    that the inputs are valid and transversal, by one rank walk per part and
     one sort of all their ranks (``_check_parts``), in time near linear in the
     windows; callers whose parts are so by construction pass False.
     """
     _same_space(cs)
-    hits = [_row_hits(c.codes, at.coords) & (c.at_infinity == at.at_infinity) for c in cs]
-    arrays = splice([(c.codes, c.at_infinity) for c in cs], hits, at)
+    row = tuple(at.coords) + (int(not at.at_infinity),)
+    codes = splice([c.codes for c in cs], [_row_hits(c.codes, row) for c in cs], at)
     if check:
         _check_parts(cs)
-    return Cycle._from_arrays(cs[0].field, *arrays)
+    return Cycle._from_arrays(cs[0].field, codes)
 
 
 def glue_segments(ss: Sequence[Segment]) -> Cycle:
@@ -346,9 +344,9 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
     # its rows as read from this end, without the other end
     adj: dict[ProjVertex, deque] = defaultdict(deque)
     for i, s in enumerate(ss):
-        a, b = (ProjVertex(bool(s.at_infinity[j]), tuple(s.codes[j].tolist())) for j in (0, -1))
-        adj[a].append((i, b, (s.codes[:-1], s.at_infinity[:-1])))
-        adj[b].append((i, a, (s.codes[:0:-1], s.at_infinity[:0:-1])))
+        a, b = map(_vertex, s.codes[[0, -1]].tolist())
+        adj[a].append((i, b, s.codes[:-1]))
+        adj[b].append((i, a, s.codes[:0:-1]))
     odd = [v for v, edges in adj.items() if len(edges) % 2]
     if odd:
         raise GluingError(f"odd endpoint multiplicity at {min(odd)}")
@@ -370,11 +368,12 @@ def glue_segments(ss: Sequence[Segment]) -> Cycle:
     _check_parts(ss)
     # the circuit is the trail reversed, from the start's first edge on
     rows = [r for _, r in trail[-2::-1]]
-    return Cycle._from_arrays(ss[0].field, *map(np.concatenate, zip(*rows)))
+    return Cycle._from_arrays(ss[0].field, np.concatenate(rows))
 
 
 def translate(c: Cycle, t: Sequence[int]) -> Cycle:
-    """Shift every affine vertex by t; points at infinity are unchanged."""
+    """Shift every affine vertex by t: (x, h) -> (x + h·t, h), so points at
+    infinity are unchanged."""
     t = tuple(t)
     if len(t) != c.n:
         raise ValueError(f"translation vector has dimension {len(t)}, cycle has {c.n}")
@@ -382,14 +381,14 @@ def translate(c: Cycle, t: Sequence[int]) -> Cycle:
     if bad:
         raise ValueError(f"translation vector entry {bad[0]} is outside [0, {c.field.q})")
     add = c.field.arrays[0]
-    codes = add[c.codes, ~c.at_infinity[:, None] * np.array(t)]
-    return Cycle._from_arrays(c.field, codes, c.at_infinity)
+    return Cycle._from_arrays(c.field, add[c.codes, c.codes[:, -1:] * np.array(t + (0,))])
 
 
 def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
     """Apply an injective linear map, given as a tuple of rows.
 
-    Affine vertices map through M; infinity vertices map through the induced
+    M acts on the first n columns and the homogenizing one is carried:
+    affine vertices map through M; infinity vertices map through the induced
     projective action (normalize M * vector).  M must have full column rank,
     so square singular maps are rejected.
     """
@@ -403,12 +402,12 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
     if rank(M, F) != c.n:
         raise ValueError("matrix is singular (not injective)")
     _, mul, _, inv = F.arrays
-    img = dots(np.array(M), c.codes[:, None], F)
+    img = np.column_stack([dots(np.array(M), c.codes[:, None, :-1], F), c.codes[:, -1]])
     # an injective image of a nonzero vector is nonzero: scale by its lead inverse
-    inf = c.at_infinity
+    inf = img[:, -1] == 0
     lead = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
     img[inf] = mul[inv[lead[inf]][:, None], img[inf]]
-    return Cycle._from_arrays(F, img, inf)
+    return Cycle._from_arrays(F, img)
 
 
 # -- serialization -----------------------------------------------------------
@@ -433,21 +432,23 @@ def _token_width(count: int, n: int, q: int) -> int:
     return g
 
 
-def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str,
-                  first: Sequence[str], sep: str, last: Sequence[str], tail: str) -> Iterator[str]:
+def encode_blocks(codes: np.ndarray, q: int, head: str, first: Sequence[str], sep: str,
+                  last: Sequence[str], tail: str) -> Iterator[str]:
     """``head``, then the rows of the code array, each block of BLOCK_ROWS
     rows read when it is asked for.  A row is its codes joined by ``sep``
-    between ``first[k]`` and ``last[k]``, for k the row's entry of the mask
-    ``kinds`` when two kinds are given, else 0; ``tail`` replaces the last
-    character of the last row, the separator between rows.
+    between ``first[k]`` and ``last[k]``: when two kinds are given, k is
+    the row's last code, which is not written, else 0; ``tail`` replaces
+    the last character of the last row, the separator between rows.
 
     A row is written as tokens of g codes each (``_token_width``), the last
     group of a row taking what is left, whole rows when g reaches n.  Each
     token is a precomputed string that holds its codes and whatever of the
     row's ends and separators lies beside them, one table of q^g strings or
     fewer for each kind and group: at most N/8 and 2^16, so the table costs
-    a fraction of the encode."""
-    N, n = codes.shape
+    a fraction of the encode.  A token's number is one product of the whole
+    row, the kind's offset included."""
+    N, width = codes.shape
+    n = width - (len(first) > 1)  # the codes written, less the kind
     g = _token_width(N, n, q)
     groups = [(a, min(a + g, n)) for a in range(0, n, g)]
     # each kind's and group's strings in the order of the group's base-q
@@ -457,17 +458,16 @@ def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str
     table = np.array([(pre if a == 0 else "") + sep.join(v) + (post if b == n else sep)
                       for pre, post in zip(first, last) for a, b in groups
                       for v in product(digits, repeat=b - a)], dtype=object)
-    # a token's number: its kind's and group's offset plus codes @ value (at g = 1, the code)
+    # a token's number: its group's offset plus row @ value, whose kind row adds the kind's
     sizes = [q ** (b - a) for a, b in groups]
-    offset, per_kind = np.array([0, *accumulate(sizes[:-1])]), sum(sizes)
-    value = np.zeros((n, len(groups)), dtype=np.uint32)
-    for k, (a, b) in enumerate(groups if g > 1 else ()):
+    offset = np.array([0, *accumulate(sizes[:-1])])
+    value = np.zeros((width, len(groups)), dtype=np.uint32)
+    for k, (a, b) in enumerate(groups):
         value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)
+    value[n:] = sum(sizes)
 
     def block(start: int, stop: int) -> str:  # its temporaries go before it is read
-        kind = kinds[start:stop, None] * per_kind if len(first) > 1 else 0
-        rows = codes[start:stop] if g == 1 else codes[start:stop] @ value
-        tokens = table.take(rows + (offset + kind)).ravel().tolist()
+        tokens = table.take(codes[start:stop] @ value + offset).ravel().tolist()
         if stop == N:
             tokens[-1] = tokens[-1][:-1] + tail
         return "".join(tokens)
@@ -478,35 +478,29 @@ def encode_blocks(codes: np.ndarray, kinds: np.ndarray | None, q: int, head: str
 
 
 def cycle_to_json_obj(c: Cycle) -> dict:
-    """The JSON object of a cycle; ``cycle_to_json`` writes its bytes."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": c.n,
-        "q": c.field.q,
-        "vertices": [
-            {"type": "infinity" if v.at_infinity else "affine", "coords": list(v.coords)}
-            for v in c.vertices
-        ],
-    }
+    """The JSON object of a cycle, read back from ``cycle_to_json``."""
+    return json.loads(cycle_to_json(c))
 
 
 def cycle_blocks(c: Cycle, fmt: str = "json") -> Iterator[str]:
     """``cycle_to_json(c)``, or ``cycle_to_text(c)`` for fmt "text", in blocks."""
-    return _array_blocks(c.codes, c.at_infinity, c.field.q, fmt)
+    return _array_blocks(c.codes, c.field.q, fmt)
 
 
-def _array_blocks(codes: np.ndarray, at_infinity: np.ndarray, q: int, fmt: str) -> Iterator[str]:
-    """``cycle_blocks`` of the cycle over GF(q) with these arrays."""
+def _array_blocks(codes: np.ndarray, q: int, fmt: str) -> Iterator[str]:
+    """``cycle_blocks`` of the cycle over GF(q) with these rows; the row's
+    last code, 0 at infinity and 1 at an affine point, picks its kind."""
     if fmt == "text":
-        return encode_blocks(codes, at_infinity, q, "", ("A ", "I "), " ", ("\n", "\n"), "\n")
-    head = f'{{"n":{codes.shape[1]},"q":{q},"schema_version":{SCHEMA_VERSION},"vertices":['
-    kinds = ('],"type":"affine"},', '],"type":"infinity"},')
-    return encode_blocks(codes, at_infinity, q, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
+        return encode_blocks(codes, q, "", ("I ", "A "), " ", ("\n", "\n"), "\n")
+    head = f'{{"n":{codes.shape[1] - 1},"q":{q},"schema_version":{SCHEMA_VERSION},"vertices":['
+    kinds = ('],"type":"infinity"},', '],"type":"affine"},')
+    return encode_blocks(codes, q, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
 
 
 def cycle_to_json(c: Cycle) -> str:
-    """``cycle_to_json_obj(c)`` as compact JSON with sorted keys and a final
-    newline, written from the arrays."""
+    """The cycle as compact JSON with sorted keys and a final newline, written
+    from the rows: ``n``, ``q``, ``schema_version`` and ``vertices``, each
+    vertex its ``coords`` and its ``type``, "affine" or "infinity"."""
     return "".join(cycle_blocks(c))
 
 
@@ -575,8 +569,8 @@ def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None)
     count, size = count - (not text), fh.tell()  # less the head's "{"; the count read it all
     q, digits = field.q, len(str(field.q - 1))
     _canonical(n >= 1 and 2 * n * count <= size)  # a code takes a digit and a separator
-    codes, at_infinity = np.empty((count, n), field.arrays[0].dtype), np.empty(count, bool)
-    blocks = map(str.encode, _array_blocks(codes, at_infinity, q, "text" if text else "json"))
+    codes = np.empty((count, n + 1), field.arrays[0].dtype)
+    blocks = map(str.encode, _array_blocks(codes, q, "text" if text else "json"))
     # a head the regex matched but with leading zeros is longer: the rows' compare fails
     at = len(next(blocks))
     width = n * (digits + 1) + (2 if text else 33)  # bytes of the longest row
@@ -599,7 +593,7 @@ def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None)
             _canonical(code.max() < q)  # before narrowing
             codes[start:stop, j], end = code, past
         kind = block.take(rows if text else end + 9, mode="clip")  # line start, or past "type":"
-        at_infinity[start:stop] = kind == (b"I" if text else b"i")[0]
+        codes[start:stop, n] = kind != (b"I" if text else b"i")[0]
         del marks, rows, end, code, kind  # before the block's text is encoded
         encoded = next(blocks)
         _canonical(buf.startswith(encoded, 0, held))
@@ -607,7 +601,7 @@ def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None)
         held, at = held - len(encoded), at + len(encoded)
         del encoded  # while the next block is gathered
     _canonical(at == size)
-    return Cycle._from_arrays(field, codes, at_infinity)
+    return Cycle._from_arrays(field, codes)
 
 
 def file_text(data: bytes) -> str:
@@ -624,9 +618,11 @@ def decode_cycle(data: bytes | str | BinaryIO, field: Field | None) -> Cycle:
         return _canonical_cycle(data, field)
     except ValueError:
         pass
-    if not isinstance(data, (bytes, str)):  # a file, read whole
+    if not isinstance(data, (bytes, str)):  # a file: its head, and read whole unless refused
         data.seek(0)
-        data = data.read()
+        head = data.read(11)
+        data.seek(0)
+        data = head if head == b'{"levels":[' else data.read()
     if data[:11] == ('{"levels":[' if isinstance(data, str) else b'{"levels":['):
         raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
     if isinstance(data, bytes):

@@ -10,15 +10,18 @@ subcycle of the next, attached at the shared vertex e_1.  The multiplicative
 (Singer) cycle takes its finite-field arithmetic, cubic modulus and generator
 from gf.
 
-The chain is built on code arrays, one level at a time: each level is one
-array, written once, of the previous level zero-padded and then the affine
-cycle with its homogenizing column, each rotated to start at e_1, and
-``grass_blocks`` writes a level's payload straight from its array.
+An affine cycle's rows are already these homogeneous coordinates, so its
+lift is the same array read as vectors.  The chain is built on code arrays,
+one level at a time: each level is one array, written once, of the previous
+level zero-padded and then the affine cycle's rows, each rotated to start
+at e_1, and ``grass_blocks`` writes a level's payload straight from its
+array.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Iterator
 
 import numpy as np
@@ -48,9 +51,10 @@ def lift_affine_cycle(c: Cycle) -> GrassCycle:
 
     Window spans then agree with tau of the decoded lines, so a universal
     cycle on all affine lines of AG(m-1,q) becomes a universal cycle on the
-    outer shell of G_q(2,m).
+    outer shell of G_q(2,m).  The cycle's rows are those vectors already:
+    the lift shares them, uncopied.
     """
-    return GrassCycle._from_arrays(c.field, np.column_stack([c.codes, ~c.at_infinity]))
+    return GrassCycle._from_arrays(c.field, c.codes)
 
 
 def singer_cycle(F: Field) -> GrassCycle:
@@ -85,12 +89,13 @@ def embed_cycle(gc: GrassCycle, m: int) -> GrassCycle:
 
 def _next_level(level: GrassCycle, j: int) -> GrassCycle:
     """U_j in the hyperplane x_(j+1) = 0, spliced at e_1 with a universal cycle
-    of AG(j,q) lifted to the outer shell, each written once into one array."""
-    c, e1 = universal_cycle(j, level.field), (1,) + (0,) * (j - 1)
-    hits = [_row_hits(level.codes, e1), _row_hits(c.codes, e1) & c.at_infinity]
-    codes = np.empty((len(level) + len(c), j + 1), dtype=level.codes.dtype)
-    parts = [(level.codes, np.zeros(len(level), dtype=bool)), (c.codes, ~c.at_infinity)]
-    splice(parts, hits, e1 + (0,), out=(codes[:, :j], codes[:, j]))
+    of AG(j,q), whose rows are its lift to the outer shell, each written once
+    into one array."""
+    c, e1, L = universal_cycle(j, level.field), (1,) + (0,) * (j - 1), len(level)
+    codes = np.zeros((L + len(c), j + 1), dtype=level.codes.dtype)
+    # the level from its e_1, its last column left 0, then the shell from its [e_1]
+    splice([level.codes], [_row_hits(level.codes, e1)], e1, out=codes[:L, :j])
+    splice([c.codes], [_row_hits(c.codes, e1 + (0,))], e1 + (0,), out=codes[L:])
     return GrassCycle._from_arrays(level.field, codes)
 
 
@@ -111,22 +116,19 @@ def nested_cycles(m: int, F: Field) -> list[GrassCycle]:
 # -- serialization -----------------------------------------------------------
 
 def grass_to_json_obj(gc: GrassCycle) -> dict:
-    """The JSON object of a Grassmannian cycle; ``grass_to_json`` writes its bytes."""
-    return {
-        "m": gc.m,
-        "q": gc.field.q,
-        "vertices": [list(v) for v in gc.vertices],
-    }
+    """The JSON object of a Grassmannian cycle, read back from ``grass_to_json``."""
+    return json.loads(grass_to_json(gc))
 
 
 def grass_blocks(gc: GrassCycle, tail: str = "]}\n") -> Iterator[str]:
     """``grass_to_json(gc)`` in blocks, ending in ``tail`` instead of "]}\n"."""
     head = f'{{"m":{gc.m},"q":{gc.field.q},"vertices":['
-    return encode_blocks(gc.codes, None, gc.field.q, head, ("[",), ",", ("],",), tail)
+    return encode_blocks(gc.codes, gc.field.q, head, ("[",), ",", ("],",), tail)
 
 
 def grass_to_json(gc: GrassCycle) -> str:
-    """``grass_to_json_obj(gc)`` as compact JSON with sorted keys and a final
-    newline, written from the code array."""
+    """The cycle as compact JSON with sorted keys and a final newline: ``m``,
+    ``q`` and its ``vertices``, each a list of codes, written from the code
+    array."""
     return "".join(grass_blocks(gc))
 

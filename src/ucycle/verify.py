@@ -6,16 +6,17 @@ construction module is imported (only gf, geometry and cycles): an affine
 line of AG(n,q) is a normalized direction together with the one point of
 the line whose coordinate at the direction's pivot is 0, and a plane of
 F_q^m is a rank-2 RREF row pair.  One block walk (``window_ranks``) decodes
-the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the narrow
-code array into one array of their ranks, with no per-vertex object: lines
-with the closed form of ``geometry.line_from``, planes with the closed-form
-RREF of two rows from each vertex's normal form (pivot and lead 1), found
-once; each field operation is one 1-D gather from a flattened table, its
-indices in the narrowest dtype that holds q^2 - 1.  Every check counts the
-ranks, one count per target, in linear time (``_rank_report``); the walk
-also serves ``windows()`` and the gluing check.  The brute-force point-pair
-oracle, the packed keys of every target and a set-based report stay in the
-tests.
+the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the one
+narrow code array of the sequence into one array of their ranks, with no
+per-vertex object: lines from a cycle's homogeneous rows (a last code of 0
+marks a point at infinity) with the closed form of ``geometry.line_from``,
+planes with the closed-form RREF of two rows from each vertex's normal form
+(pivot and lead 1), found once; each field operation is one 1-D gather from
+a flattened table, its indices in the narrowest dtype that holds q^2 - 1.
+Every check counts the ranks, one count per target, in linear time
+(``_rank_report``); the walk also serves ``windows()`` and the gluing
+check.  The brute-force point-pair oracle, the packed keys of every target
+and a set-based report stay in the tests.
 """
 
 from __future__ import annotations
@@ -212,13 +213,16 @@ class _Lines(_Ranking):
         high, low = np.divmod(low, w[piv])
         return (r - self.later[piv] + w[piv]) * (w[0] * q) + high * q * w[piv] + low
 
-    def decode(self, rows: np.ndarray, inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ranks of a block's windows and the mask of the degenerate ones
-        (two points at infinity, or one affine point twice), by the closed
-        form of ``geometry.line_from``: the direction is the window's vertex
-        at infinity, normalized since ``Cycle`` checks it, or else b - a,
-        normalized; then base[piv]·d is subtracted from the base."""
+        (two points at infinity, or one affine point twice), from their
+        homogeneous rows, by the closed form of ``geometry.line_from``: the
+        direction is the window's vertex at infinity (last code 0),
+        normalized since ``Cycle`` checks it, or else b - a, normalized;
+        then base[piv]·d is subtracted from the base.  The block's
+        coordinates are copied out once, contiguous for the row gathers."""
         ADD, MUL, MULQ, NEGQ, INVQ = self.tables
+        inf, rows = rows[:, -1] == 0, np.ascontiguousarray(rows[:, :-1])
         i, a_inf, b_inf = np.arange(len(rows) - 1), inf[:-1], inf[1:]
         # a window at an affine a reads its direction from b, and its point from a
         d, pt = rows.take(i + ~a_inf, axis=0), rows.take(i + a_inf, axis=0)
@@ -300,15 +304,14 @@ def window_ranks(s: VertexSequence) -> tuple[np.ndarray, list[int], _Ranking]:
     and the ranking: of lines of AG(n,q) or, for a GrassCycle, planes of
     F_q^m, which decodes each block of ``row_blocks`` and the row after it."""
     space = _ranking(_Planes if isinstance(s, GrassCycle) else _Lines, s.n, s.field)
-    arrays, N = [getattr(s, name) for name in s._array_names], len(s)
+    codes, N = s.codes, len(s)
     count = N if s.wrap else N - 1
     ranks = np.empty(count, dtype=np.int32 if space.count < 2**31 else np.int64)
     degenerate, filled = [], 0
     for start, stop in row_blocks(count, s.n):
         # the next rows are a slice; only the wrap window's is row 0
-        rows = [x[start : stop + 1] if stop < N else np.concatenate([x[start:], x[:1]])
-                for x in arrays]
-        found, bad = space.decode(*rows)
+        rows = codes[start : stop + 1] if stop < N else np.concatenate([codes[start:], codes[:1]])
+        found, bad = space.decode(rows)
         if bad.any():
             degenerate += (np.flatnonzero(bad) + start).tolist()
             found = found[~bad]

@@ -208,7 +208,7 @@ def line_keys_2d(c):
         pt[:] = ADD[pt, MUL[d, NEG[pt[np.arange(len(pt)), piv]][:, None]]]
         return d, pt, bad
 
-    return walk_keys_2d("line", c, (c.codes, c.at_infinity), decode)
+    return walk_keys_2d("line", c, (c.codes[:, :-1], c.codes[:, -1] == 0), decode)
 
 
 def plane_keys_2d(gc):
@@ -253,18 +253,18 @@ def plane_decode_rref(space, rows):
     return space.rank(r1, r2, p1, p2), lead == 0
 
 
-def encode_by_code(codes, kinds, q, head, first, sep, last, tail):
+def encode_by_code(codes, q, head, first, sep, last, tail):
     """``cycles.encode_blocks`` with one precomputed token per code: the
     code with the row's prefix before it, or the separator or the row's
-    suffix after it."""
-    n = codes.shape[1]
+    suffix after it; with two kinds, the row's last code is its kind."""
+    n = codes.shape[1] - (len(first) > 1)
     ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
             for k in range(len(first)) for j in range(n)]
     table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
     yield head
     for start, stop in row_blocks(len(codes)):
-        kind = kinds[start:stop, None] * (n * q) if len(first) > 1 else 0
-        tokens = table[codes[start:stop] + (np.arange(n) * q + kind)].ravel().tolist()
+        kind = codes[start:stop, n:].astype(np.intp) * (n * q) if len(first) > 1 else 0
+        tokens = table[codes[start:stop, :n] + (np.arange(n) * q + kind)].ravel().tolist()
         if stop == len(codes):
             tokens[-1] = tokens[-1][:-1] + tail
         yield "".join(tokens)

@@ -186,6 +186,25 @@ def test_verify_parameter_mismatch_exits_2(tmp_path, capsys):
     assert run(capsys, "verify", "--in", str(f), "--p", "3")[0] == 2
 
 
+@pytest.mark.parametrize("file_q,flags,message", [
+    (4, ["--p", "4"], "p must be prime, got 4"),
+    (5, ["--p", "1"], "p must be prime, got 1"),
+    (5, ["--p", "5", "--k", "0"], "k must be >= 1, got 0"),
+    (5, ["--p", "5", "--k", "-3"], "k must be >= 1, got -3"),
+    (4, ["--p", "2", "--k", "2"], None),
+    (4, ["--p", "2"], "file has q=4, expected q=2^1"),
+])
+def test_verify_checks_the_field_flags_before_comparing_them(tmp_path, capsys, file_q, flags, message):
+    # a JSON file names its own field: --p and --k are checked as gen checks
+    # them, so that --p 4 on a GF(4) file is refused as no prime, not as q=4^1
+    f = tmp_path / "c.json"
+    F = field_from_order(file_q)
+    assert run(capsys, "gen", "--n", "2", "--p", str(F.p), "--k", str(F.k), "--out", str(f))[0] == 0
+    rc, _, err = run(capsys, "verify", "--in", str(f), *flags)
+    assert (rc, err) == ((0, "PASS 20/20 windows (missing=0 duplicated=0 unexpected=0 degenerate=0)\n")
+                         if message is None else (2, f"error: {message}\n"))
+
+
 def test_gen_invalid_parameters_exit_2(capsys):
     assert run(capsys, "gen", "--n", "1", "--p", "2")[0] == 2
     assert run(capsys, "gen", "--n", "2", "--p", "6")[0] == 2
@@ -631,7 +650,7 @@ def wide_cycle(q, rows=40):
     inf = np.arange(rows) % 3 == 1
     codes[inf, 0] = 1
     codes[:, 1] = [min(10 ** (r % digits) + r % 7, q - 1) for r in range(rows)]
-    return cycles.Cycle._from_arrays(F, codes.astype(F.arrays[0].dtype), inf)
+    return cycles.Cycle._from_arrays(F, np.column_stack([codes, ~inf]).astype(F.arrays[0].dtype))
 
 
 def rows_of(c, fmt):

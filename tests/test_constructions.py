@@ -278,7 +278,8 @@ def test_triple_base_bytes_pinned_and_exact_for_every_q():
     for q, digest in TRIPLE_BASE_DIGESTS.items():
         F = field_from_order(q)
         c = triple_base_cycle(F)
-        data = c.codes.tobytes() + c.at_infinity.tobytes()
+        # the digests pinned the codes, then the at-infinity mask: the rows' last code is 0 there
+        data = c.codes[:, :-1].tobytes() + (c.codes[:, -1] == 0).tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest, q
         rep = verify_subset(c, fiber_union(STD_DIRS, 2, F))
         assert (len(c), rep.found_count, rep.passed) == (3 * q, 3 * q, True), q
@@ -482,13 +483,13 @@ def ref_two_fiber_cycle(d1, d2, n, F):
     flags = np.tile([False, True], len(pts))
     codes = np.concatenate([rows[:1], detour, rows[1:]])
     at_infinity = np.concatenate([flags[:1], np.zeros(len(detour), dtype=bool), flags[1:]])
-    return Cycle._from_arrays(F, codes, at_infinity)
+    return Cycle._from_arrays(F, np.column_stack([codes, ~at_infinity]))
 
 
 def ref_lift_cycle(cU, U, n):
     F = cU.field
     pivots = [next(i for i, x in enumerate(row) if x) for row in U.basis]
-    anchor = infinity(cU.codes[int(np.argmax(cU.at_infinity))].tolist())
+    anchor = infinity(cU.codes[int(np.argmax(cU.codes[:, -1] == 0)), :-1].tolist())
     free = [j for j in range(n) if j not in pivots]
     parts = []
     for assign in itertools.product(range(F.q), repeat=len(free)):
@@ -501,15 +502,12 @@ def ref_lift_cycle(cU, U, n):
 
 def assert_same_arrays(got, want):
     assert np.array_equal(got.codes, want.codes)
-    assert np.array_equal(got.at_infinity, want.at_infinity)
 
 
 def pair_parts(pairs, n, F):
-    """The batched builder's parts, one (2q^(n-1), n) code and mask row each."""
+    """The batched builder's parts, one (2q^(n-1), n + 1) block of rows each."""
     u1, u2 = (np.array([p[k].vector for p in pairs]) for k in (0, 1))
-    codes, at_infinity = _fiber_pairs(u1, u2, F)
-    size = 2 * F.q ** (n - 1)
-    return codes.reshape(len(pairs), size, n), at_infinity.reshape(len(pairs), size)
+    return _fiber_pairs(u1, u2, F).reshape(len(pairs), 2 * F.q ** (n - 1), n + 1)
 
 
 # AG(n,q) for n <= 5 and these q, within the CLI's line budget: it refuses
@@ -531,11 +529,10 @@ def test_planned_pairs_match_reference(n, q):
     if not plan.pairs:  # AG(2,2): a lone triplet part, returned unrotated
         assert_same_arrays(universal_cycle(n, F), parts[0])
         return
-    codes, at_infinity = pair_parts(plan.pairs, n, F)
+    codes = pair_parts(plan.pairs, n, F)
     refs = [ref_two_fiber_cycle(d1, d2, n, F) for d1, d2 in plan.pairs]
     for i, ref in enumerate(refs):
         assert np.array_equal(codes[i], ref.codes), plan.pairs[i]
-        assert np.array_equal(at_infinity[i], ref.at_infinity), plan.pairs[i]
     # gluing by concatenation gives what splicing every part at 0 gives
     want = glue_cycles(parts + refs, affine((0,) * n))
     assert_same_arrays(universal_cycle(n, F), want)
@@ -547,8 +544,7 @@ def test_checked_gluing_sorts_the_parts_keys_once():
     # machine, and one sort of every part's keys takes about 0.1 s there
     F = field_from_order(23)
     plan = plan_fibers(3, F)
-    codes, at_infinity = pair_parts(plan.pairs, 3, F)
-    parts = [Cycle._from_arrays(F, *arrays) for arrays in zip(codes, at_infinity)]
+    parts = [Cycle._from_arrays(F, codes) for codes in pair_parts(plan.pairs, 3, F)]
     t0 = time.perf_counter()
     glued = glue_cycles(parts, affine((0, 0, 0)))
     assert time.perf_counter() - t0 < 5.0
@@ -560,7 +556,7 @@ def test_checked_gluing_sorts_the_parts_keys_once():
 def test_every_ordered_pair_matches_reference(n, q):
     F = field_from_order(q)
     pairs = list(itertools.permutations(enumerate_directions(n, F), 2))
-    codes, at_infinity = pair_parts(pairs, n, F)
+    codes = pair_parts(pairs, n, F)
     u1, u2 = (np.array([p[k].vector for p in pairs]) for k in (0, 1))
     functionals = complementary_functionals(u1, u2, F)
     for i, (d1, d2) in enumerate(pairs):
@@ -568,7 +564,7 @@ def test_every_ordered_pair_matches_reference(n, q):
         assert tuple(functionals[i].tolist()) == W.functional
         assert complementary_hyperplane(d1, d2, F) == W
         ref = ref_two_fiber_cycle(d1, d2, n, F)
-        assert np.array_equal(codes[i], ref.codes) and np.array_equal(at_infinity[i], ref.at_infinity)
+        assert np.array_equal(codes[i], ref.codes)
         assert_same_arrays(two_fiber_cycle(d1, d2, n, F), ref)
 
 
@@ -589,9 +585,9 @@ def test_universal_cycle_validates_once(monkeypatch):
     calls = []
     check = VertexSequence._set_arrays
 
-    def counted(self, arrays, field):
-        calls.append(len(arrays[0]))
-        return check(self, arrays, field)
+    def counted(self, codes, field):
+        calls.append(len(codes))
+        return check(self, codes, field)
 
     monkeypatch.setattr(VertexSequence, "_set_arrays", counted)
     counts = {}

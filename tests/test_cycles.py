@@ -1,6 +1,7 @@
 """Cycle/segment structures, window extraction, gluing, and vertex maps."""
 
 import argparse
+import io
 import json
 import random
 import re
@@ -29,6 +30,7 @@ from ucycle.cycles import (
     cycle_to_json,
     cycle_to_json_obj,
     cycle_to_text,
+    decode_cycle,
     file_text,
     glue_cycles,
     glue_segments,
@@ -52,8 +54,7 @@ def is_valid(c):
 
 def is_rotation(a, b):
     """a's vertices are b's, read from some other start."""
-    rows_a, rows_b = (np.column_stack([c.codes, c.at_infinity]) for c in (a, b))
-    return len(a) == len(b) and occurs_cyclically(rows_a, rows_b)
+    return len(a) == len(b) and occurs_cyclically(a.codes, b.codes)
 
 
 def plane_cycle_22():
@@ -90,12 +91,12 @@ def test_two_vertex_cycle_duplicates_its_line():
 def test_degenerate_segment_rejected():
     # from a vertex list and from the arrays alike
     F = field_make(3)
-    codes, at_infinity = np.array([[0, 0], [1, 0], [0, 0]]), np.array([False, True, False])
+    codes = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 1]])
     for build in (lambda: Segment([affine((0, 0)), affine((0, 0))], F),
-                  lambda: Segment._from_arrays(F, codes, at_infinity)):
+                  lambda: Segment._from_arrays(F, codes)):
         with pytest.raises(ValueError, match="^segment endpoints must be distinct$"):
             build()
-    assert len(Segment._from_arrays(F, codes[:2], at_infinity[:2])) == 2
+    assert len(Segment._from_arrays(F, codes[:2])) == 2
 
 
 def test_windows_match_the_per_window_decode():
@@ -186,10 +187,12 @@ def refusal_cases(kind):
 
 
 def as_arrays(kind, vertices):
+    """The rows of the vertices: homogeneous, (x, 1) or (d, 0), for a
+    Cycle or a Segment."""
     if kind is GrassCycle:
-        return (np.array(vertices, dtype=np.int64).reshape(len(vertices), -1),)
-    codes = np.array([v.coords for v in vertices], dtype=np.int64).reshape(len(vertices), -1)
-    return codes, np.array([v.at_infinity for v in vertices], dtype=bool)
+        return np.array(vertices, dtype=np.int64).reshape(len(vertices), -1)
+    rows = [[*v.coords, int(not v.at_infinity)] for v in vertices]
+    return np.array(rows, dtype=np.int64).reshape(len(vertices), -1)
 
 
 @pytest.mark.parametrize("kind", [Cycle, Segment, GrassCycle])
@@ -201,7 +204,7 @@ def test_vertex_lists_and_arrays_are_refused_alike(kind):
     for fault, vertices, holds, error, message in refusal_cases(kind):
         routes = [lambda: kind(vertices, F)]
         if holds:
-            routes.append(lambda: kind._from_arrays(F, *as_arrays(kind, vertices)))
+            routes.append(lambda: kind._from_arrays(F, as_arrays(kind, vertices)))
         for build in routes:
             with pytest.raises(Exception) as err:
                 build()
@@ -384,7 +387,7 @@ def test_array_operations_build_no_vertex_view(monkeypatch):
         shifts = {k: Cycle(vs[k % len(vs):] + vs[: k % len(vs)], F) for k in (-1, 0, 1, 3, 12)}
         backwards = [Segment(s.vertices[::-1], F) for s in segs]
         # copies whose vertex views are not built yet
-        c, *segs = [type(x)._from_arrays(F, x.codes, x.at_infinity) for x in [c, *segs]]
+        c, *segs = [type(x)._from_arrays(F, x.codes) for x in [c, *segs]]
         cases.append((c, segs, shifts, backwards))
     monkeypatch.setattr(VertexSequence, "_view", refuse_view)
     monkeypatch.setattr(_ProjectiveSequence, "_view", refuse_view)
@@ -598,8 +601,16 @@ def reference_text(c):
     )
 
 
+def reference_obj(c):
+    """The JSON object of a cycle, from its vertex view."""
+    vertices = [{"type": "infinity" if v.at_infinity else "affine", "coords": list(v.coords)}
+                for v in c.vertices]
+    return {"schema_version": 1, "n": c.n, "q": c.field.q, "vertices": vertices}
+
+
 def assert_codec_matches_reference(c):
-    assert cycle_to_json(c) == _dumps(cycle_to_json_obj(c))
+    assert cycle_to_json_obj(c) == reference_obj(c)
+    assert cycle_to_json(c) == _dumps(reference_obj(c))
     assert cycle_to_text(c) == reference_text(c)
 
 
@@ -639,7 +650,7 @@ def test_encoders_match_reference_on_drawn_cycles():
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hypothesis.given(cycles())
     def check(c):
-        assert c.at_infinity.any()
+        assert (c.codes[:, -1] == 0).any()
         assert_codec_matches_reference(c)
         text = cycle_to_json(c)
         back = cycle_from_json_obj(json.loads(text))
@@ -656,7 +667,6 @@ def assert_same_arrays(a, b):
     assert a.field == b.field
     assert a.codes.dtype == b.codes.dtype == np.min_scalar_type(a.field.q - 1)
     assert np.array_equal(a.codes, b.codes)
-    assert np.array_equal(a.at_infinity, b.at_infinity)
 
 
 def test_canonical_decode_is_linear_in_memory():
@@ -704,10 +714,10 @@ def test_cycle_checks_are_linear_in_memory():
     # block's temporaries; 26 when the lead search ran over the whole cycle
     F = field_make(2)
     c = universal_cycle(10, F)
-    codes, at_infinity = c.codes.copy(), c.at_infinity.copy()
+    codes = c.codes.copy()
     tracemalloc.start()
     try:
-        Cycle._from_arrays(F, codes, at_infinity)
+        Cycle._from_arrays(F, codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,6 +775,22 @@ def test_verify_refuses_a_grassmann_chain_file_before_json_loads(tmp_path, capsy
     assert str(e.value) == message
 
 
+def test_a_grassmann_chain_file_is_refused_before_it_is_read_whole(tmp_path, capsys):
+    # its head alone is read: a chain file of 72.6 MB (grassmann --m 12) was
+    # read whole into memory before the refusal
+    class HeadOnly(io.BytesIO):
+        def read(self, size=-1):
+            if size is None or size < 0:
+                raise AssertionError("the file was read whole")
+            return super().read(size)
+
+    f = tmp_path / "g.json"
+    assert main(["grassmann", "--m", "4", "--p", "2", "--out", str(f)]) == 0
+    with pytest.raises(ValueError) as e:
+        decode_cycle(HeadOnly(f.read_bytes()), None)
+    assert str(e.value) == 'a grassmann chain file ({"levels":[...]}) is not a cycle file'
+
+
 @pytest.mark.parametrize("stray", [":", "fourth-digit", "leading-zero"])
 def test_a_stray_byte_in_a_code_is_refused_by_the_block_compare(monkeypatch, stray):
     # the gather reads ":" as the digit 10, and a code as its first three
@@ -791,8 +817,7 @@ def test_vertex_view_is_the_input_or_built_from_the_arrays():
     decoded = cycle_from_json(cycle_to_json(kept))
     assert decoded._vertices is None  # built on first use
     assert decoded.vertices == c.vertices
-    assert decoded.codes.tolist() == [list(v.coords) for v in verts]
-    assert decoded.at_infinity.tolist() == [v.at_infinity for v in verts]
+    assert decoded.codes.tolist() == [[*v.coords, int(not v.at_infinity)] for v in verts]
 
 
 def test_decoder_accepts_the_odd_values_int_accepts():
@@ -895,7 +920,7 @@ def decode_outcome(decode, text, F):
         c = decode(text, F)
     except (ValueError, TypeError) as e:
         return type(e), str(e)
-    return c.vertices, c.codes.tolist(), c.at_infinity.tolist()
+    return c.vertices, c.codes.tolist()
 
 
 PLAIN_22 = "A 0 0\nI 1 0\nA 1 1\nI 1 1\nA 1 0\nI 0 1\n"

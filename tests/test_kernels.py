@@ -21,7 +21,7 @@ from reference import encode_by_code, line_keys_2d, plane_keys_2d, plane_decode_
 
 
 def projective_arrays(rng, count, n, F):
-    """Random codes and at-infinity flags over F, each vector at infinity
+    """Random homogeneous rows over F, each vector at infinity (last code 0)
     led by 1, with an affine point repeated and two vectors at infinity in a
     row: both windows degenerate."""
     codes = rng.integers(0, F.q, (count, n))
@@ -31,7 +31,7 @@ def projective_arrays(rng, count, n, F):
     codes[~codes.any(axis=1), 0] = 1
     rows = np.flatnonzero(inf)
     codes[rows, np.argmax(codes[rows] != 0, axis=1)] = 1
-    return codes.astype(F.arrays[0].dtype), inf
+    return np.column_stack([codes, ~inf]).astype(F.arrays[0].dtype)
 
 
 def vector_codes(rng, count, n, F):
@@ -68,21 +68,21 @@ def assert_walks_agree(monkeypatch, s, keys, reference):
 def test_line_walk_matches_the_2d_gathers(monkeypatch, n, q):
     F = field_from_order(q)
     rng = np.random.default_rng(q * 10 + n)
-    codes, inf = projective_arrays(rng, 61, n, F)
-    c = Cycle._from_arrays(F, codes, inf)
+    codes = projective_arrays(rng, 61, n, F)
+    c, inf = Cycle._from_arrays(F, codes), codes[:, -1] == 0
     two = ~(inf | np.roll(inf, -1))
     assert two.sum() > 2 and (inf & np.roll(inf, -1)).any()
     degenerate = assert_walks_agree(monkeypatch, c, walk_keys, line_keys_2d)
     assert {2, 5} <= set(degenerate)
     # the open sequence: no wrap window
-    s = Segment._from_arrays(F, codes[:-1], inf[:-1])
+    s = Segment._from_arrays(F, codes[:-1])
     assert_walks_agree(monkeypatch, s, walk_keys, line_keys_2d)
 
 
 @pytest.mark.parametrize("n,q", [(3, 5), (4, 3), (2, 9)])
 def test_line_walk_matches_the_2d_gathers_on_universal_cycles(monkeypatch, n, q):
     c = universal_cycle(n, field_from_order(q))
-    assert (~(c.at_infinity | np.roll(c.at_infinity, -1))).any()  # two-affine windows
+    assert (c.codes[:, -1] & np.roll(c.codes[:, -1], -1)).any()  # two-affine windows
     assert assert_walks_agree(monkeypatch, c, walk_keys, line_keys_2d) == []
 
 
@@ -172,25 +172,26 @@ ENCODED = [
 ]
 
 
-def encoded(monkeypatch, codes, inf, F, kernel):
+def encoded(monkeypatch, codes, F, kernel):
     monkeypatch.setattr(cycles, "encode_blocks", kernel)
     monkeypatch.setattr(grassmann, "encode_blocks", kernel)
-    gc = GrassCycle._from_arrays(F, np.where(codes.any(axis=1, keepdims=True), codes, 1))
-    blocks = [list(_array_blocks(codes, inf, F.q, fmt)) for fmt in ("json", "text")]
+    vectors = codes[:, :-1]
+    gc = GrassCycle._from_arrays(F, np.where(vectors.any(axis=1, keepdims=True), vectors, 1))
+    blocks = [list(_array_blocks(codes, F.q, fmt)) for fmt in ("json", "text")]
     return blocks + [list(grass_blocks(gc))]
 
 
 @pytest.mark.parametrize("n,q,count,g", ENCODED)
 def test_encoder_matches_one_code_per_token(monkeypatch, n, q, count, g):
     F = field_from_order(q)
-    codes, inf = projective_arrays(np.random.default_rng(count + q), count, n, F)
+    codes = projective_arrays(np.random.default_rng(count + q), count, n, F)
     assert _token_width(count, n, q) == g
     new = cycles.encode_blocks
     # at count - 1 rows a block, the last block is one row, which takes the tail
     for size in (2**16, 7, count - 1):
         monkeypatch.setattr(cycles, "BLOCK_ROWS", size)
-        blocks = encoded(monkeypatch, codes, inf, F, new)
-        assert blocks == encoded(monkeypatch, codes, inf, F, encode_by_code)
+        blocks = encoded(monkeypatch, codes, F, new)
+        assert blocks == encoded(monkeypatch, codes, F, encode_by_code)
         assert all(len(b) == 1 + -(-count // size) for b in blocks)
 
 
@@ -198,8 +199,8 @@ def test_encoder_matches_one_code_per_token_at_the_table_bound(monkeypatch):
     # q^2 = 2^16 strings a kind, the largest table: whole rows at q = 256
     F = field_from_order(256)
     count = 8 * 2**16
-    codes, inf = projective_arrays(np.random.default_rng(256), count, 2, F)
+    codes = projective_arrays(np.random.default_rng(256), count, 2, F)
     assert _token_width(count, 2, 256) == 2 and _token_width(count - 1, 2, 256) == 1
-    new = list(_array_blocks(codes, inf, 256, "json"))
+    new = list(_array_blocks(codes, 256, "json"))
     monkeypatch.setattr(cycles, "encode_blocks", encode_by_code)
-    assert new == list(_array_blocks(codes, inf, 256, "json"))
+    assert new == list(_array_blocks(codes, 256, "json"))
