@@ -201,8 +201,8 @@ def triple_base_cycle(F: Field) -> Cycle:
         at = next(row for row in (_I1, _I2, _I3) if _row_hits(parts[0], row).any())
         parts = [splice(parts, [_row_hits(c, at) for c in parts], at)]
     base = Cycle._from_arrays(F, parts[0])
-    ranks, degenerate, _ = window_ranks(base)  # [d1], [d2], [d3] rank first in AG(2,q)
-    if degenerate or not np.array_equal(np.sort(ranks), np.arange(3 * q)):
+    ranks, _ = window_ranks(base)  # [d1], [d2], [d3] rank first in AG(2,q)
+    if not np.array_equal(np.sort(ranks), np.arange(3 * q)):
         raise AssertionError("triple base cycle does not cover its three fibers exactly")
     return base
 

@@ -10,16 +10,16 @@ field's dtype, the only representation, each rule checked once over it.  A
 cycle or segment over AG(n,q) is its homogeneous coordinates in PG(n,q),
 (x, 1) for an affine point x and (d, 0) for a direction d, so its rows are
 n + 1 codes wide.  A vertex list is only converted to the array, and the
-vertex tuple is built from it on first use.  Their windows are decoded by
-the verifier's rank walk (``verify.window_ranks``).  Rotation, reversal,
-gluing, translation and linear maps work on the array.  One generator,
-``encode_blocks``, writes every text form from the array in blocks of
-BLOCK_ROWS rows, a token of precomputed text for each row or group of
-codes.  ``decode_cycle`` streams
+vertex tuple is built from it on first use.  The verifier's rank walk
+(``verify.window_ranks``) decodes their windows to one rank each, a
+degenerate one's ``space.count``.  Rotation, reversal, gluing, translation
+and linear maps work on the array.  One generator, ``encode_blocks``, writes
+every text form from the array in blocks of BLOCK_ROWS rows, a token of
+precomputed text for each row or group of codes.  ``decode_cycle`` streams
 gen's bytes from a file a block at a time, each gathered from its bytes and
-checked by encoding it back, and refuses a grassmann chain file at once;
-any other input is read whole as a UTF-8 text file, by ``json.loads`` and
-``cycle_from_json_obj`` or by lines.
+checked by encoding it back, and refuses a grassmann chain file at once; any
+other input is read whole as a UTF-8 text file, by ``json.loads`` and
+``cycle_from_json_obj`` (``schema_version`` 1 only) or by lines.
 """
 
 from __future__ import annotations
@@ -177,9 +177,8 @@ class VertexSequence:
         the packed keys would overflow an int64 (``verify.key_radix``)."""
         from .verify import window_ranks  # verify imports this module
 
-        ranks, degenerate, space = window_ranks(self)
-        if degenerate:
-            i = degenerate[0]
+        ranks, space = window_ranks(self)
+        if ranks[i := int(ranks.argmax())] == space.count:  # the first degenerate window
             raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
         return Counter(space.items(ranks))
 
@@ -274,12 +273,11 @@ def _check_parts(parts: Sequence[VertexSequence]) -> None:
     from .verify import window_ranks  # verify imports this module
 
     walks = [window_ranks(part) for part in parts]
-    every = np.concatenate([ranks for ranks, _, _ in walks])
+    every = np.concatenate([ranks for ranks, _ in walks])
     _, first, inverse = np.unique(every, return_index=True, return_inverse=True)
     first, stop = first[inverse], 0  # the position of each window's first copy
-    for k, (ranks, degenerate, space) in enumerate(walks):
-        if degenerate:
-            i = degenerate[0]
+    for k, (ranks, space) in enumerate(walks):
+        if ranks[i := int(ranks.argmax())] == space.count:  # the first degenerate window
             raise DegenerateWindowError(f"window {i} does not determine a line", index=i)
         start, stop = stop, stop + len(ranks)
         shared = np.flatnonzero(first[start:stop] < start)
@@ -521,6 +519,11 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
         raw = obj["vertices"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed cycle object: {e}") from None
+    try:  # read as n and q are; a missing one reads as 1
+        if _integers([obj.get("schema_version", SCHEMA_VERSION)]) != (SCHEMA_VERSION,):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"malformed cycle object: 'schema_version' is not {SCHEMA_VERSION}")
     if not isinstance(raw, list):
         raise ValueError("malformed cycle object: 'vertices' is not a list")
     F = field_from_order(q)
@@ -541,6 +544,7 @@ _JSON_HEAD = re.compile(
     rb'\{"n":([0-9]+),"q":([0-9]+),"schema_version":%d,"vertices":\[' % SCHEMA_VERSION
 )
 _CHUNK = 2**16  # bytes a read of the row count takes; the first holds the head
+_CHAIN = rb'[ \t\n\r]*\{[ \t\n\r]*"levels"[ \t\n\r]*:[ \t\n\r]*\['  # a grassmann file's head
 
 
 def _canonical(ok: bool) -> None:
@@ -620,10 +624,10 @@ def decode_cycle(data: bytes | str | BinaryIO, field: Field | None) -> Cycle:
         pass
     if not isinstance(data, (bytes, str)):  # a file: its head, and read whole unless refused
         data.seek(0)
-        head = data.read(11)
+        head = data.read(_CHUNK)
         data.seek(0)
-        data = head if head == b'{"levels":[' else data.read()
-    if data[:11] == ('{"levels":[' if isinstance(data, str) else b'{"levels":['):
+        data = head if re.match(_CHAIN, head) else data.read()
+    if re.match(_CHAIN if isinstance(data, bytes) else _CHAIN.decode(), data):
         raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
     if isinstance(data, bytes):
         crlf, data = b"\r" in data, file_text(data)

@@ -6,17 +6,17 @@ construction module is imported (only gf, geometry and cycles): an affine
 line of AG(n,q) is a normalized direction together with the one point of
 the line whose coordinate at the direction's pivot is 0, and a plane of
 F_q^m is a rank-2 RREF row pair.  One block walk (``window_ranks``) decodes
-the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the one
-narrow code array of the sequence into one array of their ranks, with no
-per-vertex object: lines from a cycle's homogeneous rows (a last code of 0
-marks a point at infinity) with the closed form of ``geometry.line_from``,
-planes with the closed-form RREF of two rows from each vertex's normal form
-(pivot and lead 1), found once; each field operation is one 1-D gather from
-a flattened table, its indices in the narrowest dtype that holds q^2 - 1.
-Every check counts the ranks, one count per target, in linear time
-(``_rank_report``); the walk also serves ``windows()`` and the gluing
-check.  The brute-force point-pair oracle, the packed keys of every target
-and a set-based report stay in the tests.
+the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the narrow
+code array of the sequence into one rank per window, a degenerate window
+ranked one past the last target: lines from a cycle's homogeneous rows (a
+last code of 0 marks a point at infinity) by the closed form of
+``geometry.line_from``, planes by the closed-form RREF of two rows from
+each vertex's normal form (pivot and lead 1), found once; each field
+operation is one 1-D gather from a flattened table, its indices in the
+narrowest dtype that holds q^2 - 1.  Every check counts the ranks in
+linear time (``_rank_report``); the walk also serves ``windows()`` and the
+gluing check.  The brute-force point-pair oracle, the packed keys of every
+target and a set-based report stay in the tests.
 """
 
 from __future__ import annotations
@@ -81,19 +81,20 @@ class CoverageReport:
 
         return dict(vars(self), missing=[item(x) for x in self.missing],
                     duplicated=[{"item": item(x), "count": c} for x, c in self.duplicated],
-                    unexpected=[item(x) for x in self.unexpected],
-                    degenerate_windows=list(self.degenerate_windows))
+                    unexpected=[item(x) for x in self.unexpected])
 
 
 def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> CoverageReport:
     """The coverage report of a sequence's windows against the targets whose
     ranks the bool mask ``expected`` holds, or all.  ``np.add.at`` counts the
-    ranks (``np.bincount`` would copy int32 ranks to intp first): 0 is a
-    missing target, above 1 a duplicate.  Only the entries kept after
-    truncation become packed keys, then report entries, in key order."""
-    ranks, degenerate, space = window_ranks(s)
-    counts = np.zeros(space.count, dtype=np.intp)
+    ranks (``np.bincount`` would copy int32 ranks to intp first), the last
+    slot the degenerate windows': 0 is a missing target, above 1 a duplicate.
+    Only the entries kept become packed keys, then report entries, in key order."""
+    ranks, space = window_ranks(s)
+    counts = np.zeros(space.count + 1, dtype=np.intp)
     np.add.at(counts, ranks, 1)
+    counts, degenerate, found_count = counts[:-1], int(counts[-1]), len(ranks)
+    marked = np.flatnonzero(ranks == space.count)[:MAX_REPORT_ITEMS].tolist() if degenerate else []
     del ranks  # the counts stand for them from here on
     expected = np.ones(space.count, dtype=bool) if expected is None else expected
     missing = np.flatnonzero(expected & (counts == 0))
@@ -113,15 +114,15 @@ def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> Cover
     twice = head(duplicated)
     return CoverageReport(
         expected_count=int(np.count_nonzero(expected)),
-        found_count=int(counts.sum()) + len(degenerate),
+        found_count=found_count,
         missing=space.items(head(missing)),
         duplicated=list(zip(space.items(twice), counts[twice].tolist())),
         unexpected=space.items(head(unexpected)),
-        degenerate_windows=degenerate[:MAX_REPORT_ITEMS],
+        degenerate_windows=marked,
         missing_total=len(missing),
         duplicated_total=len(duplicated),
         unexpected_total=len(unexpected),
-        degenerate_total=len(degenerate),
+        degenerate_total=degenerate,
         # with none of these, the windows are the targets, each once
         passed=not (len(missing) or len(duplicated) or len(unexpected) or degenerate),
     )
@@ -298,26 +299,21 @@ class _Planes(_Ranking):
 _ranking = functools.lru_cache(maxsize=8)(lambda kind, dim, F: kind(dim, F))
 
 
-def window_ranks(s: VertexSequence) -> tuple[np.ndarray, list[int], _Ranking]:
-    """The ranks of the decodable windows of ``s`` (cyclic if ``s.wrap``) in
-    window order, int32 below 2^31 targets; the degenerate ones' indices;
-    and the ranking: of lines of AG(n,q) or, for a GrassCycle, planes of
-    F_q^m, which decodes each block of ``row_blocks`` and the row after it."""
+def window_ranks(s: VertexSequence) -> tuple[np.ndarray, _Ranking]:
+    """The rank of each window of ``s`` (cyclic if ``s.wrap``), in window
+    order, int32 below 2^31 targets, a degenerate one's ``space.count``, one
+    past the last; and ``space``, the ranking of lines of AG(n,q) or, for a
+    GrassCycle, planes of F_q^m, decoding each block and the row after it."""
     space = _ranking(_Planes if isinstance(s, GrassCycle) else _Lines, s.n, s.field)
     codes, N = s.codes, len(s)
     count = N if s.wrap else N - 1
     ranks = np.empty(count, dtype=np.int32 if space.count < 2**31 else np.int64)
-    degenerate, filled = [], 0
     for start, stop in row_blocks(count, s.n):
         # the next rows are a slice; only the wrap window's is row 0
         rows = codes[start : stop + 1] if stop < N else np.concatenate([codes[start:], codes[:1]])
-        found, bad = space.decode(rows)
-        if bad.any():
-            degenerate += (np.flatnonzero(bad) + start).tolist()
-            found = found[~bad]
-        ranks[filled : filled + len(found)] = found
-        filled += len(found)
-    return ranks[:filled], degenerate, space
+        ranks[start:stop], bad = space.decode(rows)
+        ranks[start:stop][bad] = space.count
+    return ranks, space
 
 
 # -- affine oracle ------------------------------------------------------------

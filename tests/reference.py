@@ -110,9 +110,11 @@ def plane_of_key(key, m, F):
 
 
 def walk_keys(s):
-    """The rank walk's windows as packed keys, and the degenerate ones."""
-    ranks, degenerate, space = window_ranks(s)
-    return space.keys(ranks), degenerate
+    """The packed keys of the rank walk's decodable windows, and the indices
+    of the degenerate ones, which the walk ranks ``space.count``."""
+    ranks, space = window_ranks(s)
+    bad = ranks == space.count
+    return space.keys(ranks[~bad]), np.flatnonzero(bad).tolist()
 
 
 def decoded_windows(vs, decode, wrap=True):

@@ -456,6 +456,8 @@ NON_CANONICAL = {
     "extra-keys": (lambda t, o: _dumps(dict(o, comment="x")).replace("}", ',"label":1}', 1), True),
     "escaped-kind": (lambda t, o: t.replace('"type":"affine"', '"type":"\\u0061ffine"', 1), True),
     "schema-version-float": (lambda t, o: t.replace('"schema_version":1,', '"schema_version":1.0,'), True),
+    "schema-version-true": (lambda t, o: t.replace('"schema_version":1,', '"schema_version":true,'), True),
+    "schema-version-string": (lambda t, o: t.replace('"schema_version":1,', '"schema_version":"1",'), True),
     "no-final-newline": (lambda t, o: t[:-1], True),
     "crlf-between-vertices": (lambda t, o: t.replace("},{", "},\r\n{"), True),
     "crlf-line-end": (lambda t, o: t[:-1] + "\r\n", False),
@@ -497,6 +499,32 @@ def test_verify_refuses_a_number_that_is_not_an_integer(tmp_path, capsys, case):
     rc, out, err = run(capsys, "verify", "--in", str(f))
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: {name}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("version", ["2", '"x"', "0", "null", "1.5", "[1]"])
+def test_verify_reads_only_schema_version_1(tmp_path, capsys, version):
+    # any schema_version read: gen's AG(2,5) file with "schema_version":2 once verified PASS
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 5)
+    f.write_text(text.replace('"schema_version":1,', f'"schema_version":{version},', 1))
+    rc, out, err = run(capsys, "verify", "--in", str(f))
+    assert (rc, out, err) == (2, "", "error: malformed cycle object: 'schema_version' is not 1\n")
+    # library objects omit the key, and read as version 1
+    obj = json.loads(text)
+    del obj["schema_version"]
+    assert cycles.cycle_from_json_obj(obj).codes.tolist() == cycles.cycle_from_json(text).codes.tolist()
+
+
+def test_verify_counts_every_degenerate_window_of_a_file_of_one_point(tmp_path, capsys):
+    f = tmp_path / "same.txt"
+    f.write_text("A 0 0\n" * 100_000)
+    rc, out, err = run(capsys, "verify", "--in", str(f), "--p", "2")
+    rep = json.loads(out)
+    assert rc == 1 and not rep["passed"]
+    assert rep["found_count"] == rep["degenerate_total"] == 100_000
+    assert rep["degenerate_windows"] == list(range(32))
+    assert err == ("FAIL 100000/6 windows"
+                   " (missing=6 duplicated=0 unexpected=0 degenerate=100000)\n")
 
 
 # gen's AG(2,2) file with its first vertex's coords written as a string of

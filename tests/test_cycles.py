@@ -775,6 +775,31 @@ def test_verify_refuses_a_grassmann_chain_file_before_json_loads(tmp_path, capsy
     assert str(e.value) == message
 
 
+def test_a_pretty_printed_grassmann_chain_file_is_refused_before_json_loads(
+        tmp_path, capsys, monkeypatch):
+    # a json.tool copy of a chain file once went through json.loads of the
+    # whole file, to "malformed cycle object: 'n'"
+    f = tmp_path / "g.json"
+    assert main(["grassmann", "--m", "4", "--p", "2", "--nested", "--out", str(f)]) == 0
+    pretty = json.dumps(json.loads(f.read_text()), indent=4) + "\n"
+    f.write_text(pretty)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads read the chain file")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    message = 'a grassmann chain file ({"levels":[...]}) is not a cycle file'
+    capsys.readouterr()
+    assert main(["verify", "--in", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the first key after any JSON whitespace, in a file, bytes or a str
+    spaced = ' \r\n\t{ \n"levels"\t:\r\n [' + pretty.split("[", 1)[1]
+    for data in (pretty, pretty.encode(), spaced, spaced.encode(), io.BytesIO(spaced.encode())):
+        with pytest.raises(ValueError) as e:
+            decode_cycle(data, None)
+        assert str(e.value) == message
+
+
 def test_a_grassmann_chain_file_is_refused_before_it_is_read_whole(tmp_path, capsys):
     # its head alone is read: a chain file of 72.6 MB (grassmann --m 12) was
     # read whole into memory before the refusal

@@ -5,19 +5,24 @@ size, with the wrap window alone in its block among them, and the same
 blocks of bytes in every format, with each row one token, cut into groups,
 evenly or not, or one code a token.  The plane decode from per-vertex
 normal forms against the one that reduced each window's two raw rows
-(``reference.plane_decode_rref``), at the edges of its index dtypes."""
+(``reference.plane_decode_rref``), at the edges of its index dtypes.  The
+walk's one rank per window against each window decoded alone
+(``decode_window``, ``span2``), its degenerate ones marked."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ucycle import cycles, grassmann
 from ucycle.constructions import universal_cycle
 from ucycle.cycles import Cycle, Segment, _array_blocks, row_blocks, _token_width
 from ucycle.gf import field_from_order
-from ucycle.grassmann import GrassCycle, grass_blocks, nested_cycles
-from ucycle.verify import _Planes, key_radix
-from reference import encode_by_code, line_keys_2d, plane_keys_2d, plane_decode_rref, walk_keys
+from ucycle.geometry import decode_window
+from ucycle.grassmann import GrassCycle, grass_blocks, nested_cycles, span2
+from ucycle.verify import _Planes, key_radix, window_ranks
+from reference import (
+    decoded_windows, encode_by_code, line_keys_2d, plane_keys_2d, plane_decode_rref, walk_keys,
+)
 
 
 def projective_arrays(rng, count, n, F):
@@ -98,6 +103,37 @@ def test_plane_walk_matches_the_2d_gathers(monkeypatch, m, q):
 def test_plane_walk_matches_the_2d_gathers_on_nested_cycles(monkeypatch, m, q):
     for u in nested_cycles(m, field_from_order(q)):
         assert assert_walks_agree(monkeypatch, u, walk_keys, plane_keys_2d) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from([Cycle, Segment, GrassCycle]), q=st.sampled_from([2, 3, 4, 5, 9]),
+       n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), count=st.integers(2, 12),
+       copies=st.lists(st.tuples(st.integers(0, 99), st.integers(1, 8)), max_size=5))
+def test_window_ranks_mark_exactly_the_windows_that_do_not_decode(kind, q, n, seed, count, copies):
+    # random rows with copies inserted after their originals: a repeated
+    # point or direction, or for vectors a nonzero multiple
+    F, rng = field_from_order(q), np.random.default_rng(seed)
+    n += kind is GrassCycle  # planes need m >= 2
+    if kind is GrassCycle:
+        rows = rng.integers(0, q, (count, n))
+        rows[~rows.any(axis=1), -1] = 1
+    else:
+        # past the degenerate windows that projective_arrays fixes in rows 2 to 6
+        rows = projective_arrays(rng, count + 7, n, F)[7:].astype(np.int64)
+    rows = list(rows)
+    for at, scale in copies:
+        at %= len(rows)
+        copy = F.arrays[1][scale % (q - 1) + 1][rows[at]] if kind is GrassCycle else rows[at]
+        rows.insert(at + 1, copy)
+    codes = np.array(rows).astype(F.arrays[0].dtype)
+    assume(kind is not Segment or (codes[0] != codes[-1]).any())
+    s = kind._from_arrays(F, codes)
+    ranks, space = window_ranks(s)
+    decode = span2 if kind is GrassCycle else decode_window
+    windows, degenerate = decoded_windows(s.vertices, lambda a, b: decode(a, b, F), s.wrap)
+    assert len(ranks) == (len(s) if s.wrap else len(s) - 1)
+    assert np.flatnonzero(ranks == space.count).tolist() == degenerate
+    assert space.items(ranks[ranks != space.count]) == windows
 
 
 def tied_vectors(rng, count, m, F):

@@ -531,6 +531,21 @@ def test_verify_grassmann_memory_per_window():
     assert peak / len(top) <= 20
 
 
+def test_degenerate_windows_memory_per_window():
+    # 14.2 B/window measured for 2^18 copies of one affine point over GF(2),
+    # every window degenerate: the int32 ranks, the mask and the indices of
+    # the marked windows, and one block's temporaries; 49.1 when the walk
+    # listed their indices in Python.  14.0 for one repeated vector.
+    F = field_make(2)
+    same = np.tile(np.array([0, 0, 1], dtype=np.uint8), (2**18, 1))
+    for s, check in ((Cycle._from_arrays(F, same), lambda s: verify_affine(s, 2, F)),
+                     (GrassCycle._from_arrays(F, same), lambda s: verify_grassmann(s, 3, F))):
+        rep, peak = traced_peak(lambda: check(s))
+        assert rep.found_count == rep.degenerate_total == 2**18
+        assert rep.degenerate_windows == list(range(MAX_REPORT_ITEMS))
+        assert peak / len(s) <= 20
+
+
 def test_universal_cycle_memory_per_window():
     # 38 B/window measured at AG(10,2): the uint8 codes (10 B/window) and the
     # checks' temporaries; 109 with int64 codes
