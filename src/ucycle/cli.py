@@ -3,7 +3,10 @@
 Exit codes: 0 success (verification passed where applicable), 1 a
 verification failed, 2 invalid parameters, unreadable/malformed input, more
 than 2^24 lines or planes, an unwritable output file, or memory exhausted.
-Output is byte-identical across runs for identical flags.
+Output is byte-identical across runs for identical flags.  ``verify`` opens
+its file for ``cycles.decode_cycle``: JSON if led by ``{`` after whitespace,
+else text over ``--p``/``--k``; gen's bytes streamed, a chain file refused,
+then the file read whole.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from typing import Iterable
 
 from .gf import Field, field_make, field_order
-from .cycles import Cycle, cycle_blocks, decode_cycle, file_text, occurs_cyclically
+from .cycles import Cycle, cycle_blocks, decode_cycle, occurs_cyclically
 from .constructions import plan_fibers, universal_cycle
 from .grassmann import embed_codes, grass_blocks, nested_levels
 from .verify import affine_line_count, gaussian_binomial_2, key_radix
@@ -131,21 +134,9 @@ def _load_cycle(args) -> Cycle:
     with open(args.infile, "rb") as fh:
         if not fh.seekable():  # a pipe: the decode reads a file twice
             fh = io.BytesIO(fh.read())
-        lead = fh.read(1)
-        fh.seek(0)
-        # a file led as gen's are, given --p for text, is streamed; any other opens as text
-        if lead == b"{" or (lead in (b"A", b"I") and args.p is not None):
-            c = decode_cycle(fh, None if lead == b"{" else field_make(args.p, args.k))
-        else:
-            text = file_text(fh.read())
-            json_file = text.lstrip()[:1] == "{"
-            if not json_file and args.p is None:
-                raise ValueError("text cycle files need --p (and --k for extensions)")
-            c = decode_cycle(text, None if json_file else field_make(args.p, args.k))
+        c = decode_cycle(fh, None if args.p is None else field_make(args.p, args.k))
     if args.n is not None and c.n != args.n:
         raise ValueError(f"file has n={c.n}, expected n={args.n}")
-    if args.p is not None and c.field.q != field_order(args.p, args.k):
-        raise ValueError(f"file has q={c.field.q}, expected q={args.p}^{args.k}")
     return c
 
 

@@ -15,11 +15,11 @@ vertex tuple is built from it on first use.  The verifier's rank walk
 degenerate one's ``space.count``.  Rotation, reversal, gluing, translation
 and linear maps work on the array.  One generator, ``encode_blocks``, writes
 every text form from the array in blocks of BLOCK_ROWS rows, a token of
-precomputed text for each row or group of codes.  ``decode_cycle`` streams
-gen's bytes from a file a block at a time, each gathered from its bytes and
-checked by encoding it back, and refuses a grassmann chain file at once; any
-other input is read whole as a UTF-8 text file, by ``json.loads`` and
-``cycle_from_json_obj`` (``schema_version`` 1 only) or by lines.
+precomputed text for each row or group of codes.  ``decode_cycle`` alone
+reads cycle files: JSON if led by ``{`` after any whitespace, else text over
+the given field.  It streams gen's bytes, checking each block by encoding it
+back, refuses a grassmann chain file from its first chunk, and reads any other
+file whole, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import io
 import json
 import re
 from collections import Counter, defaultdict, deque
+from contextlib import suppress
 from itertools import accumulate, product, repeat
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -543,7 +544,7 @@ def cycle_from_json_obj(obj: dict) -> Cycle:
 _JSON_HEAD = re.compile(
     rb'\{"n":([0-9]+),"q":([0-9]+),"schema_version":%d,"vertices":\[' % SCHEMA_VERSION
 )
-_CHUNK = 2**16  # bytes a read of the row count takes; the first holds the head
+_CHUNK = 2**16  # bytes per read of the row count or the chain check; the first holds the head
 _CHAIN = rb'[ \t\n\r]*\{[ \t\n\r]*"levels"[ \t\n\r]*:[ \t\n\r]*\['  # a grassmann file's head
 
 
@@ -553,17 +554,18 @@ def _canonical(ok: bool) -> None:
 
 
 def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None) -> Cycle:
-    """The cycle that ``cycle_to_json``, or given its field ``cycle_to_text``,
-    writes as the bytes of ``source`` (bytes, ASCII text or a binary file),
+    """The cycle that ``cycle_to_json``, or given a field and no ``{`` lead
+    ``cycle_to_text``, writes as the bytes of ``source`` (see ``_binary_file``),
     streamed: one pass counts the rows, then one buffer takes BLOCK_ROWS
     rows at a time, each found by its lead byte, its code j after code j-1's
     separator with 1 to len(str(q-1)) digits.  The gather is loose, every
     index clipped: the proof is each block's encoding, compared with it."""
-    fh = source if hasattr(source, "readinto") else io.BytesIO(
-        source.encode("ascii") if isinstance(source, str) else source)
+    fh = _binary_file(source)
     fh.seek(0)
-    first, text = fh.read(_CHUNK), field is not None
-    if text:  # n is the spaces of the first line, and "A " leads the codes
+    first = fh.read(_CHUNK)
+    text = field is not None and first[:1] != b"{"
+    if text:  # n is the spaces of the first line, and "A " or "I " leads the codes
+        _canonical(first[:1] in (b"A", b"I"))
         n, lead, skip = first.count(b" ", 0, first.find(b"\n")), b"\n", 2
     else:
         nq = _JSON_HEAD.match(first)
@@ -608,37 +610,55 @@ def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None)
     return Cycle._from_arrays(field, codes)
 
 
+def _binary_file(source: bytes | str | BinaryIO) -> BinaryIO:
+    """``source`` as a binary file: a file as it is, bytes or a str's UTF-8 in memory."""
+    return source if hasattr(source, "readinto") else io.BytesIO(
+        source.encode() if isinstance(source, str) else source)
+
+
 def file_text(data: bytes) -> str:
     """``data`` as a UTF-8 text file reads, newlines and errors alike."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def decode_cycle(data: bytes | str | BinaryIO, field: Field | None) -> Cycle:
-    """The cycle in JSON (no ``field``) or text, as str, bytes or a binary
-    file: gen's bytes by ``_canonical_cycle``; else read whole, a grassmann
-    chain file refused at once, bytes read as ``file_text`` reads them, and
-    the rest by ``json.loads`` and ``cycle_from_json_obj``, or by lines."""
-    try:
-        return _canonical_cycle(data, field)
-    except ValueError:
-        pass
-    if not isinstance(data, (bytes, str)):  # a file: its head, and read whole unless refused
-        data.seek(0)
-        head = data.read(_CHUNK)
-        data.seek(0)
-        data = head if re.match(_CHAIN, head) else data.read()
-    if re.match(_CHAIN if isinstance(data, bytes) else _CHAIN.decode(), data):
+def decode_cycle(source: bytes | str | BinaryIO, field: Field | None) -> Cycle:
+    """The cycle of a cycle file (see ``_binary_file``): JSON if its first
+    non-whitespace character, read as ``file_text`` reads it, is ``{`` (its q
+    then ``field``'s, if given), else text over ``field``, refused if None.
+    Routes, in order: gen's bytes streamed (``_canonical_cycle``); a chain file
+    refused on its first 64 KiB; the file read whole, its bytes then dropped,
+    streamed again if its line ends were translated, else by ``json.loads``
+    and ``cycle_from_json_obj`` or by lines."""
+    c = _read_cycle(_binary_file(source), field)
+    if field is not None and c.field.q != field.q:
+        raise ValueError(f"file has q={c.field.q}, expected q={field.p}^{field.k}")
+    return c
+
+
+def _read_cycle(fh: BinaryIO, field: Field | None) -> Cycle:
+    """``decode_cycle`` before the field check."""
+    with suppress(ValueError):
+        return _canonical_cycle(fh, field)
+    fh.seek(0)
+    if re.match(_CHAIN, fh.read(_CHUNK)):
         raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
-    if isinstance(data, bytes):
-        crlf, data = b"\r" in data, file_text(data)
-        if crlf:  # its line ends may be all that differed from gen's bytes
-            return decode_cycle(data, field)
-    if field is not None:
-        return _cycle_from_lines(data, field)
+    fh.seek(0)
+    data = fh.read()
+    crlf, text = b"\r" in data, file_text(data)
+    del data  # the text stands for the bytes from here on
+    json_file = re.match(r"\s*\{", text) is not None
+    if not json_file and field is None:
+        raise ValueError("text cycle files need --p (and --k for extensions)")
+    if crlf:  # its line ends may be all that differed from gen's bytes
+        with suppress(ValueError):
+            return _canonical_cycle(text, field)
+    if not json_file:
+        return _cycle_from_lines(text, field)
     try:
-        obj = json.loads(data)
+        obj = json.loads(text)
     except RecursionError:
         raise ValueError("cycle JSON is nested too deeply") from None
+    del text  # the objects stand for it from here on
     return cycle_from_json_obj(obj)
 
 

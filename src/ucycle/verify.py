@@ -94,7 +94,11 @@ def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> Cover
     counts = np.zeros(space.count + 1, dtype=np.intp)
     np.add.at(counts, ranks, 1)
     counts, degenerate, found_count = counts[:-1], int(counts[-1]), len(ranks)
-    marked = np.flatnonzero(ranks == space.count)[:MAX_REPORT_ITEMS].tolist() if degenerate else []
+    marked, want, blocks = [], min(degenerate, MAX_REPORT_ITEMS), row_blocks(len(ranks))
+    while len(marked) < want:  # the first degenerate windows, a block at a time
+        start, stop = next(blocks)
+        hits = np.flatnonzero(ranks[start:stop] == space.count)[: want - len(marked)]
+        marked += (hits + start).tolist()
     del ranks  # the counts stand for them from here on
     expected = np.ones(space.count, dtype=bool) if expected is None else expected
     missing = np.flatnonzero(expected & (counts == 0))
@@ -372,4 +376,6 @@ def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:
     rotation of the outer cycle only (no reversal)."""
     if inner.m != outer.m:
         raise ValueError(f"ambient dimensions differ: {inner.m} vs {outer.m}")
+    if inner.field != outer.field:
+        raise ValueError(f"fields differ: {inner.field} vs {outer.field}")
     return occurs_cyclically(inner.codes, outer.codes)

@@ -205,6 +205,18 @@ def test_verify_checks_the_field_flags_before_comparing_them(tmp_path, capsys, f
                          if message is None else (2, f"error: {message}\n"))
 
 
+def test_verify_checks_the_field_flags_before_the_file_and_q_before_n(tmp_path, capsys):
+    # the decode takes the flags' field, so a refused flag is named before a
+    # refused file body, and the file's q is compared before its n (both once
+    # came after the decode, n first)
+    f = tmp_path / "c.json"
+    text = gen_json(capsys, f, 2, 5)
+    assert run(capsys, "verify", "--in", str(f), "--n", "3", "--p", "7") == (
+        2, "", "error: file has q=5, expected q=7^1\n")
+    f.write_text(text.replace('"q":5,', '"q":5.5,', 1))
+    assert run(capsys, "verify", "--in", str(f), "--p", "4") == (2, "", "error: p must be prime, got 4\n")
+
+
 def test_gen_invalid_parameters_exit_2(capsys):
     assert run(capsys, "gen", "--n", "1", "--p", "2")[0] == 2
     assert run(capsys, "gen", "--n", "2", "--p", "6")[0] == 2

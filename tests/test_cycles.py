@@ -816,6 +816,44 @@ def test_a_grassmann_chain_file_is_refused_before_it_is_read_whole(tmp_path, cap
     assert str(e.value) == 'a grassmann chain file ({"levels":[...]}) is not a cycle file'
 
 
+def test_a_chain_file_led_by_a_space_is_refused_from_its_first_chunk(tmp_path, capsys):
+    # a json.tool copy of a chain file with one space before it was read
+    # whole, then decoded as text, before the refusal: 164.6 MB peak for the
+    # 70.8 MB copy of grassmann --m 10 --p 2 --nested, against 29.6 MB now
+    f = tmp_path / "g.json"
+    assert main(["grassmann", "--m", "8", "--p", "2", "--nested", "--out", str(f)]) == 0
+    capsys.readouterr()
+    f.write_text(" " + json.dumps(json.loads(f.read_text()), indent=4) + "\n")
+    size = f.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as e:
+            _load_cycle(argparse.Namespace(infile=str(f), n=None, p=None, k=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == 'a grassmann chain file ({"levels":[...]}) is not a cycle file'
+    assert size > 2**21 and peak < size / 4
+
+
+def test_every_entry_point_reads_json_or_text_by_one_rule():
+    # JSON is told from text by its first non-whitespace character, whatever
+    # the entry point: cycle_from_text once read JSON as lines ("line 1:
+    # expected A or I"), and cycle_from_json read text as JSON ("Expecting value")
+    F = field_make(5)
+    c = universal_cycle(2, F)
+    gen_json, text = cycle_to_json(c), cycle_to_text(c)
+    indented = json.dumps(cycle_to_json_obj(c), indent=1)
+    for data in (gen_json, gen_json.encode(), indented, indented.encode()):
+        assert_same_arrays(cycle_from_text(data, F), c)  # the file names GF(5) itself
+        for other, flags in ((field_make(7), "7^1"), (field_make(2, 2), "2^2")):
+            with pytest.raises(ValueError, match=rf"^file has q=5, expected q={re.escape(flags)}$"):
+                cycle_from_text(data, other)
+    for data in (text, text.encode(), io.BytesIO(text.encode())):
+        with pytest.raises(ValueError, match=r"^text cycle files need --p \(and --k for extensions\)$"):
+            cycle_from_json(data)
+
+
 @pytest.mark.parametrize("stray", [":", "fourth-digit", "leading-zero"])
 def test_a_stray_byte_in_a_code_is_refused_by_the_block_compare(monkeypatch, stray):
     # the gather reads ":" as the digit 10, and a code as its first three

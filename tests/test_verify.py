@@ -474,6 +474,14 @@ def test_verify_nesting_basic():
         verify_nesting(u3, u4)  # dimension mismatch
 
 
+def test_verify_nesting_refuses_cycles_over_different_fields():
+    # the GF(2) rows occur verbatim in the GF(3) cycle: once reported nested
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    inner, outer = GrassCycle(e, field_make(2)), GrassCycle(e + [(1, 1, 1)], field_make(3))
+    with pytest.raises(ValueError, match=r"^fields differ: GF\(2\) vs GF\(3\)$"):
+        verify_nesting(inner, outer)
+
+
 def test_report_truncation_at_32():
     F = field_make(3)
     c = two_fiber_cycle(Direction((0, 0, 1)), Direction((0, 1, 0)), 3, F)
@@ -544,6 +552,42 @@ def test_degenerate_windows_memory_per_window():
         assert rep.found_count == rep.degenerate_total == 2**18
         assert rep.degenerate_windows == list(range(MAX_REPORT_ITEMS))
         assert peak / len(s) <= 20
+
+
+def test_degenerate_windows_are_listed_without_a_mask_of_every_window():
+    # 5.3 B/window measured for 2^21 copies of one affine point, or of one
+    # vector, over GF(2): the int32 ranks and one block's temporaries; 13.0
+    # when one bool mask of every window and the index of every degenerate
+    # one were made to list the first 32
+    F = field_make(2)
+    same = np.tile(np.array([0, 0, 1], dtype=np.uint8), (2**21, 1))
+    for s, check in ((Cycle._from_arrays(F, same), lambda s: verify_affine(s, 2, F)),
+                     (GrassCycle._from_arrays(F, same), lambda s: verify_grassmann(s, 3, F))):
+        rep, peak = traced_peak(lambda: check(s))
+        assert rep.found_count == rep.degenerate_total == 2**21
+        assert rep.degenerate_windows == list(range(MAX_REPORT_ITEMS))
+        assert peak / len(s) <= 8
+
+
+@pytest.mark.parametrize("block_rows,rows", [(64, 3000), (cycles.BLOCK_ROWS, 3 * cycles.BLOCK_ROWS)])
+@pytest.mark.parametrize("planted", [5, 40])
+def test_degenerate_windows_past_the_first_block_are_listed_in_window_order(
+    monkeypatch, block_rows, rows, planted
+):
+    # consecutive points of AG(3,7) all differ but where a point is
+    # repeated, at random windows of one parity after the first block of
+    # the scan: the report lists the first 32 of them (or all) in window order
+    F = field_make(7)
+    digits = np.arange(rows)[:, None] % 343 // 7 ** np.arange(3) % 7
+    codes = np.column_stack([digits, np.ones(rows, dtype=np.int64)]).astype(np.uint8)
+    at = np.random.default_rng(planted).choice(np.arange(block_rows + 1, rows, 2), planted, replace=False)
+    codes[at] = codes[at - 1]
+    degenerate = np.flatnonzero((codes == np.roll(codes, -1, axis=0)).all(axis=1))
+    assert len(degenerate) == planted and degenerate.min() >= block_rows
+    monkeypatch.setattr(cycles, "BLOCK_ROWS", block_rows)
+    rep = verify_affine(Cycle._from_arrays(F, codes), 3, F)
+    assert rep.degenerate_total == planted
+    assert rep.degenerate_windows == degenerate[:MAX_REPORT_ITEMS].tolist()
 
 
 def test_universal_cycle_memory_per_window():
