@@ -4,9 +4,12 @@ Exit codes: 0 success (verification passed where applicable), 1 a
 verification failed, 2 invalid parameters, unreadable/malformed input, more
 than 2^24 lines or planes, an unwritable output file, or memory exhausted.
 Output is byte-identical across runs for identical flags.  ``verify`` opens
-its file for ``cycles.decode_cycle``: JSON if led by ``{`` after whitespace,
-else text over ``--p``/``--k``; gen's bytes streamed, a chain file refused,
-then the file read whole.
+its file for ``verify.verify_file``, which reads it as ``cycles.decode_rows``
+does: JSON if led by ``{`` after whitespace, else text over ``--p``/``--k``;
+gen's bytes streamed a block at a time through the rank walk into one count
+per line, so that neither the cycle nor its ranks are held; any other file
+read whole.  The file's n and q are checked (``_admit``) before the counts
+are made, and refused only once the file has been read to its end.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import sys
 from typing import Iterable
 
 from .gf import Field, field_make, field_order
-from .cycles import Cycle, cycle_blocks, decode_cycle, occurs_cyclically
+from .cycles import cycle_blocks, occurs_cyclically
 from .constructions import plan_fibers, universal_cycle
 from .grassmann import embed_codes, grass_blocks, nested_levels
 from .verify import affine_line_count, gaussian_binomial_2, key_radix
-from .verify import verify_affine, verify_grassmann
+from .verify import verify_file, verify_grassmann
 
 SIZE_BUDGET_BITS = 24  # at most 2^24 lines or planes
 # what the budget counts for each kind of packed key, and its name
@@ -130,22 +133,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_cycle(args) -> Cycle:
-    with open(args.infile, "rb") as fh:
-        if not fh.seekable():  # a pipe: the decode reads a file twice
-            fh = io.BytesIO(fh.read())
-        c = decode_cycle(fh, None if args.p is None else field_make(args.p, args.k))
-    if args.n is not None and c.n != args.n:
-        raise ValueError(f"file has n={c.n}, expected n={args.n}")
-    return c
+def _admit(want_n: int | None, n: int, q: int) -> None:
+    """The checks of a cycle file's n and q, once its cycle is read."""
+    if want_n is not None and n != want_n:
+        raise ValueError(f"file has n={n}, expected n={want_n}")
+    # an int64 overflow of the line keys names its own bound, so it is checked first
+    key_radix("line", n, q)
+    _check_size("line", n, q)
 
 
 def cmd_verify(args) -> int:
-    c = _load_cycle(args)
-    # an int64 overflow of the line keys names its own bound, so it is checked first
-    key_radix("line", c.n, c.field.q)
-    _check_size("line", c.n, c.field.q)
-    rep = verify_affine(c, c.n, c.field)
+    with open(args.infile, "rb") as fh:
+        if not fh.seekable():  # a pipe: the reader reads a file twice
+            fh = io.BytesIO(fh.read())
+        field = None if args.p is None else field_make(args.p, args.k)
+        rep = verify_file(fh, field, functools.partial(_admit, args.n))
     sys.stdout.write(_dumps(rep.to_json_obj()))
     print(rep.summary(), file=sys.stderr)
     return 0 if rep.passed else 1

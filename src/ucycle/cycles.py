@@ -14,12 +14,17 @@ vertex tuple is built from it on first use.  The verifier's rank walk
 (``verify.window_ranks``) decodes their windows to one rank each, a
 degenerate one's ``space.count``.  Rotation, reversal, gluing, translation
 and linear maps work on the array.  One generator, ``encode_blocks``, writes
-every text form from the array in blocks of BLOCK_ROWS rows, a token of
-precomputed text for each row or group of codes.  ``decode_cycle`` alone
-reads cycle files: JSON if led by ``{`` after any whitespace, else text over
-the given field.  It streams gen's bytes, checking each block by encoding it
-back, refuses a grassmann chain file from its first chunk, and reads any other
-file whole, by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
+every text form from the array in blocks of at most BLOCK_ROWS rows and
+about BLOCK_BYTES of text, a token of precomputed text for each row or group
+of codes.  One reader alone knows cycle files: JSON if led by ``{`` after any
+whitespace, else text over the given field.  It streams gen's bytes, checking
+each block by encoding it back and by the rule of ``Cycle``, refuses a
+grassmann chain file from its first chunk, and reads any other file whole,
+by ``json.loads`` and ``cycle_from_json_obj`` or by lines.
+``decode_cycle`` returns the cycle; ``decode_rows`` gives its rows a block at
+a time, so that ``verify`` ranks and counts gen's bytes as they are read,
+holding no code array, and starts again from the other routes when the bytes
+prove not to be gen's.
 """
 
 from __future__ import annotations
@@ -31,12 +36,15 @@ from collections import Counter, defaultdict, deque
 from contextlib import suppress
 from itertools import accumulate, product, repeat
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .gf import Field, field_from_order
 from .geometry import DegenerateWindowError, ProjVertex, dots, rank
+
+
+T = TypeVar("T")
 
 
 class GluingError(ValueError):
@@ -73,6 +81,20 @@ def _row_hits(rows: np.ndarray, row: Sequence[int]) -> np.ndarray:
     except OverflowError:
         fits = False
     return _row_keys(rows) == _row_keys(key) if fits else np.zeros(len(rows), dtype=bool)
+
+
+def _pick(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows[k, cols[k]] for every row k of cols, as one gather from the flat rows."""
+    return rows.ravel().take(np.arange(0, len(cols) * rows.shape[1], rows.shape[1]) + cols)
+
+
+def _unnormalized(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The indices of the rows at infinity (``last``, their last codes, 0)
+    whose lead code is not 1: only those rows are gathered, and their leads
+    by one flat gather."""
+    at = np.flatnonzero(last == 0)
+    inf = rows.take(at, axis=0)
+    return at[_pick(inf, np.argmax(inf != 0, axis=1)) != 1]
 
 
 def _int_rows(rows: Sequence, q: int) -> tuple[np.ndarray, ValueError | None]:
@@ -113,8 +135,9 @@ class VertexSequence:
     convert to rows (``_arrays``) and back (``_view``), and whether a last
     column homogenizes them (``_h``, then n is the row width less one).
     Every subclass states its rule over the rows (``_rule_fails``, the mask
-    of the vertices that break it) and its wording for vertex i (``_rule``)
-    and, in ``wrap``, whether the last vertex pairs with the first.
+    of the vertices that break it, and any fault to raise once the rule and
+    the codes' range hold) and its wording for vertex i (``_rule``) and, in
+    ``wrap``, whether the last vertex pairs with the first.
     """
 
     __slots__ = ("field", "n", "codes", "_vertices")
@@ -148,7 +171,7 @@ class VertexSequence:
         self.n = codes.shape[1] - self._h
         if self.n < 1:
             raise ValueError("vertices need dimension >= 1")
-        q, bad = field.q, self._rule_fails()
+        q, (bad, late) = field.q, self._rule_fails()
         if codes.min() < 0 or codes.max() >= q:  # only then are the rows looked for
             i = int(np.argmax(bad | ((codes < 0) | (codes >= q)).any(axis=1)))
             if not bad[i]:
@@ -156,6 +179,8 @@ class VertexSequence:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(self._rule.format(i=i, v=tuple(codes[i, : self.n].tolist())))
+        if late is not None:
+            raise late
         self.codes = codes.astype(field.arrays[0].dtype, copy=False)
 
     _arrays = staticmethod(_int_rows)
@@ -197,8 +222,8 @@ class GrassCycle(VertexSequence):
     def m(self) -> int:
         return self.n
 
-    def _rule_fails(self) -> np.ndarray:
-        return _row_hits(self.codes, (0,) * self.n)
+    def _rule_fails(self) -> tuple[np.ndarray, None]:
+        return _row_hits(self.codes, (0,) * self.n), None
 
 
 class _ProjectiveSequence(VertexSequence):
@@ -224,21 +249,21 @@ class _ProjectiveSequence(VertexSequence):
 
     def _set_arrays(self, codes: np.ndarray, field: Field) -> None:
         super()._set_arrays(codes, field)
-        if self.codes[:, -1].max() > 1:
-            i = int(np.argmax(self.codes[:, -1] > 1))
-            raise ValueError(f"vertex {i} has homogenizing code {self.codes[i, -1]}, not 0 or 1")
         if not self.wrap and (self.codes[0] == self.codes[-1]).all():
             raise ValueError("segment endpoints must be distinct")
 
-    def _rule_fails(self) -> np.ndarray:
-        # a vector at infinity (last code 0) must lead with 1: only those rows
-        # are read, a block at a time
-        bad = np.zeros(len(self), dtype=bool)
+    def _rule_fails(self) -> tuple[np.ndarray, ValueError | None]:
+        # a vector at infinity (last code 0) must lead with 1, and every last
+        # code be 0 or 1: the last column is read once, a block at a time
+        bad, high = np.zeros(len(self), dtype=bool), None
         for start, stop in row_blocks(len(self)):
-            at = np.flatnonzero(self.codes[start:stop, -1] == 0) + start
-            rows = self.codes.take(at, axis=0)
-            bad[at] = rows[np.arange(len(at)), np.argmax(rows != 0, axis=1)] != 1
-        return bad
+            rows = self.codes[start:stop]
+            last = rows[:, -1]
+            bad[start + _unnormalized(rows, last)] = True
+            if high is None and last.max() > 1:
+                i = int(np.argmax(last > 1))
+                high = ValueError(f"vertex {start + i} has homogenizing code {last[i]}, not 0 or 1")
+        return bad, high
 
 
 def _vertex(row: list) -> ProjVertex:
@@ -412,7 +437,8 @@ def map_linear(c: Cycle, M: Sequence[Sequence[int]]) -> Cycle:
 # -- serialization -----------------------------------------------------------
 
 SCHEMA_VERSION = 1
-BLOCK_ROWS = 2**16  # rows per block of the codec, codes per block of verify's window walks
+BLOCK_ROWS = 2**16  # codes per block of the window walks, and the most rows per block of the codec
+BLOCK_BYTES = 2**19  # the most text per block of the codec, unless one row is longer
 
 
 def row_blocks(count: int, width: int = 1) -> Iterator[tuple[int, int]]:
@@ -431,13 +457,20 @@ def _token_width(count: int, n: int, q: int) -> int:
     return g
 
 
-def encode_blocks(codes: np.ndarray, q: int, head: str, first: Sequence[str], sep: str,
-                  last: Sequence[str], tail: str) -> Iterator[str]:
-    """``head``, then the rows of the code array, each block of BLOCK_ROWS
-    rows read when it is asked for.  A row is its codes joined by ``sep``
-    between ``first[k]`` and ``last[k]``: when two kinds are given, k is
-    the row's last code, which is not written, else 0; ``tail`` replaces
-    the last character of the last row, the separator between rows.
+def _block_rows(n: int, q: int, first: Sequence[str], sep: str, last: Sequence[str]) -> int:
+    """The rows in a block of the codec, for rows of n codes in [0, q) written
+    as ``encode_blocks`` writes them: BLOCK_ROWS, or as many of the longest
+    row as BLOCK_BYTES holds, at least one."""
+    longest = max(map(len, first)) + n * len(str(q - 1)) + (n - 1) * len(sep) + max(map(len, last))
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // longest))
+
+
+def _encoder(count: int, width: int, q: int, first: Sequence[str], sep: str,
+             last: Sequence[str], tail: str):
+    """The rows in a block (``_block_rows``) and the block encoder of
+    ``encode_blocks`` for ``count`` rows of ``width`` codes in [0, q):
+    ``encode(rows, final)`` is the text of a block's rows, ``tail`` ending
+    the last block's (``final``).
 
     A row is written as tokens of g codes each (``_token_width``), the last
     group of a row taking what is left, whole rows when g reaches n.  Each
@@ -446,9 +479,8 @@ def encode_blocks(codes: np.ndarray, q: int, head: str, first: Sequence[str], se
     fewer for each kind and group: at most N/8 and 2^16, so the table costs
     a fraction of the encode.  A token's number is one product of the whole
     row, the kind's offset included."""
-    N, width = codes.shape
     n = width - (len(first) > 1)  # the codes written, less the kind
-    g = _token_width(N, n, q)
+    g = _token_width(count, n, q)
     groups = [(a, min(a + g, n)) for a in range(0, n, g)]
     # each kind's and group's strings in the order of the group's base-q
     # value, the first code most significant, made one at a time (no list of
@@ -465,15 +497,28 @@ def encode_blocks(codes: np.ndarray, q: int, head: str, first: Sequence[str], se
         value[a:b, k] = q ** np.arange(b - a - 1, -1, -1)
     value[n:] = sum(sizes)
 
-    def block(start: int, stop: int) -> str:  # its temporaries go before it is read
-        tokens = table.take(codes[start:stop] @ value + offset).ravel().tolist()
-        if stop == N:
+    def encode(rows: np.ndarray, final: bool) -> str:  # its temporaries go before it is read
+        tokens = table.take(rows @ value + offset).ravel().tolist()
+        if final:
             tokens[-1] = tokens[-1][:-1] + tail
         return "".join(tokens)
 
+    return _block_rows(n, q, first, sep, last), encode
+
+
+def encode_blocks(codes: np.ndarray, q: int, head: str, first: Sequence[str], sep: str,
+                  last: Sequence[str], tail: str) -> Iterator[str]:
+    """``head``, then the rows of the code array, each block of rows
+    (``_block_rows``) read when it is asked for.  A row is its codes joined
+    by ``sep`` between ``first[k]`` and ``last[k]``: when two kinds are
+    given, k is the row's last code, which is not written, else 0; ``tail``
+    replaces the last character of the last row, the separator between
+    rows.  ``_encoder`` writes each block."""
+    N = len(codes)
+    size, encode = _encoder(N, codes.shape[1], q, first, sep, last, tail)
     yield head
-    for start, stop in row_blocks(N):
-        yield block(start, stop)
+    for start in range(0, N, size):
+        yield encode(codes[start : start + size], start + size >= N)
 
 
 def cycle_to_json_obj(c: Cycle) -> dict:
@@ -486,14 +531,21 @@ def cycle_blocks(c: Cycle, fmt: str = "json") -> Iterator[str]:
     return _array_blocks(c.codes, c.field.q, fmt)
 
 
+# a cycle's rows as encode_blocks writes them, in text and in JSON: the row's
+# last code, 0 at infinity and 1 at an affine point, picks its kind
+_TEXT = (("I ", "A "), " ", ("\n", "\n"), "\n")
+_JSON = (('{"coords":[',) * 2, ",", ('],"type":"infinity"},', '],"type":"affine"},'), "]}\n")
+
+
+def _json_head(n: int, q: int) -> str:
+    return f'{{"n":{n},"q":{q},"schema_version":{SCHEMA_VERSION},"vertices":['
+
+
 def _array_blocks(codes: np.ndarray, q: int, fmt: str) -> Iterator[str]:
-    """``cycle_blocks`` of the cycle over GF(q) with these rows; the row's
-    last code, 0 at infinity and 1 at an affine point, picks its kind."""
+    """``cycle_blocks`` of the cycle over GF(q) with these rows."""
     if fmt == "text":
-        return encode_blocks(codes, q, "", ("I ", "A "), " ", ("\n", "\n"), "\n")
-    head = f'{{"n":{codes.shape[1] - 1},"q":{q},"schema_version":{SCHEMA_VERSION},"vertices":['
-    kinds = ('],"type":"infinity"},', '],"type":"affine"},')
-    return encode_blocks(codes, q, head, ('{"coords":[',) * 2, ",", kinds, "]}\n")
+        return encode_blocks(codes, q, "", *_TEXT)
+    return encode_blocks(codes, q, _json_head(codes.shape[1] - 1, q), *_JSON)
 
 
 def cycle_to_json(c: Cycle) -> str:
@@ -548,48 +600,70 @@ _CHUNK = 2**16  # bytes per read of the row count or the chain check; the first 
 _CHAIN = rb'[ \t\n\r]*\{[ \t\n\r]*"levels"[ \t\n\r]*:[ \t\n\r]*\['  # a grassmann file's head
 
 
+class _NotCanonical(ValueError):
+    """The bytes are not the codec's: the other routes read the file from its start."""
+
+
 def _canonical(ok: bool) -> None:
     if not ok:
-        raise ValueError("not the canonical byte form")
+        raise _NotCanonical("not the canonical byte form")
 
 
-def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None) -> Cycle:
+def _same_field(q: int, field: Field | None) -> None:
+    if field is not None and q != field.q:
+        raise ValueError(f"file has q={q}, expected q={field.p}^{field.k}")
+
+
+def _canonical_rows(source: bytes | str | BinaryIO, field: Field | None = None) -> Iterator:
     """The cycle that ``cycle_to_json``, or given a field and no ``{`` lead
     ``cycle_to_text``, writes as the bytes of ``source`` (see ``_binary_file``),
-    streamed: one pass counts the rows, then one buffer takes BLOCK_ROWS
-    rows at a time, each found by its lead byte, its code j after code j-1's
-    separator with 1 to len(str(q-1)) digits.  The gather is loose, every
-    index clipped: the proof is each block's encoding, compared with it."""
+    streamed: first (n, its field, its row count), from one pass that counts
+    the rows, then the rows of each block of the codec, in the field's dtype.
+    One buffer takes a block's bytes at a time, each row found by its lead
+    byte, its code j after code j-1's separator with 1 to len(str(q-1))
+    digits.  The gather is loose, every index clipped: the proof is each
+    block's encoding, compared with it.  Each block is checked by the rule of
+    ``Cycle`` too (``_unnormalized``), and from the first that breaks it on,
+    no block is given.  Raises _NotCanonical as soon as the bytes are not
+    gen's; once they have all proved gen's, ValueError for the first vertex
+    that breaks the rule, then for a q other than ``field``'s."""
     fh = _binary_file(source)
     fh.seek(0)
     first = fh.read(_CHUNK)
-    text = field is not None and first[:1] != b"{"
+    given, text = field, field is not None and first[:1] != b"{"
     if text:  # n is the spaces of the first line, and "A " or "I " leads the codes
         _canonical(first[:1] in (b"A", b"I"))
-        n, lead, skip = first.count(b" ", 0, first.find(b"\n")), b"\n", 2
+        n, lead, skip, head, fmt = first.count(b" ", 0, first.find(b"\n")), b"\n", 2, "", _TEXT
     else:
         nq = _JSON_HEAD.match(first)
         _canonical(nq is not None)
-        n, field, lead, skip = int(nq[1]), field_from_order(int(nq[2])), b"{", 11  # '{"coords":['
+        try:  # the other routes word a q that names no field
+            field = field_from_order(int(nq[2]))
+        except ValueError:
+            _canonical(False)
+        n, lead, skip, fmt = int(nq[1]), b"{", 11, _JSON  # '{"coords":['
+        head = _json_head(n, field.q)
     count = first.count(lead) + sum(b.count(lead) for b in iter(lambda: fh.read(_CHUNK), b""))
     count, size = count - (not text), fh.tell()  # less the head's "{"; the count read it all
     q, digits = field.q, len(str(field.q - 1))
-    _canonical(n >= 1 and 2 * n * count <= size)  # a code takes a digit and a separator
-    codes = np.empty((count, n + 1), field.arrays[0].dtype)
-    blocks = map(str.encode, _array_blocks(codes, q, "text" if text else "json"))
+    # a code takes a digit and a separator
+    _canonical(n >= 1 and count >= 2 and 2 * n * count <= size)
+    yield n, field, count
+    per, encode = _encoder(count, n + 1, q, *fmt)
     # a head the regex matched but with leading zeros is longer: the rows' compare fails
-    at = len(next(blocks))
+    at = len(head)
     width = n * (digits + 1) + (2 if text else 33)  # bytes of the longest row
-    buf = bytearray(max(0, min(size - at, min(count, BLOCK_ROWS) * width)))
-    view, data, held = memoryview(buf), np.frombuffer(buf, np.uint8), 0
+    buf = bytearray(max(0, min(size - at, min(count, per) * width)))
+    view, data, held, fault = memoryview(buf), np.frombuffer(buf, np.uint8), 0, None
     fh.seek(at)
-    for start, stop in row_blocks(count):
+    for start in range(0, count, per):
+        stop = min(start + per, count)
         held += fh.readinto(view[held:])
         block = data[:held]
         marks = np.flatnonzero(block == lead[0])
-        rows = (np.concatenate([[0], marks + 1]) if text else marks)[: stop - start]
-        _canonical(held > 0 and len(rows) == stop - start)
-        end = rows + skip
+        lines = (np.concatenate([[0], marks + 1]) if text else marks)[: stop - start]
+        _canonical(held > 0 and len(lines) == stop - start)
+        codes, end = np.empty((stop - start, n + 1), field.arrays[0].dtype), lines + skip
         for j in range(n):  # a byte that is no digit reads as 10 or more
             code, more, past = (block.take(end, mode="clip") - 48).astype(np.uint16), True, end + 2
             for k in range(1, digits):  # past: the byte after the code's separator
@@ -597,16 +671,35 @@ def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None)
                 more = more & (digit < 10)
                 code, past = np.where(more, code * 10 + digit, code), past + more
             _canonical(code.max() < q)  # before narrowing
-            codes[start:stop, j], end = code, past
-        kind = block.take(rows if text else end + 9, mode="clip")  # line start, or past "type":"
-        codes[start:stop, n] = kind != (b"I" if text else b"i")[0]
-        del marks, rows, end, code, kind  # before the block's text is encoded
-        encoded = next(blocks)
+            codes[:, j], end = code, past
+        kind = block.take(lines if text else end + 9, mode="clip")  # line start, or past "type":"
+        codes[:, n] = kind != (b"I" if text else b"i")[0]
+        del marks, lines, end, code, kind  # before the block's text is encoded
+        encoded = encode(codes, stop == count).encode()
         _canonical(buf.startswith(encoded, 0, held))
         view[: held - len(encoded)] = view[len(encoded) : held]
         held, at = held - len(encoded), at + len(encoded)
-        del encoded  # while the next block is gathered
+        del encoded  # while the block is ranked, and the next one gathered
+        wrong = _unnormalized(codes, codes[:, n])
+        if fault is None and len(wrong):  # the blocks from here on are only checked
+            i = int(wrong[0])
+            fault = ValueError(Cycle._rule.format(i=start + i, v=tuple(codes[i, :n].tolist())))
+        if fault is None:
+            yield codes
     _canonical(at == size)
+    if fault is not None:
+        raise fault
+    _same_field(q, given)
+
+
+def _canonical_cycle(source: bytes | str | BinaryIO, field: Field | None = None) -> Cycle:
+    """The cycle of ``_canonical_rows``, its blocks written into one code array."""
+    rows = _canonical_rows(source, field)
+    n, field, count = next(rows)
+    codes, at = np.empty((count, n + 1), field.arrays[0].dtype), 0
+    for block in rows:
+        codes[at : at + len(block)] = block
+        at += len(block)
     return Cycle._from_arrays(field, codes)
 
 
@@ -625,41 +718,64 @@ def decode_cycle(source: bytes | str | BinaryIO, field: Field | None) -> Cycle:
     """The cycle of a cycle file (see ``_binary_file``): JSON if its first
     non-whitespace character, read as ``file_text`` reads it, is ``{`` (its q
     then ``field``'s, if given), else text over ``field``, refused if None.
-    Routes, in order: gen's bytes streamed (``_canonical_cycle``); a chain file
-    refused on its first 64 KiB; the file read whole, its bytes then dropped,
-    streamed again if its line ends were translated, else by ``json.loads``
-    and ``cycle_from_json_obj`` or by lines."""
-    c = _read_cycle(_binary_file(source), field)
-    if field is not None and c.field.q != field.q:
-        raise ValueError(f"file has q={c.field.q}, expected q={field.p}^{field.k}")
-    return c
-
-
-def _read_cycle(fh: BinaryIO, field: Field | None) -> Cycle:
-    """``decode_cycle`` before the field check."""
-    with suppress(ValueError):
+    Routes, in order: gen's bytes streamed (``_canonical_rows``); then the
+    other routes (``_other_routes``)."""
+    fh = _binary_file(source)
+    with suppress(_NotCanonical):
         return _canonical_cycle(fh, field)
+    return _other_routes(fh, field, fh is not source)
+
+
+def decode_rows(source: bytes | str | BinaryIO, field: Field | None,
+                consume: Callable[[int, Field, int, Iterator[np.ndarray]], T]) -> T:
+    """``consume(n, field, count, blocks)`` for the cycle that ``decode_cycle``
+    reads from ``source``, ``blocks`` giving its rows in order, a block at a
+    time.  gen's bytes are streamed, each block checked as it is read
+    (``_canonical_rows``), so that no code array is held; if they prove not
+    to be gen's, ``consume`` is called again, from the start, with the blocks
+    of the cycle that the other routes read."""
+    fh = _binary_file(source)
+    try:
+        rows = _canonical_rows(fh, field)
+        return consume(*next(rows), rows)
+    except _NotCanonical:
+        pass
+    c = _other_routes(fh, field, fh is not source)
+    return consume(c.n, c.field, len(c), iter([c.codes]))
+
+
+def _other_routes(fh: BinaryIO, field: Field | None, release: bool) -> Cycle:
+    """The routes of ``decode_cycle`` after gen's bytes: a chain file refused on
+    its first 64 KiB; the file read whole (released once read if ``release``,
+    an in-memory file made by the decode), its bytes dropped once decoded to
+    text; text whose line ends were translated streamed again; then
+    ``json.loads`` and ``cycle_from_json_obj``, or the line loop."""
     fh.seek(0)
     if re.match(_CHAIN, fh.read(_CHUNK)):
         raise ValueError('a grassmann chain file ({"levels":[...]}) is not a cycle file')
     fh.seek(0)
     data = fh.read()
+    if release:
+        fh.close()
     crlf, text = b"\r" in data, file_text(data)
     del data  # the text stands for the bytes from here on
     json_file = re.match(r"\s*\{", text) is not None
     if not json_file and field is None:
         raise ValueError("text cycle files need --p (and --k for extensions)")
     if crlf:  # its line ends may be all that differed from gen's bytes
-        with suppress(ValueError):
+        with suppress(_NotCanonical):
             return _canonical_cycle(text, field)
-    if not json_file:
-        return _cycle_from_lines(text, field)
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise ValueError("cycle JSON is nested too deeply") from None
-    del text  # the objects stand for it from here on
-    return cycle_from_json_obj(obj)
+    if json_file:
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("cycle JSON is nested too deeply") from None
+        del text  # the objects stand for it from here on
+        c = cycle_from_json_obj(obj)
+    else:
+        c = _cycle_from_lines(text, field)
+    _same_field(c.field.q, field)
+    return c
 
 
 def cycle_from_json(text: str | bytes) -> Cycle:

@@ -5,31 +5,38 @@ produce failing reports.  The targets are ranked in closed form, and no
 construction module is imported (only gf, geometry and cycles): an affine
 line of AG(n,q) is a normalized direction together with the one point of
 the line whose coordinate at the direction's pivot is 0, and a plane of
-F_q^m is a rank-2 RREF row pair.  One block walk (``window_ranks``) decodes
-the windows, about ``cycles.BLOCK_ROWS`` codes at a time, from the narrow
-code array of the sequence into one rank per window, a degenerate window
-ranked one past the last target: lines from a cycle's homogeneous rows (a
-last code of 0 marks a point at infinity) by the closed form of
-``geometry.line_from``, planes by the closed-form RREF of two rows from
-each vertex's normal form (pivot and lead 1), found once; each field
-operation is one 1-D gather from a flattened table, its indices in the
-narrowest dtype that holds q^2 - 1.  Every check counts the ranks in
-linear time (``_rank_report``); the walk also serves ``windows()`` and the
-gluing check.  The brute-force point-pair oracle, the packed keys of every
-target and a set-based report stay in the tests.
+F_q^m is a rank-2 RREF row pair.  One block walk (``_rank_blocks``) decodes
+the windows of blocks of narrow codes, each with the row before it carried
+over, into one rank per window, a degenerate window ranked one past the last
+target: lines from a cycle's homogeneous rows (a last code of 0 marks a
+point at infinity) by the closed form of ``geometry.line_from``, planes by
+the closed-form RREF of two rows from each vertex's normal form (pivot and
+lead 1), found once; each field operation is one 1-D gather from a
+flattened table, its indices in the narrowest dtype that holds q^2 - 1.
+The blocks come from a sequence's code array, about ``cycles.BLOCK_ROWS``
+codes at a time, or for ``verify_file`` straight from the reader of gen's
+bytes, so that the file's cycle is never held.  One report builder
+(``_rank_report``) adds each block's ranks into one int32 count per target
+as they come, in linear time, holding no rank array; ``window_ranks`` keeps
+the ranks for ``windows()`` and the gluing check.  The brute-force
+point-pair oracle, the packed keys of every target and a set-based report
+stay in the tests.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .gf import Field
 from .geometry import AffineLine, Direction, Subspace
-from .cycles import Cycle, GrassCycle, Segment, VertexSequence, occurs_cyclically, row_blocks
+from .cycles import Cycle, GrassCycle, Segment, VertexSequence, occurs_cyclically
+from .cycles import _pick, decode_rows, row_blocks
 
 MAX_REPORT_ITEMS = 32
 
@@ -84,25 +91,33 @@ class CoverageReport:
                     unexpected=[item(x) for x in self.unexpected])
 
 
-def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> CoverageReport:
-    """The coverage report of a sequence's windows against the targets whose
-    ranks the bool mask ``expected`` holds, or all.  ``np.add.at`` counts the
-    ranks (``np.bincount`` would copy int32 ranks to intp first), the last
-    slot the degenerate windows': 0 is a missing target, above 1 a duplicate.
-    Only the entries kept become packed keys, then report entries, in key order."""
-    ranks, space = window_ranks(s)
-    counts = np.zeros(space.count + 1, dtype=np.intp)
-    np.add.at(counts, ranks, 1)
-    counts, degenerate, found_count = counts[:-1], int(counts[-1]), len(ranks)
-    marked, want, blocks = [], min(degenerate, MAX_REPORT_ITEMS), row_blocks(len(ranks))
-    while len(marked) < want:  # the first degenerate windows, a block at a time
-        start, stop = next(blocks)
-        hits = np.flatnonzero(ranks[start:stop] == space.count)[: want - len(marked)]
-        marked += (hits + start).tolist()
-    del ranks  # the counts stand for them from here on
-    expected = np.ones(space.count, dtype=bool) if expected is None else expected
-    missing = np.flatnonzero(expected & (counts == 0))
-    unexpected = np.flatnonzero(~expected & (counts > 0))
+def _rank_report(space: _Ranking, ranked: Iterable[np.ndarray], windows: int,
+                 expected: np.ndarray | None = None) -> CoverageReport:
+    """The coverage report of ``windows`` windows, whose ranks ``ranked``
+    gives a block at a time (``_rank_blocks``), against the targets whose
+    ranks the bool mask ``expected`` holds, or all.  Each block's ranks are
+    added into one count per target, int32 below 2^31 windows, by
+    ``np.add.at`` with an increment of the counts' dtype (numpy's fast
+    path), the last slot the degenerate windows', whose first indices are
+    kept as they come: a count of 0 is a missing target, above 1 a
+    duplicate.  Only the entries kept become packed keys, then report
+    entries, in key order."""
+    counts = np.zeros(space.count + 1, dtype=np.int32 if windows < 2**31 else np.int64)
+    one, marked, found_count = counts.dtype.type(1), [], 0
+    for ranks in ranked:
+        np.add.at(counts, ranks, one)
+        if len(marked) < min(counts[-1], MAX_REPORT_ITEMS):  # degenerate windows still to list
+            hits = np.flatnonzero(ranks == space.count)[: MAX_REPORT_ITEMS - len(marked)]
+            marked += (hits + found_count).tolist()
+        found_count += len(ranks)
+    counts, degenerate = counts[:-1], int(counts[-1])
+    if expected is None:  # every target: no mask beside the counts
+        missing, expected_count = np.flatnonzero(counts == 0), space.count
+        unexpected = missing[:0]
+    else:
+        missing = np.flatnonzero(expected & (counts == 0))
+        unexpected = np.flatnonzero(~expected & (counts > 0))
+        expected_count = int(np.count_nonzero(expected))
     duplicated = np.flatnonzero(counts > 1)
 
     def head(ranks: np.ndarray) -> np.ndarray:
@@ -117,7 +132,7 @@ def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> Cover
 
     twice = head(duplicated)
     return CoverageReport(
-        expected_count=int(np.count_nonzero(expected)),
+        expected_count=expected_count,
         found_count=found_count,
         missing=space.items(head(missing)),
         duplicated=list(zip(space.items(twice), counts[twice].tolist())),
@@ -130,6 +145,12 @@ def _rank_report(s: VertexSequence, expected: np.ndarray | None = None) -> Cover
         # with none of these, the windows are the targets, each once
         passed=not (len(missing) or len(duplicated) or len(unexpected) or degenerate),
     )
+
+
+def _sequence_report(s: VertexSequence, expected: np.ndarray | None = None) -> CoverageReport:
+    """``_rank_report`` of a sequence's windows, ranked from its code array."""
+    space = _space(s)
+    return _rank_report(space, _rank_blocks(space, [s.codes], s.wrap), len(s), expected)
 
 
 # -- packed integer keys and ranks -----------------------------------------------
@@ -158,11 +179,6 @@ def key_radix(kind: str, dim: int, q: int) -> int:
     if 2 * dim * (q.bit_length() - 1) >= 63 or q ** (2 * dim) > _INT64_MAX:
         raise ValueError(_REFUSALS[kind].format(dim=dim, q=q))
     return q**dim
-
-
-def _pick(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows[k, cols[k]] for every row k of cols, as one gather from the flat rows."""
-    return rows.ravel().take(np.arange(0, len(cols) * rows.shape[1], rows.shape[1]) + cols)
 
 
 class _Ranking:
@@ -303,20 +319,48 @@ class _Planes(_Ranking):
 _ranking = functools.lru_cache(maxsize=8)(lambda kind, dim, F: kind(dim, F))
 
 
+def _space(s: VertexSequence) -> _Ranking:
+    """The ranking of the windows of ``s``: lines of AG(n,q), or for a
+    GrassCycle planes of F_q^m."""
+    return _ranking(_Planes if isinstance(s, GrassCycle) else _Lines, s.n, s.field)
+
+
+def _rank_blocks(space: _Ranking, blocks: Iterable[np.ndarray],
+                 wrap: bool) -> Iterator[np.ndarray]:
+    """The rank of each window of the rows that ``blocks`` gives in order, a
+    degenerate window's ``space.count``, one past the last target, in arrays
+    of at most BLOCK_ROWS codes' windows (``row_blocks``).  Each block is
+    ranked together with the row after it, once that row is read: the next
+    block's first, or for the last block row 0 if ``wrap``."""
+    blocks = iter(blocks)
+    rows = next(blocks)
+    for after in chain(blocks, [rows[:1].copy()] if wrap else [None]):
+        for start, stop in row_blocks(len(rows) - (after is None), space.dim):
+            # a slice of the block, but for the row after it
+            if stop < len(rows):
+                yield _ranked(space, rows[start : stop + 1])
+            else:
+                yield _ranked(space, np.concatenate([rows[start:], after[:1]]))
+        rows = after
+
+
+def _ranked(space: _Ranking, rows: np.ndarray) -> np.ndarray:
+    ranks, bad = space.decode(rows)
+    ranks[bad] = space.count
+    return ranks
+
+
 def window_ranks(s: VertexSequence) -> tuple[np.ndarray, _Ranking]:
     """The rank of each window of ``s`` (cyclic if ``s.wrap``), in window
-    order, int32 below 2^31 targets, a degenerate one's ``space.count``, one
-    past the last; and ``space``, the ranking of lines of AG(n,q) or, for a
-    GrassCycle, planes of F_q^m, decoding each block and the row after it."""
-    space = _ranking(_Planes if isinstance(s, GrassCycle) else _Lines, s.n, s.field)
-    codes, N = s.codes, len(s)
-    count = N if s.wrap else N - 1
-    ranks = np.empty(count, dtype=np.int32 if space.count < 2**31 else np.int64)
-    for start, stop in row_blocks(count, s.n):
-        # the next rows are a slice; only the wrap window's is row 0
-        rows = codes[start : stop + 1] if stop < N else np.concatenate([codes[start:], codes[:1]])
-        ranks[start:stop], bad = space.decode(rows)
-        ranks[start:stop][bad] = space.count
+    order, int32 below 2^31 targets, a degenerate one's ``space.count``; and
+    ``space``, its ranking (``_space``)."""
+    space = _space(s)
+    ranks = np.empty(len(s) if s.wrap else len(s) - 1,
+                     dtype=np.int32 if space.count < 2**31 else np.int64)
+    at = 0
+    for block in _rank_blocks(space, [s.codes], s.wrap):
+        ranks[at : at + len(block)] = block
+        at += len(block)
     return ranks, space
 
 
@@ -333,7 +377,28 @@ def verify_affine(c: Cycle, n: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a cycle against all affine lines of AG(n,q)."""
     if c.n != n or c.field != F:
         raise ValueError("cycle does not live in AG(n,q) for the given n, q")
-    return _rank_report(c)
+    return _sequence_report(c)
+
+
+def verify_file(source: bytes | str | BinaryIO, field: Field | None,
+                admit: Callable[[int, int], None]) -> CoverageReport:
+    """Exact-coverage report of the cycle in a cycle file against all affine
+    lines of its AG(n,q), read as ``cycles.decode_rows`` reads it.
+    ``admit(n, q)`` checks the file's n and q before any count is made; gen's
+    bytes are ranked and counted a block at a time as they are read, so that
+    neither the cycle nor its ranks are held.  A refusal of ``admit`` is
+    raised once the file has been read to its end, after the reader's own."""
+
+    def consume(n: int, F: Field, count: int, blocks: Iterator[np.ndarray]) -> CoverageReport:
+        try:
+            admit(n, F.q)
+        except ValueError:
+            deque(blocks, maxlen=0)  # the reader's refusals come first
+            raise
+        space = _ranking(_Lines, n, F)
+        return _rank_report(space, _rank_blocks(space, blocks, True), count)
+
+    return decode_rows(source, field, consume)
 
 
 def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> CoverageReport:
@@ -352,7 +417,7 @@ def verify_subset(c: Cycle | Segment, expected: Iterable[AffineLine]) -> Coverag
     d, base = np.array(rows, dtype=np.int64).reshape(-1, 2, n).transpose(1, 0, 2)
     targets = np.zeros(lines.count, dtype=bool)
     targets[lines.rank(d, base, np.argmax(d != 0, axis=1))] = True
-    return _rank_report(c, targets)
+    return _sequence_report(c, targets)
 
 
 # -- Grassmannian oracle -------------------------------------------------------
@@ -368,7 +433,7 @@ def verify_grassmann(gc: GrassCycle, m: int, F: Field) -> CoverageReport:
     """Exact-coverage report of a vector cycle against all 2-subspaces of F_q^m."""
     if gc.m != m or gc.field != F:
         raise ValueError("cycle does not live in F_q^m for the given m, q")
-    return _rank_report(gc)
+    return _sequence_report(gc)
 
 
 def verify_nesting(inner: GrassCycle, outer: GrassCycle) -> bool:

@@ -22,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from ucycle.cycles import row_blocks
+from ucycle.cycles import _block_rows, row_blocks
 from ucycle.geometry import AffineLine, DegenerateWindowError, Direction, decode_window
 from ucycle.grassmann import Subspace2
 from ucycle.verify import MAX_REPORT_ITEMS, CoverageReport, _pick, key_radix, window_ranks
@@ -263,8 +263,10 @@ def encode_by_code(codes, q, head, first, sep, last, tail):
     ends = [(first[k] if j == 0 else "", last[k] if j == n - 1 else sep)
             for k in range(len(first)) for j in range(n)]
     table = np.array([f"{a}{x}{b}" for a, b in ends for x in range(q)], dtype=object)
+    size = _block_rows(n, q, first, sep, last)  # the codec's blocks
     yield head
-    for start, stop in row_blocks(len(codes)):
+    for start in range(0, len(codes), size):
+        stop = min(start + size, len(codes))
         kind = codes[start:stop, n:].astype(np.intp) * (n * q) if len(first) > 1 else 0
         tokens = table[codes[start:stop, :n] + (np.arange(n) * q + kind)].ravel().tolist()
         if stop == len(codes):

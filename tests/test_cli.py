@@ -408,14 +408,14 @@ def refuse_loads(text):
 
 
 def not_canonical(data, field=None):
-    raise ValueError("not the canonical byte form")
+    raise cycles._NotCanonical("not the canonical byte form")
 
 
 def loads_route(monkeypatch, capsys, *argv):
     """The CLI's result when every JSON text goes through json.loads and
     cycle_from_json_obj, the reference route that words every refusal."""
     with monkeypatch.context() as m:
-        m.setattr(cycles, "_canonical_cycle", not_canonical)
+        m.setattr(cycles, "_canonical_rows", not_canonical)
         return run(capsys, *argv)
 
 
@@ -628,6 +628,42 @@ def test_verify_reads_bytes_as_a_text_file(tmp_path, capsys, case):
 
 
 # one byte of the canonical AG(2,5) file changed in each field, or inserted
+def unnormalized_last_direction(text):
+    """gen's JSON with the lead 1 of its last vertex at infinity written 2
+    (not normalized, still gen's bytes), the vertex's index and coords, and
+    the offset just past its object."""
+    at = text.rindex('"type":"infinity"')
+    start = text.rindex("[", 0, at) + 1
+    stop = text.index("]", start)
+    coords = text[start:stop].split(",")
+    coords[next(j for j, x in enumerate(coords) if x != "0")] = "2"
+    k = text.count('{"coords":', 0, at) - 1
+    changed = text[:start] + ",".join(coords) + text[stop:]
+    return changed, k, tuple(map(int, coords)), text.index("}", stop) + 1
+
+
+def test_verify_refuses_an_unnormalized_direction_in_a_late_block(tmp_path, capsys, monkeypatch):
+    # the streamed reader finds vertex k in one of the last blocks, and
+    # refuses it once the whole file has proved gen's bytes, in the words of
+    # the general route and before the flags' n and q are compared
+    f = tmp_path / "c.json"
+    text, k, v, end = unnormalized_last_direction(gen_json(capsys, f, 4, 3, 2))
+    assert k > 500_000
+    message = f"error: vertex {k}: infinity vector {v} not normalized\n"
+    f.write_text(text)
+    with monkeypatch.context() as m:  # gen's bytes are streamed, not parsed
+        m.setattr(json, "loads", refuse_loads)
+        for flags in ((), ("--n", "3"), ("--p", "3")):
+            assert run(capsys, "verify", "--in", str(f), *flags) == (2, "", message)
+    # a byte after vertex k that is not gen's: the general route reads the
+    # file from its start, and json.loads refuses it before vertex k is read
+    bad = text[:end] + "]" + text[end:]
+    f.write_text(bad)
+    with pytest.raises(json.JSONDecodeError) as e:
+        json.loads(bad)
+    assert run(capsys, "verify", "--in", str(f)) == (2, "", f"error: {e.value}\n")
+
+
 ONE_BYTE = {
     "n": ('"n":2', '"n":3'),
     "n-non-digit": ('"n":2', '"n":x'),

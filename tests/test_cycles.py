@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ucycle import cycles
-from ucycle.cli import _dumps, _load_cycle, main
+from ucycle.cli import _dumps, cmd_verify, main
 from ucycle.gf import field_from_order, field_make
 from ucycle.geometry import (
     DegenerateWindowError, Direction, ProjVertex, affine, decode_window, infinity,
@@ -671,15 +671,16 @@ def assert_same_arrays(a, b):
 
 def test_canonical_decode_is_linear_in_memory():
     # json.loads plus cycle_from_json_obj peak at ~418 B per line on this
-    # text.  Measured, streamed a block at a time into uint8 codes: 59 B per
-    # line from the text, which is encoded to bytes first, and 21 from the
-    # file's bytes; 12 from the bytes of the text format (56, 18 and 17 when
+    # text.  Measured, streamed a block of at most 512 KiB at a time into
+    # uint8 codes: 48 B per line from the text, which is encoded to bytes
+    # first, and 10 from the file's bytes; 12 from the bytes of the text
+    # format (59, 21 and 12 with blocks of 2^16 rows, 56, 18 and 17 when
     # numpy parsed each block of bytes held whole, 111, 73 and 73 when the
     # whole file was parsed at once)
     F = field_make(3, 2)
     c = universal_cycle(4, F)
     text = cycle_to_json(c)
-    cases = [(cycle_from_json, text, 64), (cycle_from_json, text.encode(), 24),
+    cases = [(cycle_from_json, text, 56), (cycle_from_json, text.encode(), 14),
              (lambda data: cycle_from_text(data, F), cycle_to_text(c).encode(), 16)]
     for decode, source, bound in cases:
         tracemalloc.start()
@@ -692,21 +693,42 @@ def test_canonical_decode_is_linear_in_memory():
         assert peak / len(c) <= bound
 
 
-def test_verify_streams_the_file(tmp_path):
-    # traced from the file's opening: 21 B per line measured for gen's
-    # AG(4,9) file, which alone holds 38 B per line (22.7 MB), against 56
-    # when the whole file was read into one bytes
+def test_a_str_that_is_not_gen_s_bytes_is_decoded_without_its_bytes():
+    # read whole, the in-memory UTF-8 of a str is released before json.loads:
+    # 968 B above the peak from the same bytes measured for this 55 KB copy,
+    # against 56 KB above when the decode held the bytes to its end
+    text = json.dumps(cycle_to_json_obj(universal_cycle(3, field_make(5))), indent=1) + "\n"
+    data = text.encode()
+    peaks = []
+    for source in (text, data):
+        tracemalloc.start()
+        try:
+            c = cycle_from_json(source)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 775
+    assert len(data) > 50_000 and peaks[0] <= peaks[1] + 4096
+
+
+def test_verify_streams_the_file(tmp_path, capsys):
+    # traced from the file's opening to the report: 9.9 B per line measured
+    # for gen's AG(4,9) file, which alone holds 38 B per line (22.7 MB): one
+    # int32 count per line (4 B) and one block's bytes and temporaries.  21
+    # when the decode held the cycle's codes (and 2.5 MB blocks), its ranks
+    # and counts made after, and 56 when the whole file was read into one bytes
     f = tmp_path / "c.json"
     f.write_text(cycle_to_json(universal_cycle(4, field_make(3, 2))))
     args = argparse.Namespace(infile=str(f), n=None, p=None, k=1)
     tracemalloc.start()
     try:
-        c = _load_cycle(args)
+        assert cmd_verify(args) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(c) == 597_780 and f.stat().st_size / len(c) > 37
-    assert peak / len(c) <= 24
+    assert "PASS 597780/597780 windows" in capsys.readouterr().err
+    assert f.stat().st_size / 597_780 > 37
+    assert peak / 597_780 <= 13
 
 
 def test_cycle_checks_are_linear_in_memory():
@@ -828,7 +850,7 @@ def test_a_chain_file_led_by_a_space_is_refused_from_its_first_chunk(tmp_path, c
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as e:
-            _load_cycle(argparse.Namespace(infile=str(f), n=None, p=None, k=1))
+            cmd_verify(argparse.Namespace(infile=str(f), n=None, p=None, k=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -517,33 +517,34 @@ def traced_peak(f):
 
 
 def test_verify_affine_memory_per_window():
-    # 12.1 B/window measured at AG(10,2) (523,776 windows and lines): the
-    # int32 ranks and one intp count a line, and one block's temporaries;
-    # 50 with int64 keys, np.unique and the sorted target keys, and 426
-    # when the one-pass decode held (N, n) int64 temporaries
+    # 6.1 B/window measured at AG(10,2) (523,776 windows and lines): one
+    # int32 count a line, and one block's temporaries; 12.1 with int32 ranks
+    # and intp counts, 50 with int64 keys, np.unique and the sorted target
+    # keys, and 426 when the one-pass decode held (N, n) int64 temporaries
     F = field_make(2)
     c = universal_cycle(10, F)
     rep, peak = traced_peak(lambda: verify_affine(c, 10, F))
     assert rep.passed
-    assert peak / len(c) <= 20
+    assert peak / len(c) <= 9
 
 
 def test_verify_grassmann_memory_per_window():
-    # 12.4 B/window measured at the m = 10, q = 2 top level (174,251 planes):
-    # ranks and counts as for lines; 50 with packed keys, 442 when the
-    # one-pass decode held int64 temporaries
+    # 11.6 B/window measured at the m = 10, q = 2 top level (174,251 planes):
+    # counts as for lines, and one block's temporaries, here the most of it;
+    # 12.4 with ranks, 50 with packed keys, 442 when the one-pass decode held
+    # int64 temporaries
     F = field_make(2)
     top = nested_cycles(10, F)[-1]
     rep, peak = traced_peak(lambda: verify_grassmann(top, 10, F))
     assert rep.passed
-    assert peak / len(top) <= 20
+    assert peak / len(top) <= 16
 
 
 def test_degenerate_windows_memory_per_window():
-    # 14.2 B/window measured for 2^18 copies of one affine point over GF(2),
-    # every window degenerate: the int32 ranks, the mask and the indices of
-    # the marked windows, and one block's temporaries; 49.1 when the walk
-    # listed their indices in Python.  14.0 for one repeated vector.
+    # 12.0 B/window measured for 2^18 copies of one affine point over GF(2),
+    # every window degenerate: one block's temporaries; 14.2 with the int32
+    # ranks, 49.1 when the walk listed their indices in Python.  11.3 for one
+    # repeated vector (14.0).
     F = field_make(2)
     same = np.tile(np.array([0, 0, 1], dtype=np.uint8), (2**18, 1))
     for s, check in ((Cycle._from_arrays(F, same), lambda s: verify_affine(s, 2, F)),
@@ -551,14 +552,14 @@ def test_degenerate_windows_memory_per_window():
         rep, peak = traced_peak(lambda: check(s))
         assert rep.found_count == rep.degenerate_total == 2**18
         assert rep.degenerate_windows == list(range(MAX_REPORT_ITEMS))
-        assert peak / len(s) <= 20
+        assert peak / len(s) <= 16
 
 
 def test_degenerate_windows_are_listed_without_a_mask_of_every_window():
-    # 5.3 B/window measured for 2^21 copies of one affine point, or of one
-    # vector, over GF(2): the int32 ranks and one block's temporaries; 13.0
-    # when one bool mask of every window and the index of every degenerate
-    # one were made to list the first 32
+    # 1.5 B/window measured for 2^21 copies of one affine point, or of one
+    # vector, over GF(2): one block's temporaries; 5.3 with the int32 ranks,
+    # 13.0 when one bool mask of every window and the index of every
+    # degenerate one were made to list the first 32
     F = field_make(2)
     same = np.tile(np.array([0, 0, 1], dtype=np.uint8), (2**21, 1))
     for s, check in ((Cycle._from_arrays(F, same), lambda s: verify_affine(s, 2, F)),
@@ -566,7 +567,7 @@ def test_degenerate_windows_are_listed_without_a_mask_of_every_window():
         rep, peak = traced_peak(lambda: check(s))
         assert rep.found_count == rep.degenerate_total == 2**21
         assert rep.degenerate_windows == list(range(MAX_REPORT_ITEMS))
-        assert peak / len(s) <= 8
+        assert peak / len(s) <= 3
 
 
 @pytest.mark.parametrize("block_rows,rows", [(64, 3000), (cycles.BLOCK_ROWS, 3 * cycles.BLOCK_ROWS)])
